@@ -15,7 +15,7 @@ from .chartab import (CharacterTable, ClassFunction, character_table,
                       wreath_cyclic_table)
 from .constructions import (BaseGroups, FamilyInstance, base_groups,
                             direct_product, family, wreath_cyclic)
-from .cyclo import Cyclotomic, Rational, zeta
+from .cyclo import Cyclotomic, zeta
 from .depth import (DepthReport, InclusionMatrix, NEG_INF, alternating_power,
                     char_distance, core_depth_bound, depth_one_check,
                     inclusion_matrix, m_chi, matrix_depth, ordinary_depth,
@@ -23,8 +23,7 @@ from .depth import (DepthReport, InclusionMatrix, NEG_INF, alternating_power,
 from .graphs import Graph, bfs_distance, cartesian_product
 from .lemma import LemmaReport, expected_overlap_graph, lemma_report
 from .perm import (DEFAULT_CAP, ClassSet, PermGroup, Permutation,
-                   SubgroupEmbedding, centralizer, class_fusion,
-                   conjugacy_classes, enumerate_elements, is_normal,
+                   SubgroupEmbedding, centralizer, class_fusion, is_normal,
                    min_core_conjugates, parse_cycle_notation,
                    parse_generators, subgroup_core)
 

@@ -108,7 +108,8 @@ def _cmd_table(args, cap):
 
 def _cmd_depth(args, cap):
     group = _resolve_group(args.group, "group", args.degree, cap)
-    sub = _resolve_group(args.subgroup, "subgroup", args.degree, cap)
+    degree = group.degree if args.degree is None else args.degree
+    sub = _resolve_group(args.subgroup, "subgroup", degree, cap)
     report = ordinary_depth(group, sub)
     obj = report.to_obj()
     text = [
@@ -244,7 +245,11 @@ def main(argv=None):
     cap = args.cap
     if cap is None:
         env = os.environ.get(CAP_ENV_VAR)
-        cap = int(env) if env else DEFAULT_CAP
+        try:
+            cap = int(env) if env else DEFAULT_CAP
+        except ValueError:
+            print(f"error: ${CAP_ENV_VAR} must be an integer, not {env!r}", file=sys.stderr)
+            return 2
     if cap < 1:
         parser.error("--cap must be at least 1")
     handlers = {

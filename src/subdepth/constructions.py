@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chartab import character_table
 from .errors import SubdepthError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
                    parse_cycle_notation, subgroup_core)
@@ -196,17 +195,11 @@ class FamilyInstance:
     sigma: Permutation | None
     expected_depth: int
     _emb_sub: object = field(default=None, repr=False)
-    _emb_block: object = field(default=None, repr=False)
 
     def embedding_subgroup(self):
         if self._emb_sub is None:
             self._emb_sub = class_fusion(self.ambient, self.subgroup)
         return self._emb_sub
-
-    def embedding_base_block(self):
-        if self._emb_block is None:
-            self._emb_block = class_fusion(self.ambient, self.base_block)
-        return self._emb_block
 
 
 def _verify_family(inst, generated_sub=None):
@@ -216,9 +209,6 @@ def _verify_family(inst, generated_sub=None):
         raise SubdepthError("family base block is not inside the ambient group")
     if generated_sub is not None and generated_sub != inst.subgroup:
         raise SubdepthError("product subgroup differs from its generated form")
-    core = subgroup_core(inst.ambient, inst.subgroup)
-    if core != inst.core:
-        raise SubdepthError("family core does not match the computed core")
     return inst
 
 
@@ -249,7 +239,11 @@ def family(series, n, cap=DEFAULT_CAP):
         generated_sub = PermGroup.generated(gens, cap=cap)
         inst = FamilyInstance(series, n, wr.group, subgroup, base_blk,
                               core, wr.shift, expected)
-        return _verify_family(inst, generated_sub)
+        _verify_family(inst, generated_sub)
+        # the core above is built as V4^n, independently of the conjugates
+        if subgroup_core(inst.ambient, inst.subgroup) != core:
+            raise SubdepthError("family core does not match the computed core")
+        return inst
     if series == "C":
         ambient, sub = bg.s4, bg.d8
         sigma = None
@@ -329,12 +323,3 @@ def distance_witness_pair(n, sub_table, v4_table, s4_table):
     first = sub_table.product_labels[(nu["nu2"],) + (chi["chi1"],) * (n - 1)]
     second = sub_table.product_labels[(nu["nu2"],) + (chi["chi2"],) * (n - 1)]
     return first, second
-
-
-def family_subgroup_table(inst):
-    """Character table of the family subgroup (outer product when available)."""
-    return character_table(inst.subgroup)
-
-
-def family_block_table(inst):
-    return character_table(inst.base_block)

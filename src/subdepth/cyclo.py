@@ -21,10 +21,7 @@ from math import lcm
 
 from .errors import SubdepthError
 
-# Rationals are plain `Fraction`s: always reduced, denominator > 0.
-Rational = Fraction
-
-__all__ = ["Cyclotomic", "Rational", "zeta", "cyclotomic_polynomial"]
+__all__ = ["Cyclotomic", "zeta", "cyclotomic_polynomial"]
 
 
 def _divisors(n):
@@ -191,9 +188,6 @@ class Cyclotomic:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_rational(self):
-        return self.conductor == 1
 
     def as_rational(self):
         """The value as a Fraction, or None when it is not rational."""
@@ -362,7 +356,3 @@ def zeta(e, k=1):
     if e < 1:
         raise ValueError("order of the root of unity must be a positive integer")
     return Cyclotomic._make(e, {k % e: Fraction(1)})
-
-
-ZERO = Cyclotomic.from_rational(0)
-ONE = Cyclotomic.from_rational(1)

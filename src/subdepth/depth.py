@@ -26,13 +26,15 @@ mismatch raises instead of being smoothed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .chartab import (character_table, decompose, induce_character,
                       restrict_character)
 from .errors import (CriterionMismatchError, InternalConsistencyError,
                      SubdepthError)
 from .graphs import NEG_INF, Graph, bfs_distance, distances_from
-from .perm import class_fusion, is_normal, min_core_conjugates, subgroup_core
+# subgroup_core is unused here but perfbench/tracer.py wraps it on this module
+from .perm import class_fusion, is_normal, min_core_conjugates, subgroup_core  # noqa: F401
 
 __all__ = [
     "InclusionMatrix", "inclusion_matrix", "alternating_power", "matrix_depth",
@@ -110,19 +112,26 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def alternating_power(matrix, n):
-    """The n-th alternating power: M^1 = M, M^(2l) = M^(2l-1) M^T,
-    M^(2l+1) = M^(2l) M; M^0 is the identity on the row index set."""
+def _alternating_powers(matrix):
+    """M^0, M^1, M^2, ... without end, each from the previous one by a
+    single multiplication."""
     entries = [list(r) for r in matrix.entries]
     r = len(entries)
-    if n == 0:
-        return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    yield [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     m_cols = _transpose(entries)          # columns of M
     mt_cols = [list(row) for row in entries]  # columns of M^T are rows of M
     power = entries
-    for k in range(1, n):
+    k = 1
+    while True:
+        yield power
         power = _matmul(power, mt_cols if k % 2 == 1 else m_cols)
-    return power
+        k += 1
+
+
+def alternating_power(matrix, n):
+    """The n-th alternating power: M^1 = M, M^(2l) = M^(2l-1) M^T,
+    M^(2l+1) = M^(2l) M; M^0 is the identity on the row index set."""
+    return next(islice(_alternating_powers(matrix), n, None))
 
 
 def _dominated_by_multiple(p, q):
@@ -142,21 +151,14 @@ def _dominated_by_multiple(p, q):
 def matrix_depth(matrix):
     """Smallest n with M^(n+1) <= a * M^(n-1) for some positive integer a,
     together with the smallest witness a."""
-    entries = [list(r) for r in matrix.entries]
-    r = len(entries)
-    guard = 2 * r + 1
-    m_cols = _transpose(entries)
-    mt_cols = [list(row) for row in entries]
-    prev = [[1 if i == j else 0 for j in range(r)] for i in range(r)]  # M^0
-    cur = entries                                                      # M^1
-    n = 1
-    while n <= guard:
-        nxt = _matmul(cur, mt_cols if n % 2 == 1 else m_cols)          # M^(n+1)
+    powers = _alternating_powers(matrix)
+    prev, cur = next(powers), next(powers)                             # M^0, M^1
+    for n in range(1, 2 * matrix.shape[0] + 2):
+        nxt = next(powers)                                             # M^(n+1)
         a = _dominated_by_multiple(nxt, prev)
         if a is not None:
             return n, a
         prev, cur = cur, nxt
-        n += 1
     raise InternalConsistencyError(
         "matrix depth search exceeded the theoretical bound 2|Irr(H)|+1")
 
@@ -229,8 +231,7 @@ class CoreBound:
 def core_depth_bound(ambient, sub):
     """Depth <= 2m from the core as an intersection of m conjugates; 2m-1
     when the core is central in the ambient group."""
-    m, witnesses = min_core_conjugates(ambient, sub)
-    core = subgroup_core(ambient, sub)
+    m, witnesses, core = min_core_conjugates(ambient, sub)
     central = all(ambient.center_contains(x) for x in core.raw_elements)
     bound = 2 * m - 1 if central else 2 * m
     return CoreBound(bound, m, central, tuple(witnesses))

@@ -25,8 +25,8 @@ DEFAULT_CAP = 10**6
 __all__ = [
     "DEFAULT_CAP", "Permutation", "PermGroup", "ClassSet", "ConjugacyClass",
     "SubgroupEmbedding", "parse_cycle_notation", "parse_generators",
-    "enumerate_elements", "conjugacy_classes", "centralizer", "is_normal",
-    "subgroup_core", "min_core_conjugates", "class_fusion",
+    "centralizer", "is_normal", "subgroup_core", "min_core_conjugates",
+    "class_fusion",
 ]
 
 
@@ -224,14 +224,8 @@ class ClassSet:
     def __len__(self):
         return len(self.classes)
 
-    def index_of(self, perm):
-        return self.class_of[perm.images if isinstance(perm, Permutation) else perm]
-
     def sizes(self):
         return [c.size for c in self.classes]
-
-    def reps(self):
-        return [c.rep for c in self.classes]
 
 
 class PermGroup:
@@ -332,9 +326,6 @@ class PermGroup:
     def raw_elements(self):
         return self._raw
 
-    def element_index(self, perm):
-        return self._index[perm.images if isinstance(perm, Permutation) else perm]
-
     def frozen(self):
         if self._frozen is None:
             self._frozen = frozenset(self._raw)
@@ -412,11 +403,6 @@ def _greedy_generators(degree, raw):
     return [Permutation(g) for g in gens]
 
 
-def enumerate_elements(generators, cap=DEFAULT_CAP):
-    """Breadth-first closure of a generator list into a :class:`PermGroup`."""
-    return PermGroup.generated(generators, cap=cap)
-
-
 def _conjugacy_classes(group):
     raw = group._raw
     index = group._index
@@ -453,11 +439,6 @@ def _conjugacy_classes(group):
     if not classes[0].rep.is_identity:
         raise SubdepthError("canonical class order lost the identity class")
     return ClassSet(group, tuple(classes), class_of)
-
-
-def conjugacy_classes(group):
-    """The group's :class:`ClassSet` (cached on the group)."""
-    return group.classes()
 
 
 def centralizer(group, x):
@@ -503,12 +484,16 @@ def _conjugate_set(raw_set, g_raw, degree):
     return frozenset(out)
 
 
-def _conjugate_subgroups(ambient, sub):
-    """All distinct ambient-conjugates of ``sub`` with a conjugating witness each.
+def _conjugates_and_core(ambient, sub):
+    """All distinct ambient-conjugates of ``sub`` and the core they intersect in.
 
-    Returned in breadth-first discovery order starting from ``sub`` itself
-    (witness: identity), which is deterministic.
+    Returns ``(conjugates, witness, core)``: the conjugates as frozensets of
+    image tuples in breadth-first discovery order starting from ``sub`` itself
+    (witness: identity), which is deterministic; ``witness`` maps each to a
+    conjugating element; ``core`` is their intersection as a group, checked
+    to be normal.
     """
+    _require_subgroup(ambient, sub)
     degree = ambient.degree
     start = frozenset(sub._raw)
     identity = tuple(range(degree))
@@ -526,7 +511,10 @@ def _conjugate_subgroups(ambient, sub):
                 # conjugating by g after w conjugates by g∘w
                 witness[conj] = tuple(map(g.__getitem__, w))
                 order.append(conj)
-    return order, witness
+    core = PermGroup.from_elements(degree, start.intersection(*order[1:]))
+    if not is_normal(ambient, core):
+        raise SubdepthError("core computation produced a non-normal subgroup")
+    return order, witness, core
 
 
 def subgroup_core(ambient, sub):
@@ -534,45 +522,33 @@ def subgroup_core(ambient, sub):
 
     Equals the largest normal subgroup of the ambient group inside ``sub``.
     """
-    _require_subgroup(ambient, sub)
-    conjugates, _ = _conjugate_subgroups(ambient, sub)
-    core = set(conjugates[0])
-    for other in conjugates[1:]:
-        core &= other
-    result = PermGroup.from_elements(ambient.degree, core)
-    if not is_normal(ambient, result):
-        raise SubdepthError("core computation produced a non-normal subgroup")
-    return result
+    return _conjugates_and_core(ambient, sub)[2]
 
 
 def min_core_conjugates(ambient, sub):
     """Smallest m with some m conjugates of ``sub`` intersecting exactly in the core.
 
-    Returns ``(m, witnesses)`` where the witnesses are conjugating elements
-    (the first is always the identity: the subgroup itself participates).
-    Search is breadth-first over subset sizes, subsets in lexicographic order
-    of the deterministic conjugate list, so the result is reproducible.
+    Returns ``(m, witnesses, core)``: the witnesses are conjugating elements
+    (the first is always the identity: the subgroup itself participates) and
+    ``core`` is the group :func:`subgroup_core` returns, found by the same
+    single enumeration of the conjugates.  Search is breadth-first over subset
+    sizes, subsets in lexicographic order of the deterministic conjugate list,
+    so the result is reproducible.
     """
     from itertools import combinations
 
-    _require_subgroup(ambient, sub)
-    conjugates, witness = _conjugate_subgroups(ambient, sub)
-    core = set(conjugates[0])
-    for other in conjugates[1:]:
-        core &= other
-    core = frozenset(core)
-    if conjugates[0] == core:
-        # sub is its own core, i.e. normal
-        return 1, [Permutation.identity(ambient.degree)]
+    conjugates, witness, core = _conjugates_and_core(ambient, sub)
+    # every intersection of conjugates contains the core, so equal size
+    # means equal to the core (m = 1 exactly when sub is normal)
     for m in range(1, len(conjugates) + 1):
         for combo in combinations(range(len(conjugates)), m):
             inter = set(conjugates[combo[0]])
             for idx in combo[1:]:
                 inter &= conjugates[idx]
-                if len(inter) == len(core):
+                if len(inter) == core.order:
                     break
-            if frozenset(inter) == core:
-                return m, [Permutation(witness[conjugates[i]]) for i in combo]
+            if len(inter) == core.order:
+                return m, [Permutation(witness[conjugates[i]]) for i in combo], core
     raise SubdepthError("conjugate search failed to reach the core")  # unreachable
 
 

@@ -36,9 +36,6 @@ class AcceptanceContext:
         self._families = {}
         self._reports = {}
 
-    def table(self, group):
-        return character_table(group)
-
     def table_groups(self):
         """Every group whose table the harness has (or will have) built."""
         groups = [self.bg.s4, self.bg.v4, self.bg.d8, self.bg.s3]
@@ -56,7 +53,7 @@ class AcceptanceContext:
         if sub_name not in self._reports:
             sub = getattr(self.bg, sub_name)
             self._reports[sub_name] = ordinary_depth(
-                self.bg.s4, sub, self.table(self.bg.s4), self.table(sub))
+                self.bg.s4, sub, character_table(self.bg.s4), character_table(sub))
         rep = self._reports[sub_name]
         return rep, rep.depth == expect
 
@@ -66,7 +63,7 @@ class AcceptanceContext:
             fam = self.family(series, n)
             self._reports[key] = ordinary_depth(
                 fam.ambient, fam.subgroup,
-                self.table(fam.ambient), self.table(fam.subgroup))
+                character_table(fam.ambient), character_table(fam.subgroup))
         return self._reports[key]
 
     def all_pair_reports(self):
@@ -149,7 +146,7 @@ def _criterion_properties(ctx):
     # (a) orthogonality re-validation of every table in play
     groups = ctx.table_groups()
     for g in groups:
-        ctx.table(g).validate()
+        character_table(g).validate()
     checks.append(f"orthogonality revalidated on {len(groups)} tables")
 
     # (b) Frobenius reciprocity on seeded random pairs, for each inclusion
@@ -170,8 +167,8 @@ def _criterion_properties(ctx):
     # (c) the Clifford wreath oracle agrees with the Dixon engine
     for n in (2, 3):
         fam = ctx.family("A", n)
-        oracle = wreath_cyclic_table(ctx.table(ctx.bg.s4), fam.ambient, fam.sigma, n)
-        if oracle != ctx.table(fam.ambient):
+        oracle = wreath_cyclic_table(character_table(ctx.bg.s4), fam.ambient, fam.sigma, n)
+        if oracle != character_table(fam.ambient):
             return False, f"wreath oracle disagrees with the Dixon table at n={n}"
     checks.append("Dixon tables equal the wreath oracle for n=2,3")
 

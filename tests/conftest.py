@@ -1,8 +1,8 @@
 import pytest
 
+from subdepth import perm
 from subdepth.chartab import character_table
 from subdepth.constructions import base_groups
-from subdepth.reproduce import AcceptanceContext
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,16 @@ def d8_table(bg):
     return character_table(bg.d8)
 
 
-@pytest.fixture(scope="session")
-def ctx():
-    """Shared acceptance context so heavyweight tables are built once."""
-    return AcceptanceContext()
+@pytest.fixture
+def core_enumerations(monkeypatch):
+    """A list that grows by one each time the conjugates of a subgroup are
+    enumerated (the single enumeration behind every core computation)."""
+    calls = []
+    enumerate_once = perm._conjugates_and_core
+
+    def counting(ambient, sub):
+        calls.append(sub)
+        return enumerate_once(ambient, sub)
+
+    monkeypatch.setattr(perm, "_conjugates_and_core", counting)
+    return calls

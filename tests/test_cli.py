@@ -124,3 +124,26 @@ def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SUBDEPTH_CAP", "1000")
     code, _, _ = run_cli(capsys, "table", "--group", "S4")
     assert code == 0
+
+
+def test_cap_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SUBDEPTH_CAP", "abc")
+    code, out, err = run_cli(capsys, "depth", "--group", "S4", "--subgroup", "V4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "SUBDEPTH_CAP" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_subgroup_resolved_at_group_degree(capsys):
+    # without --degree the subgroup spec is read at the group's degree, not at
+    # the (smaller) degree its own largest point would suggest
+    code, out, _ = run_cli(capsys, "depth", "--group", "(1,2);(1,2,3,4,5,6,7)",
+                           "--subgroup", "(1,2);(1,2,3,4,5,6)", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["ambient_order"], obj["subgroup_order"], obj["depth"]) == (5040, 720, 11)
+    code, out, _ = run_cli(capsys, "depth", "--group", "(1,2);(1,2,3,4,5)",
+                           "--subgroup", "trivial", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["ambient_order"], obj["subgroup_order"], obj["depth"]) == (120, 1, 1)

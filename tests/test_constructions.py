@@ -100,6 +100,12 @@ def test_enumeration_identity_of_subgroup():
     assert subgroup_core(fam.ambient, fam.subgroup) == fam.core
 
 
+@pytest.mark.parametrize("series,n", [("A", 1), ("A", 2), ("C", 1)])
+def test_family_enumerates_conjugates_once(series, n, core_enumerations):
+    family(series, n)
+    assert len(core_enumerations) == 1
+
+
 def test_seed_characters(bg, s4_table):
     k2 = direct_product([bg.s4, bg.s4])
     table = character_table(k2)

@@ -6,13 +6,19 @@ from subdepth.depth import (NEG_INF, alternating_power, char_distance, core_dept
                             depth_one_check, inclusion_matrix, m_chi,
                             matrix_depth, ordinary_depth, relation_graph)
 from subdepth.graphs import bfs_distance
-from subdepth.perm import PermGroup, class_fusion
+from subdepth.perm import PermGroup, class_fusion, parse_generators
 
 
 @pytest.fixture(scope="module")
 def v4_in_s4(bg, s4_table, v4_table):
     emb = class_fusion(bg.s4, bg.v4)
     return inclusion_matrix(s4_table, v4_table, emb)
+
+
+def symmetric(k, degree):
+    """S_k on the first k of ``degree`` points."""
+    cycle = ",".join(str(p) for p in range(1, k + 1))
+    return PermGroup.generated(parse_generators(f"(1,2);({cycle})", degree))
 
 
 def reorder(matrix, s4_table, v4_table):
@@ -153,6 +159,17 @@ def test_core_depth_bound(bg):
     # the point stabiliser has trivial (hence central) core: bound 2*3-1
     bound = core_depth_bound(bg.s4, bg.s3)
     assert (bound.bound, bound.conjugate_count, bound.central) == (5, 3, True)
+    # S_n < S_(n+1): n point stabilisers meet in the trivial core, bound 2n-1
+    for n in range(2, 6):
+        bound = core_depth_bound(symmetric(n + 1, n + 1), symmetric(n, n + 1))
+        assert (bound.bound, bound.conjugate_count, bound.central) == (2 * n - 1, n, True)
+
+
+def test_core_depth_bound_enumerates_conjugates_once(bg, core_enumerations):
+    for sub in (bg.v4, bg.d8, bg.s3, bg.s4):
+        core_enumerations.clear()
+        core_depth_bound(bg.s4, sub)
+        assert len(core_enumerations) == 1
 
 
 def test_ordinary_depth_small_pairs(bg):

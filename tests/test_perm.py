@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from subdepth.errors import (CycleParseError, EnumerationCapExceeded,
                              NotASubgroupError)
 from subdepth.perm import (PermGroup, Permutation, centralizer, class_fusion,
-                           conjugacy_classes, enumerate_elements, is_normal,
-                           min_core_conjugates, parse_cycle_notation,
+                           is_normal, min_core_conjugates, parse_cycle_notation,
                            parse_generators, subgroup_core)
 
 
@@ -83,8 +82,8 @@ def test_enumerate_s4():
 
 def test_enumerate_deterministic():
     gens = parse_generators("(1,2);(1,2,3,4)")
-    a = enumerate_elements(gens)
-    b = enumerate_elements(parse_generators("(1,2);(1,2,3,4)"))
+    a = PermGroup.generated(gens)
+    b = PermGroup.generated(parse_generators("(1,2);(1,2,3,4)"))
     assert a.raw_elements == b.raw_elements
 
 
@@ -174,13 +173,13 @@ def test_core_examples():
 
 def test_min_core_conjugates():
     s4, v4, d8 = S4(), V4(), D8()
-    m, wit = min_core_conjugates(s4, v4)
-    assert m == 1 and wit[0].is_identity
-    m, wit = min_core_conjugates(s4, d8)
-    assert m == 2
+    m, wit, core = min_core_conjugates(s4, v4)
+    assert m == 1 and wit[0].is_identity and core == v4
+    m, wit, core = min_core_conjugates(s4, d8)
+    assert m == 2 and core == subgroup_core(s4, d8)
     # witnesses verifiably intersect to the core
     sets = [frozenset((w * h * w.inverse()).images for h in d8.elements) for w in wit]
-    assert set.intersection(*map(set, sets)) == set(subgroup_core(s4, d8).frozen())
+    assert set.intersection(*map(set, sets)) == set(core.frozen())
 
 
 def test_class_fusion():
