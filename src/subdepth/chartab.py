@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from . import modlin
 from .cyclo import Cyclotomic, zeta
@@ -42,33 +43,19 @@ class ClassFunction:
     class order.
     """
 
-    __slots__ = ("group", "values", "_rat")
+    __slots__ = ("group", "values")
 
     def __init__(self, group, values):
         self.group = group
         self.values = tuple(values)
         if len(self.values) != len(group.classes()):
             raise ValueError("need exactly one value per conjugacy class")
-        self._rat = False
 
     def degree(self):
         d = self.values[0].as_integer()
         if d is None:
             raise ValueError("class function has a non-integral value at the identity")
         return d
-
-    def rationals(self):
-        """The values as a Fraction list when all are rational, else None (cached)."""
-        if self._rat is False:
-            out = []
-            for v in self.values:
-                q = v.as_rational()
-                if q is None:
-                    out = None
-                    break
-                out.append(q)
-            self._rat = out
-        return self._rat
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
@@ -89,24 +76,35 @@ class ClassFunction:
         return f"ClassFunction[{vals}]"
 
 
+def _lift(values, e):
+    """Each value as ``(k, c)`` terms of ``c * zeta_e^k`` (``e`` a multiple of
+    every conductor); integral coefficients become ints, so a Fraction marks a
+    value that is not an algebraic integer."""
+    return [[(k * (e // v.conductor), c.numerator if c.denominator == 1 else c)
+             for k, c in v.coeffs.items()] for v in values]
+
+
+def _hermitian_sum(weights, a, b, e):
+    """The exact sum of ``w * a * conj(b)`` over lifted values at zeta_e."""
+    acc = {}
+    for w, ta, tb in zip(weights, a, b):
+        if ta and tb:
+            for ka, ca in ta:
+                wca = w * ca
+                for kb, cb in tb:
+                    k = (ka - kb) % e
+                    acc[k] = acc.get(k, 0) + wca * cb
+    return Cyclotomic._make(e, acc)
+
+
 def inner_product(f, h):
     """The exact scalar product (1/|G|) * sum over classes of size*f*conj(h)."""
     if f.group is not h.group:
         raise GroupMismatchError("class functions live on different groups")
-    classes = f.group.classes().classes
-    fr = f.rationals()
-    hr = h.rationals()
-    if fr is not None and hr is not None:
-        tot = Fraction(0)
-        for c, a, b in zip(classes, fr, hr):
-            if a and b:
-                tot += c.size * a * b
-        return Cyclotomic.from_rational(tot / f.group.order)
-    acc = Cyclotomic.from_rational(0)
-    for c, a, b in zip(classes, f.values, h.values):
-        if a and b:
-            acc = acc + (c.size * a * b.conjugate())
-    return acc * Fraction(1, f.group.order)
+    e = lcm(*(v.conductor for v in f.values + h.values))
+    total = _hermitian_sum(f.group.classes().sizes(), _lift(f.values, e),
+                           _lift(h.values, e), e)
+    return total * Fraction(1, f.group.order)
 
 
 class CharacterTable:
@@ -133,34 +131,36 @@ class CharacterTable:
         raise KeyError("no irreducible character with those values")
 
     def validate(self):
-        """Exact orthogonality and degree checks; raises on any failure."""
+        """Exact checks (values in Z[zeta_d], degrees, orthogonality); raises on failure."""
         s = len(self.classes)
         if len(self.irreducibles) != s:
             raise TableConsistencyError(
                 f"table is not square: {len(self.irreducibles)} characters, {s} classes")
+        e = lcm(*(v.conductor for chi in self.irreducibles for v in chi.values))
+        rows = [_lift(chi.values, e) for chi in self.irreducibles]
+        if any(isinstance(c, Fraction) for row in rows for terms in row for _, c in terms):
+            raise TableConsistencyError("a character value is not an algebraic integer")
+        degrees = [chi.values[0].as_integer() for chi in self.irreducibles]
+        if any(d is None or d < 1 for d in degrees):
+            raise TableConsistencyError("a character degree is not a positive integer")
         order = self.group.order
-        if sum(d * d for d in self.degrees()) != order:
+        if sum(d * d for d in degrees) != order:
             raise TableConsistencyError("degree squares do not sum to the group order")
-        for i, chi in enumerate(self.irreducibles):
-            for j in range(i, s):
-                expect = 1 if i == j else 0
-                got = inner_product(chi, self.irreducibles[j])
-                if got.as_integer() != expect:
-                    raise TableConsistencyError(
-                        f"row orthogonality failed at characters {i}, {j}: {got!r}")
         sizes = self.classes.sizes()
-        cols = [[chi.values[k] for chi in self.irreducibles] for k in range(s)]
-        conj_cols = [[v.conjugate() for v in col] for col in cols]
+        for i in range(s):
+            for j in range(i, s):
+                got = _hermitian_sum(sizes, rows[i], rows[j], e)
+                if got.as_integer() != (order if i == j else 0):
+                    raise TableConsistencyError(
+                        f"row orthogonality failed at characters {i}, {j}: {got!r}/{order}")
+        cols = list(zip(*rows))
+        ones = [1] * s
         for k in range(s):
             for l in range(k, s):
-                acc = Cyclotomic.from_rational(0)
-                for a, b in zip(cols[k], conj_cols[l]):
-                    if a and b:
-                        acc = acc + a * b
-                expect = order // sizes[k] if k == l else 0
-                if acc.as_integer() != expect:
+                got = _hermitian_sum(ones, cols[k], cols[l], e)
+                if got.as_integer() != (order // sizes[k] if k == l else 0):
                     raise TableConsistencyError(
-                        f"column orthogonality failed at classes {k}, {l}: {acc!r}")
+                        f"column orthogonality failed at classes {k}, {l}: {got!r}")
 
     def __eq__(self, other):
         return (isinstance(other, CharacterTable)
@@ -581,7 +581,7 @@ def table_from_obj(obj, group):
     """Rebuild a table from its JSON form, revalidating it against ``group``.
 
     The class list must match the group's canonical classes exactly and the
-    values must pass the orthogonality checks, so a tampered file is rejected.
+    values must pass :meth:`CharacterTable.validate`, so a tampered file is rejected.
     """
     from .perm import parse_cycle_notation
 

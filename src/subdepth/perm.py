@@ -280,23 +280,18 @@ class PermGroup:
         return cls(degree, raw, gens, _trusted=True)
 
     @classmethod
-    def from_elements(cls, degree, elements, generators=None):
-        """Build a group from an explicit element collection (must be closed).
+    def from_elements(cls, degree, elements):
+        """Build a group from an explicit element collection, checked to be closed.
 
         Elements are sorted lexicographically so the stored order does not
-        depend on the caller's iteration order.  When no generators are given
-        a small generating subset is found greedily.
+        depend on the caller's iteration order; a small generating subset is
+        found greedily.
         """
         raw = sorted({e.images if isinstance(e, Permutation) else tuple(e)
                       for e in elements})
         if not raw or raw[0] != tuple(range(degree)):
             raise ValueError("element set must contain the identity")
-        if generators is None:
-            gens = _greedy_generators(degree, raw)
-        else:
-            gens = list(generators)
-        group = cls(degree, raw, gens, _trusted=True)
-        return group
+        return cls(degree, raw, _greedy_generators(degree, raw), _trusted=True)
 
     @classmethod
     def trivial(cls, degree):
@@ -374,7 +369,7 @@ class PermGroup:
 
 
 def _greedy_generators(degree, raw):
-    """A small generating list for a closed element set, deterministic."""
+    """A small generating list for a closed element set (else ValueError), deterministic."""
     target = len(raw)
     identity = tuple(range(degree))
     if target == 1:
@@ -400,6 +395,8 @@ def _greedy_generators(degree, raw):
         have = seen
         if len(have) == target:
             break
+    if len(have) != target or not have.issuperset(raw):
+        raise ValueError("element set is not closed under composition")
     return [Permutation(g) for g in gens]
 
 

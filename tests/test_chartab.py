@@ -1,16 +1,20 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subdepth.chartab import (character_table, decompose, direct_product_table,
+from subdepth.chartab import (CharacterTable, character_table, decompose,
+                              direct_product_table,
                               dixon_character_table, induce_character,
                               induce_character_bruteforce, inner_product,
                               restrict_character, table_from_obj, table_to_obj,
                               wreath_cyclic_table, ClassFunction)
 from subdepth.constructions import (direct_product, klein_labels, sym4_labels,
                                     wreath_cyclic)
-from subdepth.cyclo import Cyclotomic
+from subdepth.cyclo import Cyclotomic, zeta
 from subdepth.errors import (GroupMismatchError, NotACharacterError,
                              TableConsistencyError)
 from subdepth.perm import PermGroup, class_fusion, parse_generators
@@ -253,3 +257,106 @@ def test_table_serialization_roundtrip(bg, s4_table):
     # a mismatched group is rejected up front
     with pytest.raises(GroupMismatchError):
         table_from_obj(json.loads(json.dumps(table_to_obj(s4_table))), bg.d8)
+
+
+F21_GENS = "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"
+
+
+@pytest.fixture(scope="module")
+def f21_table():
+    return character_table(PermGroup.generated(parse_generators(F21_GENS)))
+
+
+def literal_inner_product(f, h):
+    """(1/|G|) * sum over classes of |C| * f * conj(h), in Cyclotomic arithmetic."""
+    total = Cyclotomic.from_rational(0)
+    for c, a, b in zip(f.group.classes().classes, f.values, h.values):
+        total = total + c.size * a * b.conjugate()
+    return total * Fraction(1, f.group.order)
+
+
+def random_class_function(data, group):
+    """Values in Q(zeta_d) for one drawn d in 1..12, with Fraction coefficients."""
+    d = data.draw(st.integers(1, 12))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    values = []
+    for _ in range(len(group.classes())):
+        v = Cyclotomic.from_rational(0)
+        for k in data.draw(st.lists(st.integers(0, d - 1), max_size=3)):
+            v = v + data.draw(coeffs) * zeta(d, k)
+        values.append(v)
+    return ClassFunction(group, values)
+
+
+@pytest.mark.parametrize("name", ["S4", "F21"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inner_product_matches_definition(name, data, bg, f21_table):
+    # conductors 5, 7, 8, ... do not divide exp(S4) = 12; 2, 4, 5, ... do not
+    # divide exp(F21) = 21
+    group = bg.s4 if name == "S4" else f21_table.group
+    f = random_class_function(data, group)
+    h = random_class_function(data, group)
+    assert inner_product(f, h) == literal_inner_product(f, h)
+    assert inner_product(f, f) == literal_inner_product(f, f)
+
+
+def test_inner_product_outside_the_exponent(bg):
+    zero = Cyclotomic.from_rational(0)
+    f = ClassFunction(bg.s4, [zero, zero, zeta(5), zero, zero])
+    # conductor 5 does not divide exp(S4) = 12; |zeta_5|^2 = 1 on a single class
+    size = bg.s4.classes().classes[2].size
+    assert inner_product(f, f) == Fraction(size, 24)
+    assert inner_product(f, f) == literal_inner_product(f, f)
+
+
+def tampered_v4(v4_table, tamper):
+    obj = json.loads(json.dumps(table_to_obj(v4_table)))
+    rows = [[Fraction(v) for v in row] for row in obj["irreducibles"]]
+    tamper(rows)
+    obj["irreducibles"] = [[str(v) for v in row] for row in rows]
+    return obj
+
+
+def test_validation_rejects_non_characters(bg, v4_table):
+    def rotate(rows):
+        # an orthogonal change of basis on two non-identity columns keeps
+        # every orthogonality relation but gives values such as 7/5 and -1/5
+        for row in rows:
+            a, b = row[2], row[3]
+            row[2], row[3] = Fraction(3, 5) * a + Fraction(4, 5) * b, \
+                Fraction(-4, 5) * a + Fraction(3, 5) * b
+
+    def negate(rows):
+        # keeps orthogonality and the degree squares, but a degree becomes -1
+        rows[0] = [-v for v in rows[0]]
+
+    for tamper in (rotate, negate):
+        with pytest.raises(TableConsistencyError):
+            table_from_obj(tampered_v4(v4_table, tamper), bg.v4)
+
+
+def conductor_seven_position(table):
+    for i, chi in enumerate(table.irreducibles):
+        for k, v in enumerate(chi.values):
+            if v.conductor == 7:
+                return i, k
+    raise AssertionError("no conductor-7 value")
+
+
+def test_validation_catches_irrational_corruption(f21_table):
+    group = f21_table.group
+    i, k = conductor_seven_position(f21_table)
+    rows = [list(chi.values) for chi in f21_table.irreducibles]
+    rows[i][k] = rows[i][k] + zeta(7)
+    with pytest.raises(TableConsistencyError):
+        CharacterTable(group, [ClassFunction(group, r) for r in rows])
+
+    obj = json.loads(json.dumps(table_to_obj(f21_table)))
+    assert table_from_obj(obj, group) == f21_table
+    value = obj["irreducibles"][i][k]
+    assert value["conductor"] == 7
+    exponent, coeff = value["coeffs"][0]
+    value["coeffs"][0] = [exponent, str(Fraction(coeff) + 1)]
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, group)

@@ -27,6 +27,9 @@ CASES = {
     "table_s4": ["table", "--group", "S4"],
     "table_d8": ["table", "--group", "D8"],
     "table_a2": ["table", "--group", "A:n=2"],
+    "table_f21": ["table", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"],
+    "depth_f21_c3": ["depth", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
+                     "--subgroup", "(2,3,5)(4,7,6)", "--degree", "7"],
 }
 
 

@@ -198,3 +198,14 @@ def test_from_elements_generators():
     assert rebuilt == s4
     regenerated = PermGroup.generated(rebuilt.generators)
     assert regenerated == s4
+
+
+def test_from_elements_rejects_unclosed_sets():
+    identity = Permutation.identity(4)
+    three_cycle = parse_cycle_notation("(1,2,3)", 4)
+    with pytest.raises(ValueError):
+        PermGroup.from_elements(4, [identity, three_cycle])
+    # the first generator closes up to the set's size, but misses (1,2)
+    with pytest.raises(ValueError):
+        PermGroup.from_elements(4, [identity, parse_cycle_notation("(2,3,4)", 4),
+                                    parse_cycle_notation("(1,2)", 4)])
