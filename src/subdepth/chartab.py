@@ -97,14 +97,22 @@ def _hermitian_sum(weights, a, b, e):
     return Cyclotomic._make(e, acc)
 
 
+def _scalar_products(f, functions):
+    """The exact scalar products <f, h> for each h in ``functions``, lifting
+    every function once at e = lcm of all the conductors in play."""
+    group = f.group
+    if any(h.group is not group for h in functions):
+        raise GroupMismatchError("class functions live on different groups")
+    e = lcm(*(v.conductor for h in (f, *functions) for v in h.values))
+    sizes = group.classes().sizes()
+    a = _lift(f.values, e)
+    scale = Fraction(1, group.order)
+    return [_hermitian_sum(sizes, a, _lift(h.values, e), e) * scale for h in functions]
+
+
 def inner_product(f, h):
     """The exact scalar product (1/|G|) * sum over classes of size*f*conj(h)."""
-    if f.group is not h.group:
-        raise GroupMismatchError("class functions live on different groups")
-    e = lcm(*(v.conductor for v in f.values + h.values))
-    total = _hermitian_sum(f.group.classes().sizes(), _lift(f.values, e),
-                           _lift(h.values, e), e)
-    return total * Fraction(1, f.group.order)
+    return _scalar_products(f, [h])[0]
 
 
 class CharacterTable:
@@ -350,27 +358,25 @@ def induce_character(psi, emb):
     """Induce a class function from the subgroup to the ambient group.
 
     Computed classwise through the fusion map:
-    ``psi^G(g) = |C_G(g)| * sum over fused H-classes c of psi(c)/|C_H(c)|``,
+    ``psi^G(g) = sum over fused H-classes c of psi(c) * |C_G(g)|/|C_H(c)|``,
     which is the zero-extension average ``(1/|H|) sum_x psi0(x g x^-1)``
-    collapsed over classes.
+    collapsed over classes.  The weights are integers because C_H(c) is a
+    subgroup of C_G(c), and psi is lifted once for all the sums.
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
-    g_classes = emb.ambient.classes().classes
-    h_classes = emb.sub.classes().classes
-    g_order = emb.ambient.order
-    h_order = emb.sub.order
-    buckets = [[] for _ in g_classes]
+    g_cent = [emb.ambient.order // n for n in emb.ambient.classes().sizes()]
+    h_cent = [emb.sub.order // n for n in emb.sub.classes().sizes()]
+    e = lcm(*(v.conductor for v in psi.values))
+    lifted = _lift(psi.values, e)
+    buckets = [([], []) for _ in g_cent]
     for c, target in enumerate(emb.fusion):
-        buckets[target].append(c)
-    values = []
-    for k, gc in enumerate(g_classes):
-        acc = Cyclotomic.from_rational(0)
-        for c in buckets[k]:
-            if psi.values[c]:
-                acc = acc + psi.values[c] * h_classes[c].size
-        values.append(acc * Fraction(g_order, gc.size * h_order))
-    return ClassFunction(emb.ambient, values)
+        weights, terms = buckets[target]
+        weights.append(g_cent[target] // h_cent[c])
+        terms.append(lifted[c])
+    one = [(0, 1)]  # the lifted 1, so each Hermitian sum is a plain weighted sum
+    return ClassFunction(emb.ambient, [_hermitian_sum(w, t, [one] * len(t), e)
+                                       for w, t in buckets])
 
 
 def induce_character_bruteforce(psi, emb):
@@ -400,8 +406,8 @@ def decompose(f, table):
     nonnegative integer - exactness is the point, nothing is rounded.
     """
     mults = []
-    for chi in table.irreducibles:
-        q = inner_product(f, chi).as_rational()
+    for q in _scalar_products(f, table.irreducibles):
+        q = q.as_rational()
         if q is None or q.denominator != 1 or q < 0:
             raise NotACharacterError(
                 f"multiplicity {q!r} of a supposed character is not a nonnegative integer")
@@ -580,8 +586,11 @@ def table_to_obj(table):
 def table_from_obj(obj, group):
     """Rebuild a table from its JSON form, revalidating it against ``group``.
 
-    The class list must match the group's canonical classes exactly and the
-    values must pass :meth:`CharacterTable.validate`, so a tampered file is rejected.
+    The class list must match the group's canonical classes exactly, every
+    value must have the shape :meth:`Cyclotomic.to_obj` writes with a conductor
+    dividing the group exponent (checked before any value is normalised), and
+    the values must pass :meth:`CharacterTable.validate`, so a tampered file is
+    rejected.
     """
     from .perm import parse_cycle_notation
 
@@ -596,6 +605,16 @@ def table_from_obj(obj, group):
         rep = parse_cycle_notation(got["rep"], group.degree)
         if rep.images != want.rep.images or got["size"] != want.size:
             raise GroupMismatchError("class list does not match the canonical classes")
-    irils = [ClassFunction(group, [Cyclotomic.from_obj(v) for v in row])
-             for row in obj["irreducibles"]]
+    exponent = group.exponent()
+
+    def value(v):
+        e = v.get("conductor") if isinstance(v, dict) else 1
+        try:
+            if type(e) is not int or e < 1 or exponent % e:
+                raise ValueError(f"conductor {e!r} does not divide the exponent {exponent}")
+            return Cyclotomic.from_obj(v)
+        except ValueError as exc:
+            raise TableConsistencyError(f"bad table value: {exc}") from None
+
+    irils = [ClassFunction(group, [value(v) for v in row]) for row in obj["irreducibles"]]
     return CharacterTable(group, irils)

@@ -15,6 +15,7 @@ done naively over Q.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -22,6 +23,8 @@ from math import lcm
 from .errors import SubdepthError
 
 __all__ = ["Cyclotomic", "zeta", "cyclotomic_polynomial"]
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _divisors(n):
@@ -343,12 +346,32 @@ class Cyclotomic:
 
     @staticmethod
     def from_obj(obj):
+        """The inverse of :meth:`to_obj`; any other shape raises ValueError."""
         if isinstance(obj, str):
-            return Cyclotomic.from_rational(Fraction(obj))
-        if isinstance(obj, int):
-            return Cyclotomic.from_rational(obj)
-        return Cyclotomic._make(obj["conductor"],
-                                {int(k): Fraction(v) for k, v in obj["coeffs"]})
+            return Cyclotomic.from_rational(_rational_from_str(obj))
+        if not (isinstance(obj, dict) and set(obj) == {"conductor", "coeffs"}
+                and isinstance(obj["coeffs"], list)):
+            raise ValueError(f"not a serialized cyclotomic: {obj!r}")
+        e = obj["conductor"]
+        if type(e) is not int or e < 1:
+            raise ValueError(f"conductor {e!r} is not a positive integer")
+        coeffs = {}
+        for term in obj["coeffs"]:
+            if not (isinstance(term, list) and len(term) == 2 and type(term[0]) is int
+                    and 0 <= term[0] < e and term[0] not in coeffs):
+                raise ValueError(f"bad or repeated term {term!r} at conductor {e}")
+            coeffs[term[0]] = _rational_from_str(term[1])
+        return Cyclotomic._make(e, coeffs)
+
+
+def _rational_from_str(text):
+    """A Fraction from the "num" or "num/den" text that str(Fraction) writes."""
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise ValueError(f"not a rational in num/den form: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def zeta(e, k=1):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdepth import chartab
 from subdepth.chartab import (CharacterTable, character_table, decompose,
                               direct_product_table,
                               dixon_character_table, induce_character,
@@ -260,6 +261,8 @@ def test_table_serialization_roundtrip(bg, s4_table):
 
 
 F21_GENS = "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"
+F21_C7 = "(1,2,3,4,5,6,7)"
+F21_C3 = "(2,3,5)(4,7,6)"
 
 
 @pytest.fixture(scope="module")
@@ -291,14 +294,37 @@ def random_class_function(data, group):
 @pytest.mark.parametrize("name", ["S4", "F21"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_inner_product_matches_definition(name, data, bg, f21_table):
+def test_inner_product_matches_definition(name, data, bg, s4_table, f21_table):
     # conductors 5, 7, 8, ... do not divide exp(S4) = 12; 2, 4, 5, ... do not
     # divide exp(F21) = 21
-    group = bg.s4 if name == "S4" else f21_table.group
+    table = s4_table if name == "S4" else f21_table
+    group = table.group
     f = random_class_function(data, group)
     h = random_class_function(data, group)
     assert inner_product(f, h) == literal_inner_product(f, h)
     assert inner_product(f, f) == literal_inner_product(f, f)
+
+    # decompose returns the coefficients of a nonnegative integer combination
+    s = len(table.irreducibles)
+    coefficients = data.draw(st.lists(st.integers(0, 3), min_size=s, max_size=s))
+    combo = ClassFunction(group, [sum((m * chi.values[k] for m, chi in
+                                       zip(coefficients, table.irreducibles)),
+                                      Cyclotomic.from_rational(0))
+                                  for k in range(s)])
+    assert decompose(combo, table) == tuple(coefficients)
+
+    # ... and raises exactly when some scalar product is not a nonnegative integer
+    literal = (literal_inner_product(f, chi).as_integer() for chi in table.irreducibles)
+    try:
+        mults = decompose(f, table)
+    except NotACharacterError:
+        assert any(q is None or q < 0 for q in literal)
+    else:
+        assert mults == tuple(literal)
+
+    other = f21_table.group if name == "S4" else bg.s4
+    with pytest.raises(GroupMismatchError):
+        decompose(random_class_function(data, other), table)
 
 
 def test_inner_product_outside_the_exponent(bg):
@@ -360,3 +386,108 @@ def test_validation_catches_irrational_corruption(f21_table):
     value["coeffs"][0] = [exponent, str(Fraction(coeff) + 1)]
     with pytest.raises(TableConsistencyError):
         table_from_obj(obj, group)
+
+
+@pytest.mark.parametrize("gens", [F21_C7, F21_C3])
+def test_induction_of_irrational_characters(gens, f21_table):
+    group = f21_table.group
+    sub = PermGroup.generated(parse_generators(gens, degree=7))
+    emb = class_fusion(group, sub)
+    sub_table = character_table(sub)
+    assert any(v.conductor > 1 for psi in sub_table.irreducibles for v in psi.values)
+    for psi in sub_table.irreducibles:
+        ind = induce_character(psi, emb)
+        assert ind == induce_character_bruteforce(psi, emb)
+        for chi in f21_table.irreducibles:
+            assert inner_product(ind, chi) == inner_product(psi, restrict_character(chi, emb))
+
+
+def counting(calls, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+def test_decompose_lifts_each_function_once(monkeypatch, f21_table):
+    lifts = []
+    monkeypatch.setattr(chartab, "_lift", counting(lifts, chartab._lift))
+    f = f21_table.irreducibles[3] + f21_table.irreducibles[4]
+    assert decompose(f, f21_table) == (0, 0, 0, 1, 1)
+    assert len(lifts) == 1 + len(f21_table.irreducibles)
+
+
+def test_induction_sums_once_per_ambient_class(monkeypatch, f21_table):
+    group = f21_table.group
+    sub = PermGroup.generated(parse_generators(F21_C7, degree=7))
+    emb = class_fusion(group, sub)
+    psi = next(psi for psi in character_table(sub).irreducibles
+               if any(v.conductor == 7 for v in psi.values))
+    expected = induce_character_bruteforce(psi, emb)
+    makes = []
+    monkeypatch.setattr(Cyclotomic, "_make", staticmethod(counting(makes, Cyclotomic._make)))
+
+    def no_arithmetic(*args):
+        raise AssertionError("induction used Cyclotomic arithmetic")
+
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Cyclotomic, op, no_arithmetic)
+    assert induce_character(psi, emb).values == expected.values
+    assert len(makes) == len(group.classes())
+
+
+def test_warm_depth_lift_budget(monkeypatch):
+    from subdepth.constructions import family
+    from subdepth.depth import ordinary_depth
+    fam = family("B", 2)
+    character_table(fam.ambient)
+    character_table(fam.subgroup)
+    lifts = []
+    monkeypatch.setattr(chartab, "_lift", counting(lifts, chartab._lift))
+    assert ordinary_depth(fam.ambient, fam.subgroup).depth == fam.expected_depth
+    # one lift per decomposed character and per irreducible it is paired
+    # with, plus one per induced character
+    assert len(lifts) <= 1070
+
+
+MALFORMED_VALUES = [
+    1, 1.5, True, None, [1], "1.5", " 1", "1/0", "2/-3", "9" * 5000,
+    {"conductor": 3},
+    {"conductor": 3, "coeffs": [[1, "1"]], "extra": 0},
+    {"conductor": 3, "coeffs": "1"},
+    {"conductor": 3, "coeffs": [[1]]},
+    {"conductor": 3, "coeffs": [[1.5, "1"]]},
+    {"conductor": 3, "coeffs": [[True, "1"]]},
+    {"conductor": 3, "coeffs": [[3, "1"]]},
+    {"conductor": 3, "coeffs": [[-1, "1"]]},
+    {"conductor": 3, "coeffs": [[1, True]]},
+    {"conductor": 3, "coeffs": [[1, 1]]},
+    {"conductor": 3, "coeffs": [[1, "1"], [1, "1"]]},
+    {"conductor": 3.0, "coeffs": [[1, "1"]]},
+    {"conductor": True, "coeffs": []},
+    {"conductor": 0, "coeffs": []},
+    {"conductor": -3, "coeffs": [[1, "1"]]},
+    {"conductor": 5, "coeffs": [[1, "1"]]},
+]
+
+
+@pytest.mark.parametrize("value", MALFORMED_VALUES, ids=lambda v: repr(v)[:40])
+def test_table_from_obj_rejects_malformed_values(value, bg, s4_table):
+    obj = json.loads(json.dumps(table_to_obj(s4_table)))
+    obj["irreducibles"][3][2] = value
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, bg.s4)
+
+
+def test_table_from_obj_rejects_large_conductors_before_normalising(monkeypatch, bg, s4_table):
+    obj = json.loads(json.dumps(table_to_obj(s4_table)))
+    obj["irreducibles"][3][2] = {"conductor": 2520, "coeffs": [[1, "1"]]}
+    make = Cyclotomic._make
+
+    def guarded(e, raw):
+        assert e != 2520, "a value was normalised at conductor 2520"
+        return make(e, raw)
+
+    monkeypatch.setattr(Cyclotomic, "_make", staticmethod(guarded))
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, bg.s4)
