@@ -24,7 +24,7 @@ from math import lcm
 
 from . import modlin
 from .cyclo import Cyclotomic, zeta
-from .errors import (GroupMismatchError, InternalConsistencyError,
+from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, SubdepthError, TableConsistencyError)
 from .perm import Permutation
 
@@ -586,25 +586,39 @@ def table_to_obj(table):
 def table_from_obj(obj, group):
     """Rebuild a table from its JSON form, revalidating it against ``group``.
 
-    The class list must match the group's canonical classes exactly, every
-    value must have the shape :meth:`Cyclotomic.to_obj` writes with a conductor
-    dividing the group exponent (checked before any value is normalised), and
-    the values must pass :meth:`CharacterTable.validate`, so a tampered file is
-    rejected.
+    A structure other than what :func:`table_to_obj` writes raises
+    :class:`TableConsistencyError`, and a header or class list that differs
+    from ``group``'s raises :class:`GroupMismatchError`.  Every value must have
+    the shape :meth:`Cyclotomic.to_obj` writes with a conductor dividing the
+    group exponent (checked before any value is normalised), and the values
+    must pass :meth:`CharacterTable.validate`, so a tampered file is rejected.
     """
     from .perm import parse_cycle_notation
 
-    if obj.get("kind") != "character_table" or obj.get("schema") != 1:
-        raise ValueError("not a schema-1 character table object")
+    if not isinstance(obj, dict) or obj.get("kind") != "character_table" \
+            or obj.get("schema") != 1:
+        raise TableConsistencyError("not a schema-1 character table object")
+    for key, kind in (("order", int), ("degree", int), ("classes", list),
+                      ("irreducibles", list)):
+        if type(obj.get(key)) is not kind:
+            raise TableConsistencyError(f"table field {key!r} is missing or not a {kind.__name__}")
     if obj["order"] != group.order or obj["degree"] != group.degree:
         raise GroupMismatchError("table header does not match the group")
     classes = group.classes().classes
     if len(obj["classes"]) != len(classes):
         raise GroupMismatchError("class count does not match the group")
     for got, want in zip(obj["classes"], classes):
-        rep = parse_cycle_notation(got["rep"], group.degree)
+        if not isinstance(got, dict) or type(got.get("rep")) is not str \
+                or type(got.get("size")) is not int:
+            raise TableConsistencyError("a class entry lacks a string 'rep' or an int 'size'")
+        try:
+            rep = parse_cycle_notation(got["rep"], group.degree)
+        except CycleParseError as exc:
+            raise TableConsistencyError(f"bad class representative: {exc}") from None
         if rep.images != want.rep.images or got["size"] != want.size:
             raise GroupMismatchError("class list does not match the canonical classes")
+    if any(type(row) is not list or len(row) != len(classes) for row in obj["irreducibles"]):
+        raise TableConsistencyError("each irreducible needs a list of one value per class")
     exponent = group.exponent()
 
     def value(v):

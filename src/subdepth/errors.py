@@ -36,10 +36,11 @@ class NotACharacterError(SubdepthError, ValueError):
 
 
 class TableConsistencyError(SubdepthError):
-    """A produced character table failed an exact orthogonality check.
+    """A character table failed an exact check.
 
-    This always signals a bug in the producing code path, never bad user input,
-    so it is raised loudly instead of being returned.
+    For a computed table this signals a bug in the producing code path, so it
+    is raised loudly instead of being returned; for a table read by
+    ``table_from_obj`` it means the object is malformed or was tampered with.
     """
 
 

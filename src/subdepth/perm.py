@@ -10,12 +10,21 @@ right multiplication by the listed generators, which makes the element order
 a deterministic function of the generator list).  Everything downstream -
 conjugacy classes, cores, character tables - relies on that determinism for
 bit-for-bit reproducible output.
+
+Conjugacy classes and cores work on element indices (positions in that list):
+each group builds, once, the conjugation action of its generators as one index
+list per generator; classes are orbits under it, and the conjugates of a
+subgroup are Python-int bitsets over the ambient indices, so their
+intersections are ``&`` operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from math import lcm
+from operator import and_, itemgetter
 
 from .errors import (CycleParseError, EnumerationCapExceeded, NotASubgroupError,
                      SubdepthError)
@@ -216,8 +225,7 @@ class ClassSet:
     """Conjugacy classes in canonical order: ascending size, ties broken by
     the lexicographically smallest member.  The identity class is always first."""
 
-    def __init__(self, group, classes, class_of):
-        self.group = group
+    def __init__(self, classes, class_of):
         self.classes = classes
         self.class_of = class_of  # raw image tuple -> class index
 
@@ -245,6 +253,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self._elements = None
         self._classes = None
+        self._action = None
         self._exponent = None
         self._char_table = None
         self._frozen = None
@@ -350,6 +359,12 @@ class PermGroup:
             self._classes = _conjugacy_classes(self)
         return self._classes
 
+    def _conjugation(self):
+        """Per generator g, the list whose entry i is the index of g·x_i·g⁻¹."""
+        if self._action is None:
+            self._action = _conjugation_action(self)
+        return self._action
+
     def exponent(self):
         if self._exponent is None:
             e = 1
@@ -400,11 +415,23 @@ def _greedy_generators(degree, raw):
     return [Permutation(g) for g in gens]
 
 
-def _conjugacy_classes(group):
+def _conjugation_action(group):
+    """The generators' conjugation action on element indices (see ``PermGroup._conjugation``)."""
     raw = group._raw
     index = group._index
-    degree = group.degree
-    gen_raw = [g.images for g in group.generators]
+    action = []
+    for g in group.generators:
+        gi = g.images
+        # x -> (g∘x)∘g⁻¹; itemgetter of a single point would return a bare value
+        after = itemgetter(*g.inverse().images) if group.degree > 1 else tuple
+        action.append([index[after(tuple(map(gi.__getitem__, x)))] for x in raw])
+    return action
+
+
+def _conjugacy_classes(group):
+    """Classes as orbits of element indices under the conjugation action."""
+    raw = group._raw
+    action = group._conjugation()
     seen = bytearray(len(raw))
     found = []
     for i0 in range(len(raw)):
@@ -414,12 +441,9 @@ def _conjugacy_classes(group):
         members = [i0]
         stack = [i0]
         while stack:
-            x = raw[stack.pop()]
-            for g in gen_raw:
-                y = [0] * degree
-                for t in range(degree):
-                    y[g[t]] = g[x[t]]
-                j = index[tuple(y)]
+            i = stack.pop()
+            for act in action:
+                j = act[i]
                 if not seen[j]:
                     seen[j] = 1
                     members.append(j)
@@ -435,7 +459,7 @@ def _conjugacy_classes(group):
             class_of[raw[j]] = idx
     if not classes[0].rep.is_identity:
         raise SubdepthError("canonical class order lost the identity class")
-    return ClassSet(group, tuple(classes), class_of)
+    return ClassSet(tuple(classes), class_of)
 
 
 def centralizer(group, x):
@@ -471,47 +495,50 @@ def is_normal(ambient, sub):
     return True
 
 
-def _conjugate_set(raw_set, g_raw, degree):
-    ginv = [0] * degree
-    for i, v in enumerate(g_raw):
-        ginv[v] = i
-    out = set()
-    for x in raw_set:
-        out.add(tuple(map(g_raw.__getitem__, map(x.__getitem__, ginv))))
-    return frozenset(out)
+def _bitset(indices):
+    """The Python int with exactly the given bits set."""
+    data = bytearray(max(indices) // 8 + 1)
+    for i in indices:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
 
 
 def _conjugates_and_core(ambient, sub):
     """All distinct ambient-conjugates of ``sub`` and the core they intersect in.
 
-    Returns ``(conjugates, witness, core)``: the conjugates as frozensets of
-    image tuples in breadth-first discovery order starting from ``sub`` itself
-    (witness: identity), which is deterministic; ``witness`` maps each to a
-    conjugating element; ``core`` is their intersection as a group, checked
-    to be normal.
+    Returns ``(conjugates, witnesses, core_bits, core)``.  ``conjugates`` are
+    bitsets over the ambient element indices (bit i set when the i-th ambient
+    element lies in the conjugate), in breadth-first discovery order under the
+    ambient conjugation action starting from ``sub`` itself, which is
+    deterministic; ``witnesses[k]`` is the image tuple of an element
+    conjugating ``sub`` onto ``conjugates[k]`` (the identity first);
+    ``core_bits`` is the intersection of all of them and ``core`` the same set
+    as a group, checked to be normal.
     """
     _require_subgroup(ambient, sub)
-    degree = ambient.degree
-    start = frozenset(sub._raw)
-    identity = tuple(range(degree))
-    order = [start]
-    witness = {start: identity}
-    gen_raw = [g.images for g in ambient.generators]
-    head = 0
-    while head < len(order):
-        current = order[head]
-        head += 1
-        w = witness[current]
-        for g in gen_raw:
-            conj = _conjugate_set(current, g, degree)
-            if conj not in witness:
+    index = ambient._index
+    members = [[index[x] for x in sub._raw]]      # index lists, parallel to conjugates
+    conjugates = [_bitset(members[0])]
+    witnesses = [tuple(range(ambient.degree))]
+    seen = set(conjugates)
+    steps = list(zip((g.images for g in ambient.generators), ambient._conjugation()))
+    for current, w in zip(members, witnesses):    # members grows while it is walked
+        for g, act in steps:
+            image = [act[i] for i in current]
+            bits = _bitset(image)
+            if bits not in seen:
+                seen.add(bits)
+                members.append(image)
+                conjugates.append(bits)
                 # conjugating by g after w conjugates by g∘w
-                witness[conj] = tuple(map(g.__getitem__, w))
-                order.append(conj)
-    core = PermGroup.from_elements(degree, start.intersection(*order[1:]))
+                witnesses.append(tuple(map(g.__getitem__, w)))
+    core_bits = reduce(and_, conjugates)
+    raw = ambient._raw
+    core = PermGroup.from_elements(ambient.degree,
+                                   [raw[i] for i in members[0] if core_bits >> i & 1])
     if not is_normal(ambient, core):
         raise SubdepthError("core computation produced a non-normal subgroup")
-    return order, witness, core
+    return conjugates, witnesses, core_bits, core
 
 
 def subgroup_core(ambient, sub):
@@ -519,7 +546,7 @@ def subgroup_core(ambient, sub):
 
     Equals the largest normal subgroup of the ambient group inside ``sub``.
     """
-    return _conjugates_and_core(ambient, sub)[2]
+    return _conjugates_and_core(ambient, sub)[3]
 
 
 def min_core_conjugates(ambient, sub):
@@ -530,22 +557,13 @@ def min_core_conjugates(ambient, sub):
     ``core`` is the group :func:`subgroup_core` returns, found by the same
     single enumeration of the conjugates.  Search is breadth-first over subset
     sizes, subsets in lexicographic order of the deterministic conjugate list,
-    so the result is reproducible.
+    each tested by intersecting bitsets, so the result is reproducible.
     """
-    from itertools import combinations
-
-    conjugates, witness, core = _conjugates_and_core(ambient, sub)
-    # every intersection of conjugates contains the core, so equal size
-    # means equal to the core (m = 1 exactly when sub is normal)
+    conjugates, witnesses, core_bits, core = _conjugates_and_core(ambient, sub)
     for m in range(1, len(conjugates) + 1):
         for combo in combinations(range(len(conjugates)), m):
-            inter = set(conjugates[combo[0]])
-            for idx in combo[1:]:
-                inter &= conjugates[idx]
-                if len(inter) == core.order:
-                    break
-            if len(inter) == core.order:
-                return m, [Permutation(witness[conjugates[i]]) for i in combo], core
+            if reduce(and_, map(conjugates.__getitem__, combo)) == core_bits:
+                return m, [Permutation(witnesses[i]) for i in combo], core
     raise SubdepthError("conjugate search failed to reach the core")  # unreachable
 
 

@@ -491,3 +491,68 @@ def test_table_from_obj_rejects_large_conductors_before_normalising(monkeypatch,
     monkeypatch.setattr(Cyclotomic, "_make", staticmethod(guarded))
     with pytest.raises(TableConsistencyError):
         table_from_obj(obj, bg.s4)
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+def _set(key, value):
+    return lambda obj: obj.__setitem__(key, value)
+
+
+def _class_entry(change):
+    return lambda obj: change(obj["classes"][2])
+
+
+def _row(change):
+    return lambda obj: change(obj["irreducibles"][3])
+
+
+MALFORMED_STRUCTURES = {
+    "missing order": _drop("order"),
+    "missing degree": _drop("degree"),
+    "missing classes": _drop("classes"),
+    "missing irreducibles": _drop("irreducibles"),
+    "order not an int": _set("order", "24"),
+    "classes not a list": _set("classes", 5),
+    "irreducibles not a list": _set("irreducibles", 5),
+    "class entry not a dict": lambda obj: obj["classes"].__setitem__(2, "(1,2)"),
+    "class without rep": _class_entry(lambda c: c.pop("rep")),
+    "class without size": _class_entry(lambda c: c.pop("size")),
+    "rep not a string": _class_entry(lambda c: c.__setitem__("rep", 12)),
+    "rep not cycle notation": _class_entry(lambda c: c.__setitem__("rep", "(1,2")),
+    "size not an int": _class_entry(lambda c: c.__setitem__("size", "6")),
+    "row too short": _row(lambda r: r.pop()),
+    "row too long": _row(lambda r: r.append("0")),
+    "row not a list": lambda obj: obj["irreducibles"].__setitem__(3, "1"),
+    "row of values as a dict": lambda obj: obj["irreducibles"].__setitem__(3, {"0": "1"}),
+    "no irreducibles": _set("irreducibles", []),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_STRUCTURES))
+def test_table_from_obj_rejects_malformed_structure(shape, bg, s4_table):
+    obj = json.loads(json.dumps(table_to_obj(s4_table)))
+    MALFORMED_STRUCTURES[shape](obj)
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, bg.s4)
+
+
+@pytest.mark.parametrize("obj", [None, 5, "table", [{"kind": "character_table"}]],
+                         ids=repr)
+def test_table_from_obj_rejects_non_objects(obj, bg):
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, bg.s4)
+
+
+def test_table_from_obj_rejects_headers_of_another_group(bg, s4_table):
+    for key, value in (("order", 12), ("degree", 5)):
+        obj = json.loads(json.dumps(table_to_obj(s4_table)))
+        obj[key] = value
+        with pytest.raises(GroupMismatchError):
+            table_from_obj(obj, bg.s4)
+    obj = json.loads(json.dumps(table_to_obj(s4_table)))
+    obj["classes"][2]["rep"] = "(1,2,3)"
+    with pytest.raises(GroupMismatchError):
+        table_from_obj(obj, bg.s4)

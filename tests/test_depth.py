@@ -1,5 +1,6 @@
 import pytest
 
+from subdepth import perm
 from subdepth.chartab import character_table
 from subdepth.constructions import klein_labels, sym4_labels
 from subdepth.depth import (NEG_INF, alternating_power, char_distance, core_depth_bound,
@@ -170,6 +171,23 @@ def test_core_depth_bound_enumerates_conjugates_once(bg, core_enumerations):
         core_enumerations.clear()
         core_depth_bound(bg.s4, sub)
         assert len(core_enumerations) == 1
+
+
+def test_conjugation_action_built_once_per_group(monkeypatch, core_enumerations):
+    built = []
+    build = perm._conjugation_action
+
+    def counting(group):
+        built.append(group)
+        return build(group)
+
+    monkeypatch.setattr(perm, "_conjugation_action", counting)
+    s6, s5 = symmetric(6, 6), symmetric(5, 6)
+    assert ordinary_depth(s6, s5).depth == 9
+    # classes of both groups and the core search in S6 all ran; the core
+    # reused the action S6's classes built
+    assert len(core_enumerations) == 1
+    assert sorted(map(id, built)) == sorted([id(s6), id(s5)])
 
 
 def test_ordinary_depth_small_pairs(bg):

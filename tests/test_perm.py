@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdepth.constructions import direct_product
 from subdepth.errors import (CycleParseError, EnumerationCapExceeded,
                              NotASubgroupError)
 from subdepth.perm import (PermGroup, Permutation, centralizer, class_fusion,
@@ -209,3 +212,81 @@ def test_from_elements_rejects_unclosed_sets():
     with pytest.raises(ValueError):
         PermGroup.from_elements(4, [identity, parse_cycle_notation("(2,3,4)", 4),
                                     parse_cycle_notation("(1,2)", 4)])
+
+
+# -- brute-force oracle for the index-based classes and cores ----------------------
+
+def literal_conjugate(g, x):
+    """g·x·g⁻¹ on image tuples: (g·x·g⁻¹)(g(t)) = g(x(t))."""
+    out = [0] * len(x)
+    for t, v in enumerate(x):
+        out[g[t]] = g[v]
+    return tuple(out)
+
+
+def literal_conjugates(group, sub):
+    """The distinct sets g·H·g⁻¹, one g per left coset gH (they share the set)."""
+    out = set()
+    covered = set()
+    for g in group.raw_elements:
+        if g not in covered:
+            out.add(frozenset(literal_conjugate(g, h) for h in sub.raw_elements))
+            covered.update(tuple(map(g.__getitem__, h)) for h in sub.raw_elements)
+    return out
+
+
+@st.composite
+def generated_groups(draw, max_degree):
+    degree = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(degree)).map(Permutation),
+                         min_size=1, max_size=3))
+    return PermGroup.generated(gens)
+
+
+@st.composite
+def groups_with_subgroups(draw, kind):
+    """A random group on at most 6 points, built by ``kind``, and a subgroup
+    generated by one or two of its elements."""
+    if kind == "direct_product":
+        group = direct_product([draw(generated_groups(3)), draw(generated_groups(3))])
+    else:
+        group = draw(generated_groups(6))
+        if kind == "from_elements":
+            group = PermGroup.from_elements(group.degree, group.raw_elements)
+    sub = PermGroup.generated(draw(st.lists(st.sampled_from(group.elements),
+                                            min_size=1, max_size=2)))
+    return group, sub
+
+
+# from_elements (sorted) and direct_product (nested factor order) store their
+# elements in other than breadth-first order
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_classes_and_cores_match_brute_force(kind, data):
+    group, sub = data.draw(groups_with_subgroups(kind))
+    raw = group.raw_elements
+
+    orbits = set()
+    for x in raw:
+        if not any(x in orbit for orbit in orbits):
+            orbits.add(frozenset(literal_conjugate(g, x) for g in raw))
+    classes = group.classes()
+    assert {frozenset(raw[i] for i in c.members) for c in classes.classes} == orbits
+    for k, c in enumerate(classes.classes):
+        assert c.rep.images == min(raw[i] for i in c.members) and c.size == len(c.members)
+        assert all(classes.class_of[raw[i]] == k for i in c.members)
+
+    conjugates = literal_conjugates(group, sub)
+    core = frozenset.intersection(*conjugates)
+    assert subgroup_core(group, sub).frozen() == core
+
+    m, witnesses, found_core = min_core_conjugates(group, sub)
+    assert found_core.frozen() == core and len(witnesses) == m
+    assert witnesses[0].is_identity
+    chosen = [frozenset(literal_conjugate(w.images, h) for h in sub.raw_elements)
+              for w in witnesses]
+    assert frozenset.intersection(*chosen) == core
+    if m > 1:
+        assert all(frozenset.intersection(*combo) != core
+                   for combo in combinations(conjugates, m - 1))
