@@ -6,6 +6,13 @@ group exponent and p^2 > 4|G|, lifted to exact cyclotomic values by Fourier
 inversion over the roots of unity of F_p.  Everything is verified against
 exact row/column orthogonality before a table is returned.
 
+Every exact sum of values (both orthogonality checks, scalar products,
+decomposition, induction) runs on one integer kernel: values at zeta_e are
+packed into single ints by Kronecker substitution (:func:`_pack`), a sum over
+classes is one int dot product, and a result is read back as an int, or
+unpacked and reduced mod the e-th cyclotomic polynomial on ints only when it
+is not one.  A table packs its rows once, when it is validated.
+
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
 degree (ties by the value sequence under a fixed total order on cyclotomics).
@@ -18,12 +25,14 @@ Dixon engine.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
+from operator import mul
 
 from . import modlin
-from .cyclo import Cyclotomic, zeta
+from .cyclo import Cyclotomic, cyclotomic_polynomial, zeta
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, SubdepthError, TableConsistencyError)
 from .perm import Permutation
@@ -40,14 +49,16 @@ class ClassFunction:
     """A function on a group constant on its conjugacy classes.
 
     ``values`` holds one exact cyclotomic per class, in the group's canonical
-    class order.
+    class order.  An irreducible of a table also carries the table's packing
+    of its values (see :func:`_pack`).
     """
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_packed")
 
     def __init__(self, group, values):
         self.group = group
         self.values = tuple(values)
+        self._packed = None
         if len(self.values) != len(group.classes()):
             raise ValueError("need exactly one value per conjugacy class")
 
@@ -76,55 +87,155 @@ class ClassFunction:
         return f"ClassFunction[{vals}]"
 
 
-def _lift(values, e):
-    """Each value as ``(k, c)`` terms of ``c * zeta_e^k`` (``e`` a multiple of
-    every conductor); integral coefficients become ints, so a Fraction marks a
-    value that is not an algebraic integer."""
-    return [[(k * (e // v.conductor), c.numerator if c.denominator == 1 else c)
-             for k, c in v.coeffs.items()] for v in values]
+class _Packing:
+    """A table row's packed values and conjugates at the table's e, B and norm."""
+
+    __slots__ = ("e", "bits", "norm", "values", "conj")
+
+    def __init__(self, e, bits, norm, values, conj):
+        self.e, self.bits, self.norm, self.values, self.conj = e, bits, norm, values, conj
 
 
-def _hermitian_sum(weights, a, b, e):
-    """The exact sum of ``w * a * conj(b)`` over lifted values at zeta_e."""
-    acc = {}
-    for w, ta, tb in zip(weights, a, b):
-        if ta and tb:
-            for ka, ca in ta:
-                wca = w * ca
-                for kb, cb in tb:
-                    k = (ka - kb) % e
-                    acc[k] = acc.get(k, 0) + wca * cb
-    return Cyclotomic._make(e, acc)
+def _measure(f):
+    """``(e, d, n)`` for a class function: the lcm of its conductors, the lcm of
+    its coefficient denominators, and the largest coefficient 1-norm of
+    ``d * value``.  A table row answers with its table's e and norm."""
+    if f._packed is not None:
+        return f._packed.e, 1, f._packed.norm
+    values = f.values
+    e = lcm(*{v.conductor for v in values})
+    d = lcm(*{c.denominator for v in values for c in v.coeffs.values()})
+    return e, d, max(sum(abs(c.numerator) * (d // c.denominator) for c in v.coeffs.values())
+                     for v in values)
 
 
-def _scalar_products(f, functions):
-    """The exact scalar products <f, h> for each h in ``functions``, lifting
-    every function once at e = lcm of all the conductors in play."""
-    group = f.group
-    if any(h.group is not group for h in functions):
-        raise GroupMismatchError("class functions live on different groups")
-    e = lcm(*(v.conductor for h in (f, *functions) for v in h.values))
-    sizes = group.classes().sizes()
-    a = _lift(f.values, e)
-    scale = Fraction(1, group.order)
-    return [_hermitian_sum(sizes, a, _lift(h.values, e), e) * scale for h in functions]
+def _bits(bound):
+    """The smallest B with every coefficient of absolute value at most
+    ``bound`` below 2^(B-1), so balanced base-2^B digits read it back."""
+    return bound.bit_length() + 1
+
+
+def _fit(e, bits, *functions):
+    """B for packing at e: a table row's own B when it is at least ``bits``."""
+    for f in functions:
+        own = f._packed
+        if own is not None and own.e == e and own.bits >= bits:
+            return own.bits
+    return bits
+
+
+def _pack(values, e, bits, scale=1):
+    """Kronecker packing at zeta_e: ``scale * value = sum c_k zeta_e^k`` becomes
+    the int ``sum c_k 2^(B*k)``, and its conjugate the same coefficients at the
+    exponents (e - k) mod e.  ``scale`` must clear every denominator.
+
+    A sum of ``w * a * conj(b)`` over classes is then one int dot product whose
+    polynomial coefficients, before and after folding mod x^e - 1, are at most
+    ``sum w * |a|_1 * |b|_1 <= W * N_a * N_b`` in absolute value (W the sum of
+    the weights, N the largest coefficient 1-norm of a value); B is taken
+    from that bound (:func:`_bits`), so the digits unpack uniquely.
+    """
+    packed, conj = [], []
+    for v in values:
+        step = e // v.conductor
+        p = q = 0
+        for k, c in v.coeffs.items():
+            c = c.numerator * (scale // c.denominator)
+            k *= step
+            p += c << (bits * k)
+            q += c << (bits * (-k % e))
+        packed.append(p)
+        conj.append(q)
+    return packed, conj
+
+
+def _packing(f, e, bits, scale=1):
+    """f packed at (e, B): a table row's own packing when it matches, else new."""
+    own = f._packed
+    if own is not None and own.e == e and own.bits == bits:
+        return own.values, own.conj
+    return _pack(f.values, e, bits, scale)
+
+
+def _unfold(total, e, bits):
+    """The coefficient vector over zeta_e of a packed sum: its balanced
+    base-2^B digits folded mod x^e - 1."""
+    vec = [0] * e
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    k = 0
+    while total:
+        digit = total & mask
+        if digit >= half:
+            digit -= mask + 1
+        vec[k % e] += digit
+        total = (total - digit) >> bits
+        k += 1
+    return vec
+
+
+def _integer(vec, e):
+    """The int c when ``sum vec[k] zeta_e^k`` equals c, else None: the vector
+    is reduced mod the e-th cyclotomic polynomial on ints."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    vec = list(vec)
+    for k in range(e - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            for i in range(deg):
+                vec[k - deg + i] -= c * phi[i]
+    return None if any(vec[1:deg]) else vec[0]
+
+
+def _rational(total, e, bits):
+    """The int a packed sum equals, or None when it is not a rational integer.
+    A constant packs as itself, so only a sum outside (-2^(B-1), 2^(B-1)) is
+    unpacked."""
+    if e == 1 or -(1 << (bits - 1)) < total < 1 << (bits - 1):
+        return total
+    return _integer(_unfold(total, e, bits), e)
+
+
+def _from_packed(total, e, bits, scale):
+    """The packed sum divided by ``scale`` as a Cyclotomic."""
+    if e == 1:
+        return Cyclotomic.from_rational(Fraction(total, scale))
+    return Cyclotomic._make(e, {k: Fraction(c, scale)
+                                for k, c in enumerate(_unfold(total, e, bits)) if c})
 
 
 def inner_product(f, h):
     """The exact scalar product (1/|G|) * sum over classes of size*f*conj(h)."""
-    return _scalar_products(f, [h])[0]
+    group = f.group
+    if h.group is not group:
+        raise GroupMismatchError("class functions live on different groups")
+    e_f, d_f, n_f = _measure(f)
+    e_h, d_h, n_h = _measure(h)
+    e = lcm(e_f, e_h)
+    bits = _fit(e, _bits(group.order * n_f * n_h), f, h)
+    a = map(mul, group.classes().sizes(), _packing(f, e, bits, d_f)[0])
+    total = sum(map(mul, a, _packing(h, e, bits, d_h)[1]))
+    return _from_packed(total, e, bits, group.order * d_f * d_h)
 
 
 class CharacterTable:
-    """The square table of all irreducible characters of a group."""
+    """The square table of all irreducible characters of a group.
 
-    __slots__ = ("group", "classes", "irreducibles", "product_labels")
+    Validation packs the rows at e = lcm of the table's conductors, with B
+    wide enough for a partner of 1-norm up to |G| * N (N the table's largest
+    value 1-norm), and leaves each row its packing.
+    """
+
+    __slots__ = ("group", "classes", "irreducibles", "product_labels", "_factors",
+                 "__weakref__")
 
     def __init__(self, group, irreducibles, product_labels=None):
         self.group = group
         self.classes = group.classes()
         self.irreducibles = tuple(irreducibles)
         self.product_labels = product_labels
+        self._factors = ()
         self.validate()
 
     def degrees(self):
@@ -141,34 +252,45 @@ class CharacterTable:
     def validate(self):
         """Exact checks (values in Z[zeta_d], degrees, orthogonality); raises on failure."""
         s = len(self.classes)
-        if len(self.irreducibles) != s:
+        rows = self.irreducibles
+        if len(rows) != s:
             raise TableConsistencyError(
-                f"table is not square: {len(self.irreducibles)} characters, {s} classes")
-        e = lcm(*(v.conductor for chi in self.irreducibles for v in chi.values))
-        rows = [_lift(chi.values, e) for chi in self.irreducibles]
-        if any(isinstance(c, Fraction) for row in rows for terms in row for _, c in terms):
+                f"table is not square: {len(rows)} characters, {s} classes")
+        for chi in rows:
+            chi._packed = None
+        measures = [_measure(chi) for chi in rows]
+        if any(d != 1 for _, d, _ in measures):
             raise TableConsistencyError("a character value is not an algebraic integer")
-        degrees = [chi.values[0].as_integer() for chi in self.irreducibles]
+        degrees = [chi.values[0].as_integer() for chi in rows]
         if any(d is None or d < 1 for d in degrees):
             raise TableConsistencyError("a character degree is not a positive integer")
         order = self.group.order
         if sum(d * d for d in degrees) != order:
             raise TableConsistencyError("degree squares do not sum to the group order")
+        e = lcm(*(m[0] for m in measures))
+        norm = max(m[2] for m in measures)
+        bits = _bits(order * norm * order * norm)
+        packs = [_pack(chi.values, e, bits) for chi in rows]
         sizes = self.classes.sizes()
-        for i in range(s):
+        for i, (a, _) in enumerate(packs):
+            wa = list(map(mul, sizes, a))
             for j in range(i, s):
-                got = _hermitian_sum(sizes, rows[i], rows[j], e)
-                if got.as_integer() != (order if i == j else 0):
+                total = sum(map(mul, wa, packs[j][1]))
+                if _rational(total, e, bits) != (order if i == j else 0):
                     raise TableConsistencyError(
-                        f"row orthogonality failed at characters {i}, {j}: {got!r}/{order}")
-        cols = list(zip(*rows))
-        ones = [1] * s
+                        f"row orthogonality failed at characters {i}, {j}: "
+                        f"{_from_packed(total, e, bits, 1)!r}/{order}")
+        cols = list(zip(*(a for a, _ in packs)))
+        conj_cols = list(zip(*(b for _, b in packs)))
         for k in range(s):
             for l in range(k, s):
-                got = _hermitian_sum(ones, cols[k], cols[l], e)
-                if got.as_integer() != (order // sizes[k] if k == l else 0):
+                total = sum(map(mul, cols[k], conj_cols[l]))
+                if _rational(total, e, bits) != (order // sizes[k] if k == l else 0):
                     raise TableConsistencyError(
-                        f"column orthogonality failed at classes {k}, {l}: {got!r}")
+                        f"column orthogonality failed at classes {k}, {l}: "
+                        f"{_from_packed(total, e, bits, 1)!r}")
+        for chi, (a, b) in zip(rows, packs):
+            chi._packed = _Packing(e, bits, norm, a, b)
 
     def __eq__(self, other):
         return (isinstance(other, CharacterTable)
@@ -331,7 +453,9 @@ def dixon_character_table(group, prime=None):
             if sum(coeffs.values()) != deg:
                 raise InternalConsistencyError(
                     "eigenvalue multiplicities do not sum to the character degree")
-            values.append(Cyclotomic._make(m, coeffs))
+            c = _integer([coeffs.get(l, 0) for l in range(m)], m)
+            values.append(Cyclotomic._make(m, coeffs) if c is None
+                          else Cyclotomic.from_rational(c))
         characters.append(tuple(values))
 
     order_idx = _canonical_character_sort(characters)
@@ -361,22 +485,24 @@ def induce_character(psi, emb):
     ``psi^G(g) = sum over fused H-classes c of psi(c) * |C_G(g)|/|C_H(c)|``,
     which is the zero-extension average ``(1/|H|) sum_x psi0(x g x^-1)``
     collapsed over classes.  The weights are integers because C_H(c) is a
-    subgroup of C_G(c), and psi is lifted once for all the sums.
+    subgroup of C_G(c); each value is one weighted sum of psi's packed values
+    (an irreducible's own packing when it is wide enough).
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
     g_cent = [emb.ambient.order // n for n in emb.ambient.classes().sizes()]
     h_cent = [emb.sub.order // n for n in emb.sub.classes().sizes()]
-    e = lcm(*(v.conductor for v in psi.values))
-    lifted = _lift(psi.values, e)
     buckets = [([], []) for _ in g_cent]
     for c, target in enumerate(emb.fusion):
-        weights, terms = buckets[target]
+        weights, classes = buckets[target]
         weights.append(g_cent[target] // h_cent[c])
-        terms.append(lifted[c])
-    one = [(0, 1)]  # the lifted 1, so each Hermitian sum is a plain weighted sum
-    return ClassFunction(emb.ambient, [_hermitian_sum(w, t, [one] * len(t), e)
-                                       for w, t in buckets])
+        classes.append(c)
+    e, d, n = _measure(psi)
+    bits = _fit(e, _bits(max(sum(w) for w, _ in buckets) * n), psi)
+    packed = _packing(psi, e, bits, d)[0]
+    return ClassFunction(emb.ambient, [
+        _from_packed(sum(map(mul, w, map(packed.__getitem__, classes))), e, bits, d)
+        for w, classes in buckets])
 
 
 def induce_character_bruteforce(psi, emb):
@@ -402,16 +528,29 @@ def induce_character_bruteforce(psi, emb):
 def decompose(f, table):
     """Multiplicities of each irreducible in a character.
 
-    Raises :class:`NotACharacterError` when any inner product fails to be a
+    f is packed once; the table's rows are read from its own packing unless f
+    needs a larger e or B, which repacks them for this call only.  Raises
+    :class:`NotACharacterError` when any inner product fails to be a
     nonnegative integer - exactness is the point, nothing is rounded.
     """
+    group = f.group
+    rows = table.irreducibles
+    if rows[0].group is not group:
+        raise GroupMismatchError("class functions live on different groups")
+    e_f, d, n_f = _measure(f)
+    own = rows[0]._packed
+    e = lcm(e_f, own.e)
+    bits = _fit(e, _bits(group.order * n_f * own.norm), rows[0])
+    a = list(map(mul, group.classes().sizes(), _packing(f, e, bits, d)[0]))
+    scale = group.order * d
     mults = []
-    for q in _scalar_products(f, table.irreducibles):
-        q = q.as_rational()
-        if q is None or q.denominator != 1 or q < 0:
+    for chi in rows:
+        q = _rational(sum(map(mul, a, _packing(chi, e, bits)[1])), e, bits)
+        if q is None or q < 0 or q % scale:
+            q = None if q is None else Fraction(q, scale)
             raise NotACharacterError(
                 f"multiplicity {q!r} of a supposed character is not a nonnegative integer")
-        mults.append(q.numerator)
+        mults.append(q // scale)
     return tuple(mults)
 
 
@@ -463,7 +602,9 @@ def direct_product_table(factor_tables, group):
     order_idx = _canonical_character_sort(all_values)
     labels = {index_tuples[i]: pos for pos, i in enumerate(order_idx)}
     irr = [ClassFunction(group, all_values[i]) for i in order_idx]
-    return CharacterTable(group, irr, product_labels=labels)
+    table = CharacterTable(group, irr, product_labels=labels)
+    table._factors = tuple(factor_tables)  # the factor groups hold theirs weakly
+    return table
 
 
 def wreath_cyclic_table(base_table, wreath_group, shift, copies):
@@ -545,20 +686,22 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
 
 
 def character_table(group):
-    """The canonical table of a group, cached on the instance.
+    """The canonical table of a group, cached on the instance while it lives.
 
-    Product groups get the outer-product construction (recursively); anything
-    else goes through the Dixon engine.  Either route produces the same
-    canonical table.
+    The group holds its table weakly (the table holds the group), so whoever
+    needs a table keeps it.  Product groups get the outer-product construction
+    (recursively); anything else goes through the Dixon engine.  Either route
+    produces the same canonical table.
     """
-    if group._char_table is not None:
-        return group._char_table
+    table = group._char_table and group._char_table()
+    if table is not None:
+        return table
     if group.product_structure is not None:
         factor_tables = [character_table(fg) for _, fg in group.product_structure]
         table = direct_product_table(factor_tables, group)
     else:
         table = dixon_character_table(group)
-    group._char_table = table
+    group._char_table = weakref.ref(table)
     return table
 
 

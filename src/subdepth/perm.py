@@ -13,13 +13,15 @@ bit-for-bit reproducible output.
 
 Conjugacy classes and cores work on element indices (positions in that list):
 each group builds, once, the conjugation action of its generators as one index
-list per generator; classes are orbits under it, and the conjugates of a
-subgroup are Python-int bitsets over the ambient indices, so their
-intersections are ``&`` operations.
+list per generator (a generated group derives it from the right
+multiplications its search recorded, without hashing image tuples); classes
+are orbits under it, and the conjugates of a subgroup are Python-int bitsets
+over the ambient indices, so their intersections are ``&`` operations.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -254,6 +256,7 @@ class PermGroup:
         self._elements = None
         self._classes = None
         self._action = None
+        self._right = None                        # set by generated(); see _conjugation_action
         self._exponent = None
         self._char_table = None
         self._frozen = None
@@ -271,22 +274,32 @@ class PermGroup:
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators must share a degree")
-        identity = tuple(range(degree))
-        raw = [identity]
-        index = {identity: 0}
-        gen_raw = [g.images for g in gens]
+        # the search fills the group's own element list and index dict, so no
+        # second dict is built over the finished list
+        group = cls(degree, [tuple(range(degree))], gens, _trusted=True)
+        raw, index = group._raw, group._index
+        # right[j][i] is the index of x_i∘gens[j], recorded as the search runs;
+        # x∘g is (x[g[0]], x[g[1]], ...), and itemgetter of a single point
+        # would return a bare value
+        right = [array("i") for _ in gens]
+        steps = [(itemgetter(*g.images) if degree > 1 else tuple, r.append)
+                 for g, r in zip(gens, right)]
+        lookup = index.get
         head = 0
         while head < len(raw):
             x = raw[head]
             head += 1
-            for g in gen_raw:
-                y = tuple(map(x.__getitem__, g))
-                if y not in index:
+            for compose, record in steps:
+                y = compose(x)
+                i = lookup(y)
+                if i is None:
                     if len(raw) >= cap:
                         raise EnumerationCapExceeded(cap, len(raw))
-                    index[y] = len(raw)
+                    i = index[y] = len(raw)
                     raw.append(y)
-        return cls(degree, raw, gens, _trusted=True)
+                record(i)
+        group._right = right
+        return group
 
     @classmethod
     def from_elements(cls, degree, elements):
@@ -416,7 +429,16 @@ def _greedy_generators(degree, raw):
 
 
 def _conjugation_action(group):
-    """The generators' conjugation action on element indices (see ``PermGroup._conjugation``)."""
+    """The generators' conjugation action on element indices (see ``PermGroup._conjugation``).
+
+    A group from :meth:`PermGroup.generated` derives it from the right
+    multiplications recorded by the search, which it then drops; any other
+    group conjugates its element tuples.
+    """
+    if group._right is not None:
+        action = _action_from_right(group)
+        group._right = None
+        return action
     raw = group._raw
     index = group._index
     action = []
@@ -425,6 +447,44 @@ def _conjugation_action(group):
         # x -> (g∘x)∘g⁻¹; itemgetter of a single point would return a bare value
         after = itemgetter(*g.inverse().images) if group.degree > 1 else tuple
         action.append([index[after(tuple(map(gi.__getitem__, x)))] for x in raw])
+    return action
+
+
+def _action_from_right(group):
+    """g·x·g⁻¹ for each generator g, on element indices, without hashing.
+
+    With R_s (x ↦ x∘s) recorded by the breadth-first search and Λ_g the left
+    multiplication x ↦ g⁻¹∘x, g·x·g⁻¹ = x_w exactly when x = Λ_g[R_g[w]], so
+    the action sends Λ_g[R_g[w]] to w.  Λ_g follows the search tree: the root
+    maps to g⁻¹, and a child x∘s of x to (g⁻¹∘x)∘s, so Λ_g[child] =
+    R_s[Λ_g[x]]; the search found a child exactly where R_s[x] is the next
+    unused index.  The action's entries are the index dict's own int objects,
+    as in the tuple path, so lists built from them share those objects.
+    """
+    right = group._right
+    index = group._index
+    n = len(group._raw)
+    lefts = []
+    for g in group.generators:
+        left = array("i", [0]) * n
+        left[0] = index[g.inverse().images]
+        lefts.append(left)
+    new = 1
+    for x in range(n):
+        for r in right:
+            child = r[x]
+            if child == new:
+                for left in lefts:
+                    left[child] = r[left[x]]
+                new += 1
+    action = []
+    for k in range(len(lefts)):
+        r, left = right[k], lefts[k]
+        act = [0] * n
+        for rw, w in zip(r, index.values()):
+            act[left[rw]] = w
+        right[k] = lefts[k] = None    # each generator's arrays go once used
+        action.append(act)
     return action
 
 
@@ -448,13 +508,13 @@ def _conjugacy_classes(group):
                     seen[j] = 1
                     members.append(j)
                     stack.append(j)
-        min_member = min(raw[j] for j in members)
-        found.append((len(members), min_member, members))
+        min_member = min(map(raw.__getitem__, members))
+        found.append((len(members), min_member, tuple(members)))
     found.sort(key=lambda item: (item[0], item[1]))
     classes = []
-    class_of = {}
+    class_of = dict(group._index)   # same keys: overwriting the values never resizes it
     for idx, (size, min_member, members) in enumerate(found):
-        classes.append(ConjugacyClass(Permutation(min_member), size, tuple(members)))
+        classes.append(ConjugacyClass(Permutation(min_member), size, members))
         for j in members:
             class_of[raw[j]] = idx
     if not classes[0].rep.is_identity:

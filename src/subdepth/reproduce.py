@@ -35,6 +35,12 @@ class AcceptanceContext:
         self.bg = base_groups()
         self._families = {}
         self._reports = {}
+        self._tables = {}
+
+    def table(self, group):
+        """The group's character table, kept for the context's lifetime (a
+        group holds its table only weakly)."""
+        return self._tables.setdefault(id(group), character_table(group))
 
     def table_groups(self):
         """Every group whose table the harness has (or will have) built."""
@@ -53,7 +59,7 @@ class AcceptanceContext:
         if sub_name not in self._reports:
             sub = getattr(self.bg, sub_name)
             self._reports[sub_name] = ordinary_depth(
-                self.bg.s4, sub, character_table(self.bg.s4), character_table(sub))
+                self.bg.s4, sub, self.table(self.bg.s4), self.table(sub))
         rep = self._reports[sub_name]
         return rep, rep.depth == expect
 
@@ -63,7 +69,7 @@ class AcceptanceContext:
             fam = self.family(series, n)
             self._reports[key] = ordinary_depth(
                 fam.ambient, fam.subgroup,
-                character_table(fam.ambient), character_table(fam.subgroup))
+                self.table(fam.ambient), self.table(fam.subgroup))
         return self._reports[key]
 
     def all_pair_reports(self):
@@ -106,7 +112,9 @@ def _criterion_lemma(ctx):
     details = []
     ok = True
     for n in (2, 3):
-        rep = lemma_report(n, fam=ctx.family("A", n))
+        fam = ctx.family("A", n)
+        ctx.table(fam.base_block)  # the lemma's block table, revalidated in criterion 11
+        rep = lemma_report(n, fam=fam)
         ok = ok and rep.passed
         details.append(f"n={n}: " + ("all five parts pass" if rep.passed else ", ".join(
             f"({k}) {p.detail}" for k, p in rep.parts.items() if not p.passed)))
@@ -146,7 +154,7 @@ def _criterion_properties(ctx):
     # (a) orthogonality re-validation of every table in play
     groups = ctx.table_groups()
     for g in groups:
-        character_table(g).validate()
+        ctx.table(g).validate()
     checks.append(f"orthogonality revalidated on {len(groups)} tables")
 
     # (b) Frobenius reciprocity on seeded random pairs, for each inclusion
@@ -167,8 +175,8 @@ def _criterion_properties(ctx):
     # (c) the Clifford wreath oracle agrees with the Dixon engine
     for n in (2, 3):
         fam = ctx.family("A", n)
-        oracle = wreath_cyclic_table(character_table(ctx.bg.s4), fam.ambient, fam.sigma, n)
-        if oracle != character_table(fam.ambient):
+        oracle = wreath_cyclic_table(ctx.table(ctx.bg.s4), fam.ambient, fam.sigma, n)
+        if oracle != ctx.table(fam.ambient):
             return False, f"wreath oracle disagrees with the Dixon table at n={n}"
     checks.append("Dixon tables equal the wreath oracle for n=2,3")
 

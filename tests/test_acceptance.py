@@ -7,20 +7,37 @@ any shared objects it is the first to request.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
+from subdepth import chartab
 from subdepth.reproduce import CRITERIA, AcceptanceContext
 
 _BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 30.0, 5: 30.0, 6: 300.0, 7: 300.0}
+_RAN = set()
 
 
 @pytest.fixture(scope="module")
-def actx():
+def built():
+    """Table constructions by kind while this module's criteria run."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("dixon_character_table", "direct_product_table"):
+            def counted(*args, _build=getattr(chartab, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _build(*args, **kwargs)
+            mp.setattr(chartab, name, counted)
+        yield counts
+
+
+@pytest.fixture(scope="module")
+def actx(built):
     return AcceptanceContext()
 
 
 def _run(actx, number):
+    _RAN.add(number)
     desc, fn = next((d, f) for num, d, f in CRITERIA if num == number)
     t0 = time.time()
     passed, detail = fn(actx)
@@ -85,3 +102,14 @@ def test_criterion_11_property_suites(actx):
     assert "Frobenius" in detail
     assert "oracle" in detail
     assert "distances add" in detail
+
+
+def test_reproduce_builds_no_table_twice(actx, built):
+    # the criteria above share one context, as `subdepth reproduce` does
+    for number, _, _ in CRITERIA:
+        if number not in _RAN:
+            _run(actx, number)
+    # groups hold their tables weakly: whoever needs one keeps it (the
+    # context, reports, product tables their factors)
+    assert built["dixon_character_table"] <= 20
+    assert built["direct_product_table"] <= 8

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from subdepth import chartab
@@ -278,9 +278,9 @@ def literal_inner_product(f, h):
     return total * Fraction(1, f.group.order)
 
 
-def random_class_function(data, group):
-    """Values in Q(zeta_d) for one drawn d in 1..12, with Fraction coefficients."""
-    d = data.draw(st.integers(1, 12))
+def random_class_function(data, group, conductors=st.integers(1, 12)):
+    """Values in Q(zeta_d) for one drawn d (1..12 by default), with Fraction coefficients."""
+    d = data.draw(conductors)
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     values = []
     for _ in range(len(group.classes())):
@@ -325,6 +325,76 @@ def test_inner_product_matches_definition(name, data, bg, s4_table, f21_table):
     other = f21_table.group if name == "S4" else bg.s4
     with pytest.raises(GroupMismatchError):
         decompose(random_class_function(data, other), table)
+
+
+def row_capacity(table):
+    """The largest 1-norm of a class function whose scalar products with the
+    rows fit the bits the table packed them at."""
+    own = table.irreducibles[0]._packed
+    return ((1 << (own.bits - 1)) - 1) // (table.group.order * own.norm)
+
+
+def near_capacity(data, table, conductors):
+    """A random class function with one rational value whose scaled 1-norm
+    sits just under (or, when drawn, just over) the table's row capacity."""
+    group = table.group
+    values = list(random_class_function(data, group, conductors).values)
+    k = data.draw(st.integers(0, len(values) - 1))
+    values[k] = Cyclotomic.from_rational(0)
+    _, d, _ = chartab._measure(ClassFunction(group, values))
+    big = row_capacity(table) // d + data.draw(st.integers(0, 1))
+    values[k] = Cyclotomic.from_rational(big * data.draw(st.sampled_from([1, -1])))
+    return ClassFunction(group, values)
+
+
+@pytest.mark.parametrize("name", ["S4", "F21"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_near_the_row_capacity(name, data, s4_table, f21_table):
+    table = s4_table if name == "S4" else f21_table
+    own = table.irreducibles[0]._packed
+    # conductors dividing the table's e reuse its rows; any other conductor repacks them
+    fitting = st.just(1) if name == "S4" else st.sampled_from([1, 3, 7])
+    f = near_capacity(data, table, data.draw(st.sampled_from([fitting, st.integers(1, 12)])))
+    e, _, n = chartab._measure(f)
+    reused = own.e % e == 0 and n <= row_capacity(table)
+    event("rows reused" if reused else "rows repacked")
+
+    packs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chartab, "_pack", counting(packs, chartab._pack))
+        try:
+            mults = decompose(f, table)
+        except NotACharacterError:
+            mults = None
+    # f is packed once; the rows again only when f is beyond their capacity
+    assert packs[0][0] == f.values
+    assert (len(packs) == 1) == reused
+    literal = [literal_inner_product(f, chi) for chi in table.irreducibles]
+    if all(q.as_integer() is not None and q.as_integer() >= 0 for q in literal):
+        assert mults == tuple(q.as_integer() for q in literal)
+    else:
+        assert mults is None
+    for chi, q in zip(table.irreducibles, literal):
+        assert inner_product(f, chi) == q
+        assert inner_product(chi, f) == q.conjugate()
+
+
+@pytest.mark.parametrize("name, sub_gens", [("S4", "(1,3);(1,2,3,4)"), ("S4", "(1,2);(1,2,3)"),
+                                            ("F21", F21_C7), ("F21", F21_C3)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_induction_matches_the_literal_sum(name, sub_gens, data, s4_table, f21_table):
+    group = (s4_table if name == "S4" else f21_table).group
+    sub = PermGroup.generated(parse_generators(sub_gens, degree=group.degree))
+    emb = class_fusion(group, sub)
+    psi = random_class_function(data, sub)
+    # a large multiple of one root of unity on every class makes the induced
+    # value at the heaviest class reach the packing bound
+    d = data.draw(st.integers(1, 12))
+    big = data.draw(st.integers(-10**6, 10**6)) * zeta(d, data.draw(st.integers(0, d - 1)))
+    psi = ClassFunction(sub, [v + big for v in psi.values])
+    assert induce_character(psi, emb) == induce_character_bruteforce(psi, emb)
 
 
 def test_inner_product_outside_the_exponent(bg):
@@ -409,12 +479,13 @@ def counting(calls, fn):
     return counted
 
 
-def test_decompose_lifts_each_function_once(monkeypatch, f21_table):
-    lifts = []
-    monkeypatch.setattr(chartab, "_lift", counting(lifts, chartab._lift))
+def test_decompose_packs_each_function_once(monkeypatch, f21_table):
+    packs = []
+    monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
     f = f21_table.irreducibles[3] + f21_table.irreducibles[4]
     assert decompose(f, f21_table) == (0, 0, 0, 1, 1)
-    assert len(lifts) == 1 + len(f21_table.irreducibles)
+    # f is packed once; the rows come from the table's own packing
+    assert [args[0] for args in packs] == [f.values]
 
 
 def test_induction_sums_once_per_ambient_class(monkeypatch, f21_table):
@@ -436,18 +507,50 @@ def test_induction_sums_once_per_ambient_class(monkeypatch, f21_table):
     assert len(makes) == len(group.classes())
 
 
-def test_warm_depth_lift_budget(monkeypatch):
+def test_warm_depth_pack_budget(monkeypatch):
     from subdepth.constructions import family
     from subdepth.depth import ordinary_depth
     fam = family("B", 2)
-    character_table(fam.ambient)
-    character_table(fam.subgroup)
-    lifts = []
-    monkeypatch.setattr(chartab, "_lift", counting(lifts, chartab._lift))
+    ambient_table = character_table(fam.ambient)
+    sub_table = character_table(fam.subgroup)
+    packs = []
+    monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
     assert ordinary_depth(fam.ambient, fam.subgroup).depth == fam.expected_depth
-    # one lift per decomposed character and per irreducible it is paired
-    # with, plus one per induced character
-    assert len(lifts) <= 1070
+    # one pack per decomposed character: s restrictions and r inductions;
+    # induction reads each irreducible of H from its table's packing
+    r, s = len(sub_table.irreducibles), len(ambient_table.irreducibles)
+    assert len(packs) <= r + s
+
+
+@pytest.mark.parametrize("c", [0, 5, -7])
+def test_kernel_helpers_reduce_mod_the_cyclotomic_polynomial(c):
+    # sum over four classes of a * conj(b) is c + z3 + z3^2 + z3^3 = c, but its
+    # polynomial c + x + x^2 + x^3 folds to [c + 1, 1, 1], not [c, 0, 0]
+    one, z3 = Cyclotomic.from_rational(1), zeta(3)
+    a = [Cyclotomic.from_rational(c), z3, one, z3]
+    b = [one, one, z3, z3]
+    bits = chartab._bits(4 * 7 * 1)
+    packed, _ = chartab._pack(a, 3, bits)
+    _, conj = chartab._pack(b, 3, bits)
+    assert packed[1] == 1 << bits and conj[2] == 1 << (2 * bits)  # conj(z3) = z3^2
+    total = sum(x * y for x, y in zip(packed, conj))
+    assert total != c
+    assert chartab._unfold(total, 3, bits) == [c + 1, 1, 1]
+    assert chartab._integer([c + 1, 1, 1], 3) == c
+    assert chartab._integer([c + 1, 1, 0], 3) is None
+    assert chartab._rational(total, 3, bits) == c
+    assert chartab._rational(total + (1 << bits), 3, bits) is None
+    assert chartab._from_packed(total, 3, bits, 2) == Fraction(c, 2)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 8, 1000])
+def test_bits_read_back_every_coefficient_up_to_the_bound(bound):
+    bits = chartab._bits(bound)
+    for vec in ([bound, -bound, 0, bound], [-bound, bound, -bound, -bound], [0, 0, 0, -bound]):
+        total = sum(c << (bits * k) for k, c in enumerate(vec))
+        assert chartab._unfold(total, 4, bits) == vec
+    # the fold adds the digits at k and k + e
+    assert chartab._unfold(bound + (-bound << (bits * 4)), 4, bits) == [0, 0, 0, 0]
 
 
 MALFORMED_VALUES = [

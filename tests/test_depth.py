@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from subdepth import perm
@@ -188,6 +191,23 @@ def test_conjugation_action_built_once_per_group(monkeypatch, core_enumerations)
     # reused the action S6's classes built
     assert len(core_enumerations) == 1
     assert sorted(map(id, built)) == sorted([id(s6), id(s5)])
+
+
+def test_dead_groups_are_freed_without_the_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        s4, d8 = symmetric(4, 4), PermGroup.generated(parse_generators("(1,3);(1,2,3,4)"))
+        report = ordinary_depth(s4, d8)
+        assert report.depth == 4
+        groups = [weakref.ref(s4), weakref.ref(d8)]
+        tables = [weakref.ref(report.inclusion.ambient_table),
+                  weakref.ref(report.inclusion.sub_table)]
+        del s4, d8, report
+        # no reference cycle keeps a group, its elements or its table alive
+        assert [ref() for ref in groups + tables] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_ordinary_depth_small_pairs(bg):

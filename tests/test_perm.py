@@ -290,3 +290,15 @@ def test_classes_and_cores_match_brute_force(kind, data):
     if m > 1:
         assert all(frozenset.intersection(*combo) != core
                    for combo in combinations(conjugates, m - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=generated_groups(7))
+def test_conjugation_action_from_right_multiplications(group):
+    # a generated group derives the action from the right multiplications its
+    # search recorded; each entry must be the literal g·x·g⁻¹
+    raw = group.raw_elements
+    action = group._conjugation()
+    assert group._right is None          # the recorded arrays are dropped once used
+    for g, act in zip(group.generators, action):
+        assert [raw[j] for j in act] == [literal_conjugate(g.images, x) for x in raw]
