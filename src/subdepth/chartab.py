@@ -3,7 +3,9 @@
 Tables are computed by the modular (Dixon) method: simultaneous eigenvectors
 of class-multiplication matrices over a prime field F_p with p == 1 mod the
 group exponent and p^2 > 4|G|, lifted to exact cyclotomic values by Fourier
-inversion over the roots of unity of F_p.  Everything is verified against
+inversion over the roots of unity of F_p.  A class matrix is never built
+whole: only its rows at the pivots of a subspace still to be split, each from
+the class-sum structure constants.  Everything is verified against
 exact row/column orthogonality before a table is returned.
 
 Every exact sum of values (both orthogonality checks, scalar products,
@@ -331,42 +333,34 @@ def dixon_character_table(group, prime=None):
         modlin.validate_dixon_prime(prime, e, order)
         p = prime
 
-    reps_raw = [c.rep.images for c in cs.classes]
     sizes = cs.sizes()
     class_of = cs.class_of
-    degree = group.degree
-    raw = group.raw_elements
-
-    def class_matrix(i):
-        # a[j][k] = #{x in C_i : x^-1 * rep_k in C_j}
-        m = [[0] * s for _ in range(s)]
-        for idx in cs.classes[i].members:
-            x = raw[idx]
-            xinv = [0] * degree
-            for t in range(degree):
-                xinv[x[t]] = t
-            get = xinv.__getitem__
-            for k, zk in enumerate(reps_raw):
-                m[class_of[tuple(map(get, zk))]][k] += 1
-        return m
 
     # Split F_p^s into the common eigenspaces of the class matrices, taking the
-    # matrices in canonical class order until every subspace is a line.
+    # matrices in canonical class order until every subspace is a line.  Of
+    # each matrix only the rows at the pivots of an unsplit subspace are read.
     spaces = [(_identity_rref(s), list(range(s)))]
     for i in range(1, s):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        m = class_matrix(i)
+        rows = {}
         next_spaces = []
         for basis, pivots in spaces:
             dim = len(basis)
             if dim == 1:
                 next_spaces.append((basis, pivots))
                 continue
-            imgs = [modlin.matvec_mod(m, b, p) for b in basis]
-            # invariance of the subspace lets coordinates be read at pivot columns
-            act = [[imgs[l][pivots[r]] % p for l in range(dim)] for r in range(dim)]
+            for j in pivots:
+                if j not in rows:
+                    rows[j] = _class_matrix_row(group, i, j)
+            pivot_rows = [rows[j] for j in pivots]
+            # the subspace is invariant and b_l is 1 at pivots[l] and 0 at the
+            # other pivots, so m b_l = sum_r act[r][l] b_r with
+            # act[r][l] = m[pivots[r]] . b_l
+            act = [list(col) for col in
+                   zip(*(modlin.matvec_mod(pivot_rows, b, p) for b in basis))]
             cp = modlin.charpoly_mod(act, p)
+            basis_cols = list(zip(*basis))
             split_total = 0
             for lam in modlin.roots_mod(cp, p):
                 shifted = [row[:] for row in act]
@@ -375,15 +369,8 @@ def dixon_character_table(group, prime=None):
                 coord_basis = modlin.nullspace_mod(shifted, p)
                 if not coord_basis:
                     continue
-                ambient = []
-                for coords in coord_basis:
-                    vec = [0] * s
-                    for l, cl in enumerate(coords):
-                        if cl:
-                            bl = basis[l]
-                            for t in range(s):
-                                vec[t] = (vec[t] + cl * bl[t]) % p
-                    ambient.append(vec)
+                ambient = [[sum(map(mul, coords, col)) % p for col in basis_cols]
+                           for coords in coord_basis]
                 red, piv = modlin.rref_mod(ambient, p)
                 split_total += len(red)
                 next_spaces.append((red, piv))
@@ -402,12 +389,19 @@ def dixon_character_table(group, prime=None):
     power_class = []
     for k in range(s):
         zk = cs.classes[k].rep
-        acc = Permutation.identity(degree)
+        acc = Permutation.identity(group.degree)
         row = []
         for _ in range(rep_orders[k]):
             row.append(class_of[acc.images])
             acc = acc * zk
         power_class.append(row)
+    # per element order m, row l of the inverse DFT: m^-1 zeta_m^(-l t), t < m
+    inverse_dft = {}
+    for m in set(rep_orders):
+        w = pow(z_e, -(e // m), p)
+        m_inv = pow(m, -1, p)
+        inverse_dft[m] = [[m_inv * pow(w, l * t, p) % p for t in range(m)]
+                          for l in range(m)]
 
     characters = []
     for basis, _ in spaces:
@@ -432,19 +426,10 @@ def dixon_character_table(group, prime=None):
             if m == 1:
                 values.append(Cyclotomic.from_rational(deg))
                 continue
-            z_m = pow(z_e, e // m, p)
-            zm_inv = pow(z_m, -1, p)
-            m_inv = pow(m, -1, p)
-            vals_t = [u[power_class[k][t]] for t in range(m)]
+            vals_t = [u[c] for c in power_class[k]]
             coeffs = {}
-            for l in range(m):
-                w = pow(zm_inv, l, p)
-                acc = 0
-                wt = 1
-                for t in range(m):
-                    acc = (acc + vals_t[t] * wt) % p
-                    wt = wt * w % p
-                c_l = acc * m_inv % p
+            for l, dft_row in enumerate(inverse_dft[m]):
+                c_l = sum(map(mul, dft_row, vals_t)) % p
                 if c_l:
                     if c_l > deg:
                         raise InternalConsistencyError(
@@ -461,6 +446,30 @@ def dixon_character_table(group, prime=None):
     order_idx = _canonical_character_sort(characters)
     irr = [ClassFunction(group, characters[i]) for i in order_idx]
     return CharacterTable(group, irr)
+
+
+def _class_matrix_row(group, i, j):
+    """Row j of the matrix of class sum i: entry k is #{x in C_i : x^-1 z_k in C_j}.
+
+    Both this and |C_j| #{x in C_i : x z_j in C_k} / |C_k| count the x in C_i
+    and y in C_j with x y in C_k, so one pass over C_i gives the whole row.
+    """
+    cs = group.classes()
+    raw = group.raw_elements
+    class_of = cs.class_of
+    zj = cs.classes[j].rep.images
+    counts = [0] * len(cs)
+    for idx in cs.classes[i].members:
+        counts[class_of[tuple(map(raw[idx].__getitem__, zj))]] += 1
+    size_j = cs.classes[j].size
+    row = []
+    for count, c in zip(counts, cs.classes):
+        a, rem = divmod(size_j * count, c.size)
+        if rem:
+            raise InternalConsistencyError(
+                f"class matrix {i} row {j}: {size_j * count} not divisible by {c.size}")
+        row.append(a)
+    return row
 
 
 def _identity_rref(s):

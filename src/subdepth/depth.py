@@ -26,7 +26,7 @@ mismatch raises instead of being smoothed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 
 from .chartab import (character_table, decompose, induce_character,
                       restrict_character)
@@ -103,29 +103,30 @@ def inclusion_matrix(ambient_table, sub_table, emb):
 # Matrix powers and the matrix criterion
 # ---------------------------------------------------------------------------
 
-def _matmul(a, b_cols):
-    """a (list of rows) times b given as a list of columns."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a]
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
+def _sparse_rows(rows):
+    """Each row as the list of its nonzero (column, value) pairs."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
 
 
 def _alternating_powers(matrix):
     """M^0, M^1, M^2, ... without end, each from the previous one by a
-    single multiplication."""
-    entries = [list(r) for r in matrix.entries]
-    r = len(entries)
+    single multiplication by M^T or M, held as sparse rows."""
+    entries = [list(row) for row in matrix.entries]
+    r, s = matrix.shape
     yield [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    m_cols = _transpose(entries)          # columns of M
-    mt_cols = [list(row) for row in entries]  # columns of M^T are rows of M
+    factors = ((_sparse_rows(zip(*entries)), r), (_sparse_rows(entries), s))
     power = entries
-    k = 1
-    while True:
+    for rows, width in cycle(factors):     # M^T to even powers, M to odd ones
         yield power
-        power = _matmul(power, mt_cols if k % 2 == 1 else m_cols)
-        k += 1
+        nxt = []
+        for prow in power:
+            out = [0] * width
+            for x, row in zip(prow, rows):
+                if x:
+                    for c, v in row:
+                        out[c] += x * v
+            nxt.append(out)
+        power = nxt
 
 
 def alternating_power(matrix, n):

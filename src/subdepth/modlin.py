@@ -1,12 +1,16 @@
 """Small dense linear algebra over a prime field F_p.
 
 Everything here works on plain lists of Python ints reduced mod p.  Sizes are
-tiny (matrices indexed by conjugacy classes), so clarity and determinism beat
-asymptotics: row order, eigenvalue order and nullspace bases are all fixed
-functions of the input.
+small (matrices indexed by conjugacy classes), so the algorithms are the plain
+dense ones, written to compute only what the caller reads: a product row is
+one int dot product, and elimination touches a row only from its pivot column
+on.  Row order, eigenvalue order and nullspace bases are all fixed functions
+of the input.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import SubdepthError
 
@@ -89,28 +93,32 @@ def sqrt_mod(a, p):
 
 
 def matvec_mod(m, v, p):
-    return [sum(a * b for a, b in zip(row, v)) % p for row in m]
+    """m v mod p, for m given as the list of the rows wanted."""
+    return [sum(map(mul, row, v)) % p for row in m]
 
 
 def rref_mod(rows, p):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [r[:] for r in rows]
+    rows = [[v % p for v in r] for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        # the pivot row is zero before column c, so no row changes there
+        head = rows[r]
+        inv = pow(head[c], -1, p)
+        tail = [v * inv % p for v in head[c:]]
+        head[c:] = tail
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -14,7 +14,7 @@ import pytest
 from subdepth import chartab
 from subdepth.reproduce import CRITERIA, AcceptanceContext
 
-_BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 30.0, 5: 30.0, 6: 300.0, 7: 300.0}
+_BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 30.0, 5: 30.0, 6: 30.0, 7: 30.0}
 _RAN = set()
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from subdepth.constructions import (direct_product, klein_labels, sym4_labels,
 from subdepth.cyclo import Cyclotomic, zeta
 from subdepth.errors import (GroupMismatchError, NotACharacterError,
                              TableConsistencyError)
-from subdepth.perm import PermGroup, class_fusion, parse_generators
+from subdepth.modlin import is_prime, smallest_dixon_prime
+from subdepth.perm import PermGroup, Permutation, class_fusion, parse_generators
 
 # The classic tables of the Klein four-group and S4, frozen with their
 # conventional class order (identity, the marker double transpositions /
@@ -237,6 +239,91 @@ def test_value_conductors_divide_element_orders(s4_table, d8_table):
         for chi in table.irreducibles:
             for cls, v in zip(table.classes.classes, chi.values):
                 assert cls.rep.order() % v.conductor == 0
+
+
+# -- Dixon: class-matrix rows on demand, and a second prime --------------------------
+
+@st.composite
+def random_groups(draw, kind):
+    """A group on at most 7 points from 1-3 random generators, built by ``kind``."""
+    def generated(max_degree):
+        degree = draw(st.integers(1, max_degree))
+        return PermGroup.generated(draw(st.lists(
+            st.permutations(range(degree)).map(Permutation), min_size=1, max_size=3)))
+
+    if kind == "direct_product":
+        return direct_product([generated(3), generated(4)])
+    group = generated(7)
+    if kind == "from_elements":
+        group = PermGroup.from_elements(group.degree, group.raw_elements)
+    return group
+
+
+def literal_class_matrix(group, i):
+    """a[j][k] = #{x in C_i : x^-1 z_k in C_j}, counted element by element."""
+    classes = group.classes()
+    reps = [c.rep for c in classes.classes]
+    a = [[0] * len(reps) for _ in reps]
+    for idx in classes.classes[i].members:
+        x_inv = Permutation(group.raw_elements[idx]).inverse()
+        for k, z in enumerate(reps):
+            a[classes.class_of[(x_inv * z).images]][k] += 1
+    return a
+
+
+def next_dixon_prime(group):
+    """The next prime q == 1 mod the exponent after the default, so q^2 > 4|G| too."""
+    e = group.exponent()
+    q = smallest_dixon_prime(e, group.order) + e
+    while not is_prime(q):
+        q += e
+    return q
+
+
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_matrix_rows_match_the_literal_count(kind, data):
+    group = data.draw(random_groups(kind))
+    s = len(group.classes())
+    for i in range(s):
+        assert ([chartab._class_matrix_row(group, i, j) for j in range(s)]
+                == literal_class_matrix(group, i))
+
+
+def test_dixon_reads_only_the_pivot_rows(monkeypatch, bg):
+    requests = Counter()
+    build_row = chartab._class_matrix_row
+
+    def counting(group, i, j):
+        requests[i, j] += 1
+        return build_row(group, i, j)
+
+    monkeypatch.setattr(chartab, "_class_matrix_row", counting)
+    group = wreath_cyclic(bg.s4, 2).group
+    dixon_character_table(group)
+    s = len(group.classes())
+    assert max(requests.values()) == 1
+    per_class = Counter(i for i, _ in requests)
+    assert per_class[1] == s
+    later = [n for i, n in per_class.items() if i > 1]
+    assert later and sum(later) < s * len(later)
+
+
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dixon_tables_agree_at_two_primes(kind, data):
+    group = data.draw(random_groups(kind))
+    assert dixon_character_table(group) == dixon_character_table(
+        group, prime=next_dixon_prime(group))
+
+
+def test_dixon_tables_agree_at_two_primes_on_the_wreath_product(bg):
+    group = wreath_cyclic(bg.s4, 2).group
+    q = next_dixon_prime(group)
+    assert q == 97
+    assert dixon_character_table(group) == dixon_character_table(group, prime=q)
 
 
 def test_table_validation_catches_corruption(bg, s4_table):

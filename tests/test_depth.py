@@ -1,16 +1,22 @@
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdepth import perm
 from subdepth.chartab import character_table
 from subdepth.constructions import klein_labels, sym4_labels
-from subdepth.depth import (NEG_INF, alternating_power, char_distance, core_depth_bound,
-                            depth_one_check, inclusion_matrix, m_chi,
+from subdepth.depth import (NEG_INF, InclusionMatrix, alternating_power, char_distance,
+                            core_depth_bound, depth_one_check, inclusion_matrix, m_chi,
                             matrix_depth, ordinary_depth, relation_graph)
 from subdepth.graphs import bfs_distance
 from subdepth.perm import PermGroup, class_fusion, parse_generators
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +95,64 @@ def test_matrix_depth_examples(v4_in_s4, bg, s4_table, d8_table):
     emb = class_fusion(bg.s4, bg.d8)
     m_d8 = inclusion_matrix(s4_table, d8_table, emb)
     assert matrix_depth(m_d8)[0] == 4
+
+
+# -- the sparse powers against a dense oracle ---------------------------------------
+
+def dense_alternating_power(entries, k):
+    """M^k by literal triple loops: M^(2l+1) = M^(2l) M, M^(2l) = M^(2l-1) M^T."""
+    r, s = len(entries), len(entries[0])
+    transpose = [[entries[i][j] for i in range(r)] for j in range(s)]
+    power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    for step in range(1, k + 1):
+        factor = entries if step % 2 else transpose
+        power = [[sum(power[i][t] * factor[t][c] for t in range(len(factor)))
+                  for c in range(len(factor[0]))] for i in range(len(power))]
+    return power
+
+
+def literal_matrix_depth(entries):
+    """The first n with M^(n+1) <= a M^(n-1) entrywise, and the least such a."""
+    n = 1
+    while True:
+        low = dense_alternating_power(entries, n - 1)
+        high = dense_alternating_power(entries, n + 1)
+        pairs = [(x, y) for hr, lr in zip(high, low) for x, y in zip(hr, lr) if x]
+        if all(y for _, y in pairs):
+            return n, max([-(-x // y) for x, y in pairs] + [1])
+        n += 1
+
+
+@st.composite
+def sparse_matrices(draw):
+    r, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = [draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=s, max_size=s))
+               for _ in range(r)]
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, r - 1))] = [0] * s
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, s - 1))
+        for row in entries:
+            row[zero] = 0
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=sparse_matrices())
+def test_sparse_powers_match_the_dense_product(entries):
+    matrix = InclusionMatrix(None, None, None, tuple(map(tuple, entries)))
+    for k in range(7):
+        assert alternating_power(matrix, k) == dense_alternating_power(entries, k)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("depth_*.json")))
+def test_matrix_depth_matches_the_dense_loop_on_golden_pairs(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    entries = report["inclusion_matrix"]["entries"]
+    matrix = InclusionMatrix(None, None, None, tuple(map(tuple, entries)))
+    expected = report["criteria"]["matrix"]
+    assert matrix_depth(matrix) == literal_matrix_depth(entries) == (
+        expected["depth"], expected["witness_multiplier"])
 
 
 def test_relation_graph_components(v4_in_s4, s4_table, v4_table, bg, d8_table):
