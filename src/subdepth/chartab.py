@@ -359,6 +359,12 @@ def dixon_character_table(group, prime=None):
             # act[r][l] = m[pivots[r]] . b_l
             act = [list(col) for col in
                    zip(*(modlin.matvec_mod(pivot_rows, b, p) for b in basis))]
+            lam = act[0][0]
+            if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
+                # the class acts as the scalar lam: the subspace stays whole,
+                # and its basis is already in rref
+                next_spaces.append((basis, pivots))
+                continue
             cp = modlin.charpoly_mod(act, p)
             basis_cols = list(zip(*basis))
             split_total = 0

@@ -252,6 +252,9 @@ def main(argv=None):
             return 2
     if cap < 1:
         parser.error("--cap must be at least 1")
+    if getattr(args, "degree", None) is not None and args.degree < 1:
+        print("error: --degree must be at least 1", file=sys.stderr)
+        return 2
     handlers = {
         "table": _cmd_table,
         "depth": _cmd_depth,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SubdepthError
+from .errors import EnumerationCapExceeded, SubdepthError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
                    parse_cycle_notation, subgroup_core)
 
@@ -124,34 +124,29 @@ def block_shift(block_size, blocks):
 def direct_product(factors, cap=DEFAULT_CAP):
     """The direct product acting on consecutive point blocks.
 
-    Elements are all concatenations of factor elements (deterministic nested
-    order); the factor layout is recorded on ``product_structure`` so the
-    outer-product character table can be built later.
+    The closure of the factor generators, each shifted onto its block.  They
+    are block-diagonal, so the closure lies inside the Cartesian product of
+    the factors, and its order proves it is all of it.  The factor layout is
+    recorded on ``product_structure`` so the outer-product character table can
+    be built later.
     """
-    from itertools import product as iter_product
-
     degree = sum(f.degree for f in factors)
     total = 1
     for f in factors:
         total *= f.order
     if total > cap:
-        from .errors import EnumerationCapExceeded
         raise EnumerationCapExceeded(cap, total)
     offsets = []
     at = 0
     for f in factors:
         offsets.append(at)
         at += f.degree
-    raw = []
-    for combo in iter_product(*[f.raw_elements for f in factors]):
-        img = []
-        for off, piece in zip(offsets, combo):
-            img.extend(off + v for v in piece)
-        raw.append(tuple(img))
     gens = []
     for off, f in zip(offsets, factors):
         gens.extend(g.shifted(off, degree) for g in f.generators)
-    group = PermGroup(degree, raw, gens, _trusted=True)
+    group = PermGroup.generated(gens, cap=cap)
+    if group.order != total:
+        raise SubdepthError("direct product closure has the wrong order")
     group.product_structure = tuple(zip(offsets, factors))
     return group
 

@@ -5,18 +5,19 @@ convention ``a.conjugated_by(s) == s * a * s.inverse()`` relabels the moved
 points of ``a`` along ``s``; conjugating a group acting on one block of points
 by a block shift therefore yields the copy acting on the shifted block.
 
-Groups are stored with all elements enumerated (breadth-first closure over
-right multiplication by the listed generators, which makes the element order
-a deterministic function of the generator list).  Everything downstream -
-conjugacy classes, cores, character tables - relies on that determinism for
-bit-for-bit reproducible output.
+Every group is enumerated by one breadth-first closure over right
+multiplication by its generator list (:meth:`PermGroup.generated`), which makes
+the element order a deterministic function of the generator list; explicit
+element sets and direct products are closures of generators picked from them.
+Everything downstream - conjugacy classes, cores, character tables - relies on
+that determinism for bit-for-bit reproducible output.
 
 Conjugacy classes and cores work on element indices (positions in that list):
-each group builds, once, the conjugation action of its generators as one index
-list per generator (a generated group derives it from the right
-multiplications its search recorded, without hashing image tuples); classes
-are orbits under it, and the conjugates of a subgroup are Python-int bitsets
-over the ambient indices, so their intersections are ``&`` operations.
+each group derives, once, the conjugation action of its generators as one index
+list per generator from the right multiplications its search recorded, without
+hashing image tuples; classes are orbits under it, and the conjugates of a
+subgroup are Python-int bitsets over the ambient indices, so their
+intersections are ``&`` operations.
 """
 
 from __future__ import annotations
@@ -241,9 +242,10 @@ class ClassSet:
 class PermGroup:
     """A finite permutation group with its full element list.
 
-    Use :meth:`generated` (breadth-first closure of a generator list, capped)
-    or :meth:`from_elements`.  Instances are immutable; conjugacy data and
-    character tables are cached on the instance.
+    Every instance is built by :meth:`generated` (breadth-first closure of a
+    generator list, capped); :meth:`from_elements` and :meth:`trivial` call it.
+    Instances are immutable; conjugacy data and character tables are cached on
+    the instance.
     """
 
     def __init__(self, degree, raw_elements, generators, _trusted=False):
@@ -305,20 +307,31 @@ class PermGroup:
     def from_elements(cls, degree, elements):
         """Build a group from an explicit element collection, checked to be closed.
 
-        Elements are sorted lexicographically so the stored order does not
-        depend on the caller's iteration order; a small generating subset is
-        found greedily.
+        Generators are picked greedily from the lexicographically sorted set,
+        so they do not depend on the caller's iteration order: each element
+        outside the closure so far joins them, and the group is the closure of
+        the last list.  A closure that outgrows the set proves it is not
+        closed (ValueError), so no closure larger than the set is enumerated.
         """
         raw = sorted({e.images if isinstance(e, Permutation) else tuple(e)
                       for e in elements})
         if not raw or raw[0] != tuple(range(degree)):
             raise ValueError("element set must contain the identity")
-        return cls(degree, raw, _greedy_generators(degree, raw), _trusted=True)
+        group = cls.trivial(degree)
+        gens = []
+        for x in raw:
+            if x not in group:
+                gens.append(Permutation(x))
+                try:
+                    group = cls.generated(gens, cap=len(raw))
+                except EnumerationCapExceeded:
+                    raise ValueError("element set is not closed under composition") from None
+        # every element is in the closure, which is no larger than the set
+        return group
 
     @classmethod
     def trivial(cls, degree):
-        ident = Permutation.identity(degree)
-        return cls(degree, [ident.images], [ident], _trusted=True)
+        return cls.generated([Permutation.identity(degree)])
 
     # -- basic protocol ---------------------------------------------------------
 
@@ -396,72 +409,20 @@ class PermGroup:
         return True
 
 
-def _greedy_generators(degree, raw):
-    """A small generating list for a closed element set (else ValueError), deterministic."""
-    target = len(raw)
-    identity = tuple(range(degree))
-    if target == 1:
-        return [Permutation(identity)]
-    have = {identity}
-    gens = []
-    for x in raw:
-        if x in have:
-            continue
-        gens.append(x)
-        # closure of current generators
-        closure = [identity]
-        seen = {identity}
-        head = 0
-        while head < len(closure):
-            y = closure[head]
-            head += 1
-            for g in gens:
-                z = tuple(map(y.__getitem__, g))
-                if z not in seen:
-                    seen.add(z)
-                    closure.append(z)
-        have = seen
-        if len(have) == target:
-            break
-    if len(have) != target or not have.issuperset(raw):
-        raise ValueError("element set is not closed under composition")
-    return [Permutation(g) for g in gens]
-
-
 def _conjugation_action(group):
-    """The generators' conjugation action on element indices (see ``PermGroup._conjugation``).
-
-    A group from :meth:`PermGroup.generated` derives it from the right
-    multiplications recorded by the search, which it then drops; any other
-    group conjugates its element tuples.
-    """
-    if group._right is not None:
-        action = _action_from_right(group)
-        group._right = None
-        return action
-    raw = group._raw
-    index = group._index
-    action = []
-    for g in group.generators:
-        gi = g.images
-        # x -> (g∘x)∘g⁻¹; itemgetter of a single point would return a bare value
-        after = itemgetter(*g.inverse().images) if group.degree > 1 else tuple
-        action.append([index[after(tuple(map(gi.__getitem__, x)))] for x in raw])
-    return action
-
-
-def _action_from_right(group):
     """g·x·g⁻¹ for each generator g, on element indices, without hashing.
 
-    With R_s (x ↦ x∘s) recorded by the breadth-first search and Λ_g the left
-    multiplication x ↦ g⁻¹∘x, g·x·g⁻¹ = x_w exactly when x = Λ_g[R_g[w]], so
-    the action sends Λ_g[R_g[w]] to w.  Λ_g follows the search tree: the root
-    maps to g⁻¹, and a child x∘s of x to (g⁻¹∘x)∘s, so Λ_g[child] =
-    R_s[Λ_g[x]]; the search found a child exactly where R_s[x] is the next
-    unused index.  The action's entries are the index dict's own int objects,
-    as in the tuple path, so lists built from them share those objects.
+    With R_s (x ↦ x∘s) recorded by the breadth-first search of
+    :meth:`PermGroup.generated` and Λ_g the left multiplication x ↦ g⁻¹∘x,
+    g·x·g⁻¹ = x_w exactly when x = Λ_g[R_g[w]], so the action sends
+    Λ_g[R_g[w]] to w.  Λ_g follows the search tree: the root maps to g⁻¹, and
+    a child x∘s of x to (g⁻¹∘x)∘s, so Λ_g[child] = R_s[Λ_g[x]]; the search
+    found a child exactly where R_s[x] is the next unused index.  The recorded
+    arrays are dropped once used.  The action's entries are the index dict's
+    own int objects, so lists built from them share those objects.
     """
     right = group._right
+    group._right = None
     index = group._index
     n = len(group._raw)
     lefts = []

@@ -2,12 +2,13 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from subdepth import chartab
+from subdepth import chartab, modlin
 from subdepth.chartab import (CharacterTable, character_table, decompose,
                               direct_product_table,
                               dixon_character_table, induce_character,
@@ -245,7 +246,12 @@ def test_value_conductors_divide_element_orders(s4_table, d8_table):
 
 @st.composite
 def random_groups(draw, kind):
-    """A group on at most 7 points from 1-3 random generators, built by ``kind``."""
+    """A group on at most 7 points from 1-3 random generators, built by ``kind``.
+
+    Every kind is a breadth-first closure, each of its own generator list:
+    greedy picks from the sorted set for from_elements, the factor generators
+    shifted onto their blocks for direct_product.
+    """
     def generated(max_degree):
         degree = draw(st.integers(1, max_degree))
         return PermGroup.generated(draw(st.lists(
@@ -310,13 +316,40 @@ def test_dixon_reads_only_the_pivot_rows(monkeypatch, bg):
     assert later and sum(later) < s * len(later)
 
 
+def forbid_scalar_charpolys(monkeypatch):
+    """Make ``modlin.charpoly_mod`` fail on a scalar matrix; returns its calls."""
+    calls = []
+    charpoly = modlin.charpoly_mod
+
+    def checked(a, p):
+        assert any(v != (a[0][0] if r == t else 0)
+                   for r, row in enumerate(a) for t, v in enumerate(row)), \
+            "Dixon split a subspace its class acts on as a scalar"
+        calls.append(a)
+        return charpoly(a, p)
+
+    monkeypatch.setattr(modlin, "charpoly_mod", checked)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_dixon_tables_agree_at_two_primes(kind, data):
     group = data.draw(random_groups(kind))
-    assert dixon_character_table(group) == dixon_character_table(
-        group, prime=next_dixon_prime(group))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forbid_scalar_charpolys(monkeypatch)
+        assert dixon_character_table(group) == dixon_character_table(
+            group, prime=next_dixon_prime(group))
+
+
+def test_dixon_keeps_scalar_subspaces_whole(monkeypatch, bg):
+    calls = forbid_scalar_charpolys(monkeypatch)
+    table = dixon_character_table(wreath_cyclic(bg.s4, 2).group)
+    assert calls
+    # the table of S4 wr C2, byte for byte as `table --group A:n=2` pins it
+    golden = (Path(__file__).parent / "golden" / "table_a2.json").read_text()
+    assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
 
 
 def test_dixon_tables_agree_at_two_primes_on_the_wreath_product(bg):

@@ -147,3 +147,13 @@ def test_subgroup_resolved_at_group_degree(capsys):
     assert code == 0
     obj = json.loads(out)
     assert (obj["ambient_order"], obj["subgroup_order"], obj["depth"]) == (120, 1, 1)
+
+
+@pytest.mark.parametrize("degree", ["-3", "0"])
+def test_degree_below_one_rejected(capsys, degree):
+    for argv in (["table", "--group", "trivial"],
+                 ["depth", "--group", "S4", "--subgroup", "trivial"]):
+        code, out, err = run_cli(capsys, *argv, "--degree", degree)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--degree" in err
+        assert len(err.strip().splitlines()) == 1

@@ -24,6 +24,8 @@ CASES = {
     "depth_s7_s6": ["depth", "--group", "(1,2);(1,2,3,4,5,6,7)",
                     "--subgroup", "(1,2);(1,2,3,4,5,6)", "--degree", "7"],
     "family_a2_verify": ["family", "--series", "A", "--n", "2", "--verify"],
+    "family_c2_verify": ["family", "--series", "C", "--n", "2", "--verify"],
+    "depth_c2": ["depth", "--group", "C:step=2", "--subgroup", "C:step=2"],
     "table_s4": ["table", "--group", "S4"],
     "table_d8": ["table", "--group", "D8"],
     "table_a2": ["table", "--group", "A:n=2"],

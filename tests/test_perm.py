@@ -1,4 +1,6 @@
-from itertools import combinations
+import tracemalloc
+from itertools import accumulate, combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,20 @@ def test_from_elements_rejects_unclosed_sets():
                                     parse_cycle_notation("(1,2)", 4)])
 
 
+def test_from_elements_stops_once_a_closure_outgrows_the_set():
+    # (1,2) and a 9-cycle generate S9, but the closure stops at the set's size
+    elements = [Permutation.identity(9), parse_cycle_notation("(1,2)", 9),
+                parse_cycle_notation("(1,2,3,4,5,6,7,8,9)", 9)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            PermGroup.from_elements(9, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # -- brute-force oracle for the index-based classes and cores ----------------------
 
 def literal_conjugate(g, x):
@@ -244,22 +260,44 @@ def generated_groups(draw, max_degree):
 
 
 @st.composite
+def groups_built_by(draw, kind, max_degree):
+    """A random group on at most ``max_degree`` points, built by ``kind``."""
+    if kind == "trivial":
+        return PermGroup.trivial(draw(st.integers(1, max_degree)))
+    if kind == "direct_product":
+        half = max_degree // 2
+        return direct_product([draw(generated_groups(half)), draw(generated_groups(half))])
+    group = draw(generated_groups(max_degree))
+    if kind == "from_elements":
+        group = PermGroup.from_elements(group.degree, group.raw_elements)
+    return group
+
+
+@st.composite
 def groups_with_subgroups(draw, kind):
     """A random group on at most 6 points, built by ``kind``, and a subgroup
     generated by one or two of its elements."""
-    if kind == "direct_product":
-        group = direct_product([draw(generated_groups(3)), draw(generated_groups(3))])
-    else:
-        group = draw(generated_groups(6))
-        if kind == "from_elements":
-            group = PermGroup.from_elements(group.degree, group.raw_elements)
+    group = draw(groups_built_by(kind, 6))
     sub = PermGroup.generated(draw(st.lists(st.sampled_from(group.elements),
                                             min_size=1, max_size=2)))
     return group, sub
 
 
-# from_elements (sorted) and direct_product (nested factor order) store their
-# elements in other than breadth-first order
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(generated_groups(4), min_size=1, max_size=3))
+def test_direct_product_is_the_cartesian_product(factors):
+    # the literal concatenation of factor elements, block by block
+    offsets = list(accumulate((f.degree for f in factors[:-1]), initial=0))
+    literal = {sum((tuple(off + v for v in x) for off, x in zip(offsets, combo)), ())
+               for combo in product(*(f.raw_elements for f in factors))}
+    group = direct_product(factors)
+    assert group.frozen() == literal
+    assert group.order == prod(f.order for f in factors)
+
+
+# every kind is a breadth-first closure, each of its own generator list:
+# greedy picks from the sorted set for from_elements, the factor generators
+# shifted onto their blocks for direct_product
 @pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -292,11 +330,14 @@ def test_classes_and_cores_match_brute_force(kind, data):
                    for combo in combinations(conjugates, m - 1))
 
 
+@pytest.mark.parametrize("kind",
+                         ["generated", "from_elements", "direct_product", "trivial"])
 @settings(max_examples=60, deadline=None)
-@given(group=generated_groups(7))
-def test_conjugation_action_from_right_multiplications(group):
-    # a generated group derives the action from the right multiplications its
+@given(data=st.data())
+def test_conjugation_action_from_right_multiplications(kind, data):
+    # every group derives the action from the right multiplications its
     # search recorded; each entry must be the literal g·x·g⁻¹
+    group = data.draw(groups_built_by(kind, 7))
     raw = group.raw_elements
     action = group._conjugation()
     assert group._right is None          # the recorded arrays are dropped once used
