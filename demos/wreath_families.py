@@ -14,7 +14,7 @@ Run from the repository root:  python demos/wreath_families.py [--big]
 import sys
 import time
 
-from subdepth import character_table, family, ordinary_depth
+from subdepth import family
 
 members = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("C", 2)]
 if "--big" in sys.argv[1:]:
@@ -23,9 +23,7 @@ if "--big" in sys.argv[1:]:
 for series, n in members:
     t0 = time.time()
     fam = family(series, n)
-    report = ordinary_depth(fam.ambient, fam.subgroup,
-                            character_table(fam.ambient),
-                            character_table(fam.subgroup))
+    report = fam.report()
     status = "ok" if report.depth == fam.expected_depth else "MISMATCH"
     print(f"series {series}, member {n}: |G| = {fam.ambient.order:6d}, "
           f"|H| = {fam.subgroup.order:5d}, |core| = {fam.core.order:3d}  "

@@ -16,8 +16,9 @@ specifiers (``A:n=2``, ``B:n=3``, ``C:step=2``) are accepted too: in the
 --subgroup position its subgroup.
 
 Output is deterministic: identical invocations produce byte-identical
-output for every format.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 enumeration cap exceeded, 4 internal consistency failure.
+output for every format.  Exit codes: 0 success, 1 verification failure or
+a closed standard output, 2 usage error, 3 enumeration cap exceeded,
+4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ def _cmd_table(args, cap):
 
 
 def _cmd_depth(args, cap):
-    group = _resolve_group(args.group, "group", args.degree, cap)
-    degree = group.degree if args.degree is None else args.degree
-    sub = _resolve_group(args.subgroup, "subgroup", degree, cap)
-    report = ordinary_depth(group, sub)
+    fam_spec = _parse_family_spec(args.group.strip())
+    if fam_spec is not None and fam_spec == _parse_family_spec(args.subgroup.strip()):
+        report = family(*fam_spec, cap=cap).report()  # one member for both roles
+    else:
+        group = _resolve_group(args.group, "group", args.degree, cap)
+        degree = group.degree if args.degree is None else args.degree
+        sub = _resolve_group(args.subgroup, "subgroup", degree, cap)
+        report = ordinary_depth(group, sub)
     obj = report.to_obj()
     text = [
         f"depth = {report.depth}",
@@ -153,9 +158,7 @@ def _cmd_family(args, cap):
             f"expected depth {fam.expected_depth}"]
     rc = 0
     if args.verify:
-        report = ordinary_depth(fam.ambient, fam.subgroup,
-                                character_table(fam.ambient),
-                                character_table(fam.subgroup))
+        report = fam.report()
         obj["computed_depth"] = report.depth
         obj["verified"] = report.depth == fam.expected_depth
         text.append(f"computed depth {report.depth}: "
@@ -263,7 +266,14 @@ def main(argv=None):
         "reproduce": _cmd_reproduce,
     }
     try:
-        return handlers[args.command](args, cap)
+        code = handlers[args.command](args, cap)
+        sys.stdout.flush()  # a closed standard output raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point standard output at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CycleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

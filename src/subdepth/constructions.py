@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import depth
 from .errors import EnumerationCapExceeded, SubdepthError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
                    parse_cycle_notation, subgroup_core)
@@ -31,13 +32,25 @@ __all__ = [
 ]
 
 
+# The conventional marker elements of the degree-4 base groups, by name.
+MARKERS = {
+    "g1": Permutation.identity(4),
+    "g2": parse_cycle_notation("(1,3)(2,4)", 4),
+    "g3": parse_cycle_notation("(1,2)(3,4)", 4),
+    "g3p": parse_cycle_notation("(1,2,3)", 4),
+    "g4": parse_cycle_notation("(1,4)(2,3)", 4),
+    "g4p": parse_cycle_notation("(1,3)", 4),
+    "g5": parse_cycle_notation("(1,2,3,4)", 4),
+}
+
+
 @dataclass(frozen=True)
 class BaseGroups:
     s4: PermGroup
     v4: PermGroup
     d8: PermGroup
     s3: PermGroup
-    markers: dict  # conventional element names -> Permutation
+    markers: dict  # MARKERS: conventional element names -> Permutation
 
 
 def base_groups():
@@ -50,16 +63,7 @@ def base_groups():
                               parse_cycle_notation("(1,2,3,4)", 4)])
     s3 = PermGroup.generated([parse_cycle_notation("(1,2)", 4),
                               parse_cycle_notation("(1,2,3)", 4)])
-    markers = {
-        "g1": Permutation.identity(4),
-        "g2": parse_cycle_notation("(1,3)(2,4)", 4),
-        "g3": parse_cycle_notation("(1,2)(3,4)", 4),
-        "g3p": parse_cycle_notation("(1,2,3)", 4),
-        "g4": parse_cycle_notation("(1,4)(2,3)", 4),
-        "g4p": parse_cycle_notation("(1,3)", 4),
-        "g5": parse_cycle_notation("(1,2,3,4)", 4),
-    }
-    return BaseGroups(s4, v4, d8, s3, markers)
+    return BaseGroups(s4, v4, d8, s3, MARKERS)
 
 
 def klein_labels(v4_table):
@@ -70,15 +74,13 @@ def klein_labels(v4_table):
     g3 = (1,2)(3,4), g4 = (1,4)(2,3)).
     """
     cs = v4_table.classes
-    markers = base_groups().markers
     out = {}
-    one = [c.rep.is_identity for c in cs.classes].index(True)
     for i, chi in enumerate(v4_table.irreducibles):
         if all(v.as_integer() == 1 for v in chi.values):
             out["nu1"] = i
             continue
         for name in ("g2", "g3", "g4"):
-            k = cs.class_of[markers[name].images]
+            k = cs.class_of[MARKERS[name].images]
             if chi.values[k].as_integer() == 1:
                 out["nu" + name[1]] = i
     if sorted(out) != ["nu1", "nu2", "nu3", "nu4"]:
@@ -179,7 +181,9 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
 @dataclass
 class FamilyInstance:
     """One member of a family: ambient group, subgroup, and the helpers
-    (full base-block product, core, shift) used by the verification code."""
+    (full base-block product, core, shift) used by the verification code.
+    The pair's depth report is computed on first use and kept, so every
+    consumer reads the same matrix, tables and relation graph."""
 
     series: str
     n: int
@@ -190,11 +194,18 @@ class FamilyInstance:
     sigma: Permutation | None
     expected_depth: int
     _emb_sub: object = field(default=None, repr=False)
+    _report: object = field(default=None, repr=False)
 
     def embedding_subgroup(self):
         if self._emb_sub is None:
             self._emb_sub = class_fusion(self.ambient, self.subgroup)
         return self._emb_sub
+
+    def report(self):
+        # through the module, so a wrapper on depth.ordinary_depth sees the call
+        if self._report is None:
+            self._report = depth.ordinary_depth(self.ambient, self.subgroup)
+        return self._report
 
 
 def _verify_family(inst, generated_sub=None):

@@ -14,6 +14,10 @@ block product whose first factor is faithful ("seeds"):
        relation distance exactly n.
 
 Each part is checked exactly and failures carry a concrete counterexample.
+The inclusion matrix, both tables and the relation graph come from the
+member's depth report (``FamilyInstance.report``), and the S4 and V4 tables
+from the subgroup's own factor groups: on a member that has its report the
+lemma builds no inclusion matrix and no Dixon table.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartab import character_table, induce_character, inner_product
-from .constructions import (distance_witness_pair, seed_characters,
-                            sym4_labels, base_groups)
-from .depth import char_distance, inclusion_matrix, relation_graph
+# base_groups, inclusion_matrix and relation_graph are unused here but
+# perfbench/tracer.py wraps them on this module
+from .constructions import (base_groups, distance_witness_pair,  # noqa: F401
+                            seed_characters)
+from .depth import char_distance, inclusion_matrix, relation_graph  # noqa: F401
 from .graphs import Graph, bfs_distance, cartesian_product
 from .perm import class_fusion
 
@@ -83,14 +89,16 @@ def lemma_report(n, fam=None, cap=None):
         raise ValueError("the seed-structure checks need n >= 2")
     if fam is None:
         fam = family("A", n, cap=cap or DEFAULT_CAP)
-    bg = base_groups()
-    s4_table = character_table(bg.s4)
-    v4_table = character_table(bg.v4)
-    ambient_table = character_table(fam.ambient)
-    sub_table = character_table(fam.subgroup)
+    if (fam.series, fam.n) != ("A", n):
+        raise ValueError(f"the seed checks at n = {n} need the series-A member {n}")
+    report = fam.report()
+    matrix = report.inclusion
+    ambient_table, sub_table = matrix.ambient_table, matrix.sub_table
+    (_, v4), (_, s4) = fam.subgroup.product_structure[:2]
+    s4_table = character_table(s4)
+    v4_table = character_table(v4)
     block_table = character_table(fam.base_block)
     emb_block = class_fusion(fam.ambient, fam.base_block)
-    emb_sub = fam.embedding_subgroup()
 
     parts = {}
     seeds = seed_characters(n, s4_table, block_table)
@@ -115,7 +123,6 @@ def lemma_report(n, fam=None, cap=None):
     parts["i"] = LemmaPart(bad is None,
                            bad or f"{expected_count} seeds induce irreducibly and injectively")
 
-    matrix = inclusion_matrix(ambient_table, sub_table, emb_sub)
     r, s = matrix.shape
     supports = [frozenset(i for i in range(r) if matrix.entries[i][j]) for j in range(s)]
     y_rows = set(induced_rows)
@@ -156,8 +163,7 @@ def lemma_report(n, fam=None, cap=None):
 
     # (v) the witness pair sits at relation distance exactly n
     first, second = distance_witness_pair(n, sub_table, v4_table, s4_table)
-    graph = relation_graph(matrix)
-    wdist = char_distance(graph, first, second)
+    wdist = char_distance(report.graph, first, second)
     parts["v"] = LemmaPart(wdist == n, f"witness characters at distance {wdist} (want {n})")
 
     return LemmaReport(n, parts)

@@ -1,10 +1,12 @@
 """One-shot verification harness: every headline value, recomputed exactly.
 
-The harness owns a context that caches groups, tables and depth reports so
-the expensive objects (the 41472-element wreath product and its table) are
-built once and shared across criteria.  Each criterion returns a PASS/FAIL
-verdict with a human-readable detail line; the runner prints one line per
-criterion and reports failure through the exit code.
+The harness owns a context that builds each family member once and reads
+that member's one depth report (``FamilyInstance.report``); it keeps the
+reports of the three S4 pairs and the lemma's block tables itself.  So the
+expensive objects (the 41472-element wreath product and its table) are built
+once and shared across criteria.  Each criterion returns a PASS/FAIL verdict
+with a human-readable detail line; the runner prints one line per criterion
+and reports failure through the exit code.
 """
 
 from __future__ import annotations
@@ -42,42 +44,22 @@ class AcceptanceContext:
         group holds its table only weakly)."""
         return self._tables.setdefault(id(group), character_table(group))
 
-    def table_groups(self):
-        """Every group whose table the harness has (or will have) built."""
-        groups = [self.bg.s4, self.bg.v4, self.bg.d8, self.bg.s3]
-        for fam in self._families.values():
-            groups.extend([fam.ambient, fam.subgroup, fam.base_block])
-        return groups
-
     def family(self, series, n):
         key = (series, n)
         if key not in self._families:
             self._families[key] = family(series, n, cap=self.cap)
         return self._families[key]
 
-    def base_report(self, sub_name, expect):
+    def base_report(self, sub_name):
         if sub_name not in self._reports:
-            sub = getattr(self.bg, sub_name)
-            self._reports[sub_name] = ordinary_depth(
-                self.bg.s4, sub, self.table(self.bg.s4), self.table(sub))
-        rep = self._reports[sub_name]
-        return rep, rep.depth == expect
-
-    def family_report(self, series, n):
-        key = (series, n)
-        if key not in self._reports:
-            fam = self.family(series, n)
-            self._reports[key] = ordinary_depth(
-                fam.ambient, fam.subgroup,
-                self.table(fam.ambient), self.table(fam.subgroup))
-        return self._reports[key]
+            self._reports[sub_name] = ordinary_depth(self.bg.s4, getattr(self.bg, sub_name))
+        return self._reports[sub_name]
 
     def all_pair_reports(self):
-        pairs = [("v4", 2), ("d8", 4), ("s3", 5)]
-        out = [(f"d({name[:2].upper()}, S4)", self.base_report(name, exp)[0], exp)
-               for name, exp in pairs]
-        for series, n, exp in [("A", 2, 4), ("B", 2, 8), ("A", 3, 6), ("B", 3, 12)]:
-            out.append((f"series {series} n={n}", self.family_report(series, n), exp))
+        out = [(f"d({name.upper()}, S4)", self.base_report(name))
+               for name in ("v4", "d8", "s3")]
+        for series, n in [("A", 2), ("B", 2), ("A", 3), ("B", 3)]:
+            out.append((f"series {series} n={n}", self.family(series, n).report()))
         return out
 
 
@@ -100,12 +82,8 @@ class CriterionResult:
 
 
 def _depth_criterion(ctx, kind, expect):
-    if kind in ("v4", "d8", "s3"):
-        rep, ok = ctx.base_report(kind, expect)
-    else:
-        rep = ctx.family_report(*kind)
-        ok = rep.depth == expect
-    return ok, f"depth = {rep.depth}, expected {expect}"
+    rep = ctx.family(*kind).report() if isinstance(kind, tuple) else ctx.base_report(kind)
+    return rep.depth == expect, f"depth = {rep.depth}, expected {expect}"
 
 
 def _criterion_lemma(ctx):
@@ -123,7 +101,7 @@ def _criterion_lemma(ctx):
 
 def _criterion_cross_agreement(ctx):
     mismatches = []
-    for name, rep, _ in ctx.all_pair_reports():
+    for name, rep in ctx.all_pair_reports():
         if rep.matrix_n != rep.depth:
             mismatches.append(f"{name}: matrix {rep.matrix_n} vs verdict {rep.depth}")
     if mismatches:
@@ -136,7 +114,7 @@ def _criterion_core_bound(ctx):
     ok = True
     for n in (2, 3):
         fam = ctx.family("A", n)
-        rep = ctx.family_report("A", n)
+        rep = fam.report()
         core = rep.core
         powers = [(fam.sigma ** i).images for i in range(n)]
         sigma_powers = all(w.images in powers for w in core.witnesses)
@@ -151,16 +129,21 @@ def _criterion_core_bound(ctx):
 def _criterion_properties(ctx):
     checks = []
 
-    # (a) orthogonality re-validation of every table in play
-    groups = ctx.table_groups()
-    for g in groups:
-        ctx.table(g).validate()
-    checks.append(f"orthogonality revalidated on {len(groups)} tables")
+    # (a) orthogonality re-validation of every table in play: those of the
+    # seven reports and the lemma's block tables
+    pairs = ctx.all_pair_reports()
+    tables = {id(t): t for _, rep in pairs
+              for t in (rep.inclusion.ambient_table, rep.inclusion.sub_table)}
+    for n in (2, 3):
+        block = ctx.table(ctx.family("A", n).base_block)
+        tables[id(block)] = block
+    for table in tables.values():
+        table.validate()
+    checks.append(f"orthogonality revalidated on {len(tables)} tables")
 
     # (b) Frobenius reciprocity on seeded random pairs, for each inclusion
     rng = random.Random(RNG_SEED)
-    pairs = ctx.all_pair_reports()
-    for name, rep, _ in pairs:
+    for name, rep in pairs:
         emb = rep.inclusion.embedding
         ht, gt = rep.inclusion.sub_table, rep.inclusion.ambient_table
         for _ in range(FROBENIUS_SAMPLES):

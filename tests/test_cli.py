@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from subdepth import cli
 from subdepth.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +84,43 @@ def test_family_specs_in_depth(capsys):
                            "--subgroup", "A:n=2", "--format", "json")
     assert code == 0
     assert json.loads(out)["depth"] == 4
+
+
+def test_depth_builds_a_family_member_once(capsys, monkeypatch):
+    calls = []
+    build = cli.family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "family", counting)
+    code, out, _ = run_cli(capsys, "depth", "--group", "A:n=2",
+                           "--subgroup", "A:n=2", "--format", "json")
+    assert code == 0 and json.loads(out)["depth"] == 4
+    assert calls == [("A", 2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "S4", "--format", "json"],
+    ["depth", "--group", "S4", "--subgroup", "D8"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # standard output is a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 def test_lemma_subcommand(capsys):

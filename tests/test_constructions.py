@@ -6,7 +6,7 @@ from subdepth.constructions import (base_groups, block_shift, direct_product,
                                     klein_labels, seed_characters,
                                     sym4_labels, wreath_cyclic)
 from subdepth.errors import EnumerationCapExceeded
-from subdepth.perm import parse_cycle_notation, subgroup_core
+from subdepth.perm import PermGroup, parse_cycle_notation, subgroup_core
 
 
 def test_base_groups(bg):
@@ -187,3 +187,25 @@ def test_labels(s4_table, v4_table):
     assert sorted(nu) == [f"nu{i}" for i in range(1, 5)]
     assert s4_table.irreducibles[chi["chi1"]].values == \
         tuple([s4_table.irreducibles[chi["chi1"]].values[0]] * 5)
+
+
+def test_klein_labels_enumerates_no_group(v4_table, monkeypatch):
+    calls = []
+    generated = PermGroup.generated.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return generated(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "generated", classmethod(counting))
+    assert sorted(klein_labels(v4_table)) == [f"nu{i}" for i in range(1, 5)]
+    assert calls == []
+
+
+def test_family_member_has_one_report():
+    fam = family("A", 2)
+    rep = fam.report()
+    assert rep is fam.report()
+    assert rep.depth == fam.expected_depth
+    assert rep.inclusion.ambient_table.group is fam.ambient
+    assert rep.inclusion.sub_table.group is fam.subgroup

@@ -32,6 +32,8 @@ CASES = {
     "table_f21": ["table", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"],
     "depth_f21_c3": ["depth", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
                      "--subgroup", "(2,3,5)(4,7,6)", "--degree", "7"],
+    "lemma_a2": ["lemma", "--n", "2"],
+    "lemma_a3": ["lemma", "--n", "3"],
 }
 
 

@@ -1,8 +1,8 @@
-from subdepth.chartab import character_table
-from subdepth.constructions import family, sym4_labels
-from subdepth.lemma import lemma_report
-
 import pytest
+
+from subdepth import chartab, constructions, depth, lemma
+from subdepth.constructions import family
+from subdepth.lemma import lemma_report
 
 
 def test_lemma_requires_n_at_least_two():
@@ -30,3 +30,28 @@ def test_overlap_edge_witness(bg, s4_table):
     g = expected_overlap_graph(2)
     for x in (1, 2, 3):
         assert g.has_edge((4, x), (5, x))
+
+
+def test_lemma_reads_the_members_report(monkeypatch):
+    # on a member that has its report, the lemma builds no inclusion matrix,
+    # no base groups and no Dixon table
+    fam = family("A", 2)
+    fam.report()
+    calls = []
+    for module, name in [(depth, "inclusion_matrix"), (lemma, "inclusion_matrix"),
+                         (chartab, "dixon_character_table"),
+                         (constructions, "base_groups"), (lemma, "base_groups")]:
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    rep = lemma_report(2, fam=fam)
+    assert rep.passed, rep.to_obj()
+    assert calls == []
+
+
+def test_lemma_rejects_another_member():
+    with pytest.raises(ValueError):
+        lemma_report(3, fam=family("A", 2))
+    with pytest.raises(ValueError):
+        lemma_report(2, fam=family("B", 2))
