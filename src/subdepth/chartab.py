@@ -629,8 +629,8 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
     shift-orbit representatives of outer products plus the twisted extensions
     of the diagonal outer products, so this serves as a structural oracle.
 
-    Raises ``ValueError`` for composite ``copies`` (callers fall back to the
-    Dixon engine there).
+    Raises ``ValueError`` for composite ``copies``.  ``shift`` is not read:
+    the block structure is decoded from the class representatives.
     """
     n = copies
     if not modlin.is_prime(n):

@@ -30,7 +30,7 @@ import os
 import sys
 
 from .chartab import character_table, dixon_character_table, table_to_obj
-from .constructions import family
+from .constructions import BASE_GENERATORS, family
 from .depth import ordinary_depth
 from .errors import (CycleParseError, EnumerationCapExceeded,
                      InternalConsistencyError, SubdepthError,
@@ -40,13 +40,6 @@ from .perm import DEFAULT_CAP, PermGroup, parse_generators
 from .reproduce import AcceptanceContext, run_all
 
 CAP_ENV_VAR = "SUBDEPTH_CAP"
-
-NAMED_GROUPS = {
-    "S4": "(1,2);(1,2,3,4)",
-    "V4": "(1,3)(2,4);(1,2)(3,4)",
-    "D8": "(1,3);(1,2,3,4)",
-    "S3": "(1,2);(1,2,3)",
-}
 
 
 def _parse_family_spec(spec):
@@ -70,8 +63,8 @@ def _resolve_group(spec, role, degree, cap):
     upper = name.upper()
     if upper == "TRIVIAL":
         return PermGroup.trivial(degree or 4)
-    if upper in NAMED_GROUPS:
-        return PermGroup.generated(parse_generators(NAMED_GROUPS[upper], 4), cap=cap)
+    if upper in BASE_GENERATORS:
+        return PermGroup.generated(parse_generators(BASE_GENERATORS[upper], 4), cap=cap)
     gens = parse_generators(name, degree)
     return PermGroup.generated(gens, cap=cap)
 
@@ -184,17 +177,12 @@ def _cmd_lemma(args, cap):
 
 
 def _cmd_reproduce(args, cap):
-    ctx = AcceptanceContext(cap=cap)
-    if args.format == "text" and args.time_note:
-        print(f"# note: {args.time_note}")
-    lines = []
-    results = run_all(ctx, emit=lines.append if args.format != "text" else print)
+    results = run_all(AcceptanceContext(cap=cap),
+                      emit=print if args.format == "text" else None)
     ok = all(r.passed for r in results)
     if args.format == "json":
         obj = {"schema": 1, "kind": "reproduce_report", "passed": ok,
                "criteria": [r.to_obj() for r in results]}
-        if args.time_note:
-            obj["time_note"] = args.time_note
         print(json.dumps(obj, sort_keys=True, indent=2))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -210,8 +198,6 @@ def build_parser():
                         help=f"element enumeration cap (default {DEFAULT_CAP}; "
                              f"also via ${CAP_ENV_VAR})")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--time-note", default=None,
-                        help="informational note echoed into reports (no effect on computation)")
 
     parser = argparse.ArgumentParser(
         prog="subdepth",

@@ -1,8 +1,8 @@
 """Named groups and the three subgroup families built from them.
 
 The base groups act on four points: the symmetric group S4, its normal Klein
-four-subgroup V4 = <(1,3)(2,4), (1,2)(3,4)>, the dihedral D8 = <(1,3),
-(1,2,3,4)> and the point stabiliser S3 = <(1,2), (1,2,3)>.
+four-subgroup V4, the dihedral D8 and the point stabiliser S3, each generated
+by its entry of ``BASE_GENERATORS``.
 
 Larger groups live on ``4n`` points split into n consecutive blocks of four;
 the shift permutation sends each point to the matching point of the next
@@ -13,6 +13,10 @@ yields the copy acting on block k.  The three families:
 * series B: ambient S4 wr C_n, subgroup D8 x S4^(n-1)   (target depth 4n)
 * series C: iterated wreath doubling starting from (S4, D8), subgroup
   doubled alongside                                     (target depth 2^(step+1))
+
+Every member above the base pair comes from the same wreath step: the new
+ambient group is the old one wreathed by C_k, the new subgroup is the old
+subgroup times k - 1 copies of the old ambient group.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from dataclasses import dataclass, field
 from . import depth
 from .errors import EnumerationCapExceeded, SubdepthError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
-                   parse_cycle_notation, subgroup_core)
+                   parse_cycle_notation, parse_generators, subgroup_core)
 
 __all__ = [
-    "base_groups", "BaseGroups", "block_shift", "direct_product",
-    "wreath_cyclic", "CyclicWreath", "family", "FamilyInstance",
+    "BASE_GENERATORS", "base_groups", "BaseGroups", "block_shift",
+    "direct_product", "wreath_cyclic", "CyclicWreath", "family", "FamilyInstance",
     "klein_labels", "sym4_labels", "seed_characters", "SeedCharacter",
     "distance_witness_pair",
 ]
@@ -44,26 +48,27 @@ MARKERS = {
 }
 
 
+# Generators of the degree-4 base groups (1-based cycle notation), by name.
+BASE_GENERATORS = {
+    "S4": "(1,2);(1,2,3,4)",
+    "V4": "(1,3)(2,4);(1,2)(3,4)",
+    "D8": "(1,3);(1,2,3,4)",
+    "S3": "(1,2);(1,2,3)",
+}
+
+
 @dataclass(frozen=True)
 class BaseGroups:
     s4: PermGroup
     v4: PermGroup
     d8: PermGroup
     s3: PermGroup
-    markers: dict  # MARKERS: conventional element names -> Permutation
 
 
 def base_groups():
-    """The degree-4 base groups with their conventional marker elements."""
-    s4 = PermGroup.generated([parse_cycle_notation("(1,2)", 4),
-                              parse_cycle_notation("(1,2,3,4)", 4)])
-    v4 = PermGroup.generated([parse_cycle_notation("(1,3)(2,4)", 4),
-                              parse_cycle_notation("(1,2)(3,4)", 4)])
-    d8 = PermGroup.generated([parse_cycle_notation("(1,3)", 4),
-                              parse_cycle_notation("(1,2,3,4)", 4)])
-    s3 = PermGroup.generated([parse_cycle_notation("(1,2)", 4),
-                              parse_cycle_notation("(1,2,3)", 4)])
-    return BaseGroups(s4, v4, d8, s3, MARKERS)
+    """The degree-4 base groups, generated from ``BASE_GENERATORS``."""
+    return BaseGroups(**{name.lower(): PermGroup.generated(parse_generators(gens, 4))
+                         for name, gens in BASE_GENERATORS.items()})
 
 
 def klein_labels(v4_table):
@@ -156,8 +161,6 @@ def direct_product(factors, cap=DEFAULT_CAP):
 @dataclass(frozen=True)
 class CyclicWreath:
     group: PermGroup       # base wr C_n on base.degree * n points
-    base: PermGroup        # the degree-d factor
-    copies: int
     shift: Permutation
 
 
@@ -171,7 +174,7 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
     group = PermGroup.generated(gens, cap=cap)
     if group.order != base.order ** copies * copies:
         raise SubdepthError("wreath product closure has the wrong order")
-    return CyclicWreath(group, base, copies, shift)
+    return CyclicWreath(group, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -208,62 +211,50 @@ class FamilyInstance:
         return self._report
 
 
-def _verify_family(inst, generated_sub=None):
-    if not inst.ambient.contains_group(inst.subgroup):
-        raise SubdepthError("family subgroup is not inside the ambient group")
-    if inst.base_block is not None and not inst.ambient.contains_group(inst.base_block):
-        raise SubdepthError("family base block is not inside the ambient group")
-    if generated_sub is not None and generated_sub != inst.subgroup:
+def _wreath_step(base, seed, copies, cap):
+    """``(base wr C_copies, seed x base^(copies-1), base^copies)``.
+
+    The product subgroup must equal the closure of the seed on block 0 and the
+    base generators moved to block i by the i-th shift power, and the ambient
+    group must contain both products; otherwise this raises.
+    """
+    wr = wreath_cyclic(base, copies, cap=cap)
+    subgroup = direct_product([seed] + [base] * (copies - 1), cap=cap)
+    block = direct_product([base] * copies, cap=cap)
+    degree = wr.group.degree
+    gens = [g.shifted(0, degree) for g in seed.generators]
+    for i in range(1, copies):
+        conj = wr.shift ** i
+        gens.extend(g.shifted(0, degree).conjugated_by(conj) for g in base.generators)
+    if PermGroup.generated(gens, cap=cap) != subgroup:
         raise SubdepthError("product subgroup differs from its generated form")
-    return inst
+    if not (wr.group.contains_group(subgroup) and wr.group.contains_group(block)):
+        raise SubdepthError("family subgroup or block product is not inside the ambient group")
+    return wr, subgroup, block
 
 
 def family(series, n, cap=DEFAULT_CAP):
     """Build a family member: series "A" (V4 base), "B" (D8 base) or "C"
     (wreath doubling; ``n`` counts doubling steps starting at (S4, D8))."""
     series = series.upper()
+    if series not in ("A", "B", "C"):
+        raise ValueError(f"unknown series {series!r} (expected A, B or C)")
     if n < 1:
         raise ValueError("the family index must be a positive integer")
     bg = base_groups()
-    if series in ("A", "B"):
-        seed = bg.v4 if series == "A" else bg.d8
-        expected = 2 * n if series == "A" else 4 * n
-        if n == 1:
-            inst = FamilyInstance(series, 1, bg.s4, seed, bg.s4,
-                                  subgroup_core(bg.s4, seed), None, expected)
-            return _verify_family(inst)
-        wr = wreath_cyclic(bg.s4, n, cap=cap)
-        subgroup = direct_product([seed] + [bg.s4] * (n - 1), cap=cap)
-        base_blk = direct_product([bg.s4] * n, cap=cap)
-        core = direct_product([bg.v4] * n, cap=cap)
-        # the subgroup is also generated by the core seed plus the shifted copies
-        gens = [g.shifted(0, wr.group.degree) for g in seed.generators]
-        for i in range(1, n):
-            conj = wr.shift ** i
-            gens.extend(g.shifted(0, wr.group.degree).conjugated_by(conj)
-                        for g in bg.s4.generators)
-        generated_sub = PermGroup.generated(gens, cap=cap)
-        inst = FamilyInstance(series, n, wr.group, subgroup, base_blk,
-                              core, wr.shift, expected)
-        _verify_family(inst, generated_sub)
-        # the core above is built as V4^n, independently of the conjugates
-        if subgroup_core(inst.ambient, inst.subgroup) != core:
-            raise SubdepthError("family core does not match the computed core")
-        return inst
-    if series == "C":
-        ambient, sub = bg.s4, bg.d8
-        sigma = None
-        base_blk = bg.s4
-        for _ in range(1, n):
-            wr = wreath_cyclic(ambient, 2, cap=cap)
-            sub = direct_product([sub, ambient], cap=cap)
-            base_blk = direct_product([ambient, ambient], cap=cap)
-            ambient = wr.group
-            sigma = wr.shift
-        inst = FamilyInstance("C", n, ambient, sub, base_blk,
-                              subgroup_core(ambient, sub), sigma, 2 ** (n + 1))
-        return _verify_family(inst)
-    raise ValueError(f"unknown series {series!r} (expected A, B or C)")
+    seed = bg.v4 if series == "A" else bg.d8
+    ambient, subgroup, block, sigma = bg.s4, seed, bg.s4, None
+    # series A/B: one step with n copies (none at n = 1); C: n - 1 steps with two
+    steps, copies = (n - 1, 2) if series == "C" else (1 if n > 1 else 0, n)
+    for _ in range(steps):
+        wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap)
+        ambient, sigma = wr.group, wr.shift
+    core = subgroup_core(ambient, subgroup)
+    # for A and B the core is V4^n, built here independently of the conjugates
+    if series != "C" and n > 1 and core != direct_product([bg.v4] * n, cap=cap):
+        raise SubdepthError("family core does not match the computed core")
+    expected = {"A": 2 * n, "B": 4 * n, "C": 2 ** (n + 1)}[series]
+    return FamilyInstance(series, n, ambient, subgroup, block, core, sigma, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ M^(n+1) <= a * M^(n-1) entrywise for some positive integer a (M^0 is the
 identity on the Irr(H) index set).
 
 The character criteria: two irreducibles of H are related when they share an
-irreducible constituent with some chi|_H; distances along this relation are
-extended integers where NEG_INF (no chain) sits strictly below every integer
-and therefore never blocks a bound.  Depth <= 2m+1 iff all pairwise distances
-are at most m (m >= 1); depth <= 2m iff every chi has its restriction's
-constituent set within distance m-1 of every character of H (m >= 2);
+irreducible constituent with some chi|_H.  ``char_distance`` returns NEG_INF
+for a pair with no chain between them; the maxima behind the bounds range
+over reachable characters only, since ``distances_from`` returns no entry for
+an unreachable one.  Depth <= 2m+1 iff all pairwise distances are at most
+m (m >= 1); depth <= 2m iff every chi has its restriction's constituent set
+within distance m-1 of every character of H (m >= 2);
 depth <= 2 iff the subgroup is normal; depth = 1 iff G = H*C_G(x) for all x
 in H.  A core bound comes separately from expressing the normal core as an
 intersection of m conjugates: depth <= 2m, sharpened to 2m-1 for a central
@@ -188,8 +189,8 @@ def char_distance(graph, i, j):
 
 
 def m_chi(matrix, graph, j):
-    """max over all alpha in Irr(H) of the distance from alpha to the
-    constituent set of column j (NEG_INF entries never raise the max)."""
+    """max over the alpha in Irr(H) reachable from the constituent set of
+    column j of their distance to it (unreachable characters do not enter)."""
     support = [i for i in range(matrix.shape[0]) if matrix.entries[i][j]]
     if not support:
         raise ValueError(f"column {j} of the inclusion matrix is zero")

@@ -1,11 +1,12 @@
 import pytest
 
+from subdepth import constructions
 from subdepth.chartab import character_table
-from subdepth.constructions import (base_groups, block_shift, direct_product,
-                                    distance_witness_pair, family,
-                                    klein_labels, seed_characters,
+from subdepth.constructions import (MARKERS, base_groups, block_shift,
+                                    direct_product, distance_witness_pair,
+                                    family, klein_labels, seed_characters,
                                     sym4_labels, wreath_cyclic)
-from subdepth.errors import EnumerationCapExceeded
+from subdepth.errors import EnumerationCapExceeded, SubdepthError
 from subdepth.perm import PermGroup, parse_cycle_notation, subgroup_core
 
 
@@ -13,7 +14,7 @@ def test_base_groups(bg):
     assert bg.s4.order == 24 and bg.v4.order == 4 and bg.d8.order == 8 and bg.s3.order == 6
     from subdepth.perm import is_normal
     assert is_normal(bg.s4, bg.v4)
-    m = bg.markers
+    m = MARKERS
     assert m["g4p"] in bg.d8 and m["g4p"] not in bg.v4
     assert m["g2"].cycle_string() == "(1,3)(2,4)"
 
@@ -98,6 +99,21 @@ def test_enumeration_identity_of_subgroup():
     assert (5 ** 3 - 5) // 3 + 5 + 2 * 5 == 55
     assert fam.core.order == 64
     assert subgroup_core(fam.ambient, fam.subgroup) == fam.core
+
+
+@pytest.mark.parametrize("series,n", [("A", 2), ("C", 2)])
+def test_family_checks_the_generated_subgroup(series, n, monkeypatch):
+    # a direct product with its factors reversed puts the seed on the last
+    # block, so it no longer equals the closure of the seed on block 0 and the
+    # shifted base copies; every wreath step must notice
+    product = constructions.direct_product
+
+    def reversed_product(factors, cap=constructions.DEFAULT_CAP):
+        return product(factors[::-1], cap=cap)
+
+    monkeypatch.setattr(constructions, "direct_product", reversed_product)
+    with pytest.raises(SubdepthError, match="generated form"):
+        family(series, n)
 
 
 @pytest.mark.parametrize("series,n", [("A", 1), ("A", 2), ("C", 1)])

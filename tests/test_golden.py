@@ -23,7 +23,11 @@ CASES = {
     "depth_b2": ["depth", "--group", "B:n=2", "--subgroup", "B:n=2"],
     "depth_s7_s6": ["depth", "--group", "(1,2);(1,2,3,4,5,6,7)",
                     "--subgroup", "(1,2);(1,2,3,4,5,6)", "--degree", "7"],
+    "family_a1_verify": ["family", "--series", "A", "--n", "1", "--verify"],
     "family_a2_verify": ["family", "--series", "A", "--n", "2", "--verify"],
+    "family_b2_verify": ["family", "--series", "B", "--n", "2", "--verify"],
+    "family_b3": ["family", "--series", "B", "--n", "3"],
+    "family_c1_verify": ["family", "--series", "C", "--n", "1", "--verify"],
     "family_c2_verify": ["family", "--series", "C", "--n", "2", "--verify"],
     "depth_c2": ["depth", "--group", "C:step=2", "--subgroup", "C:step=2"],
     "table_s4": ["table", "--group", "S4"],
