@@ -2,10 +2,11 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from subdepth import chartab, modlin
@@ -167,9 +168,16 @@ def test_direct_product_table(bg, v4_table, s4_table):
     assert sum(d * d for d in table.degrees()) == 96
     # the product table is exactly what the general engine produces
     assert table == dixon_character_table(h2)
-    # outer product values multiply
+    # outer product values multiply: row (i, j) is nu_i(a) * chi_j(b) at the
+    # class whose representative has components a and b
     labels = table.product_labels
-    assert len(labels) == 20
+    assert sorted(labels) == [(i, j) for i in range(4) for j in range(5)]
+    pairing = [(v4_table.classes.class_of[c.rep.window(0, 4).images],
+                s4_table.classes.class_of[c.rep.window(4, 4).images])
+               for c in table.classes.classes]
+    for (i, j), pos in labels.items():
+        nu, chi = v4_table.irreducibles[i].values, s4_table.irreducibles[j].values
+        assert table.irreducibles[pos].values == tuple(nu[a] * chi[b] for a, b in pairing)
 
 
 def test_product_with_trivial(bg, s4_table):
@@ -192,6 +200,57 @@ def test_wreath_oracle_matches_dixon_c2(bg, s4_table):
 def test_wreath_composite_copies_rejected(bg, s4_table):
     with pytest.raises(ValueError):
         wreath_cyclic_table(s4_table, None, None, 4)
+
+
+@pytest.mark.parametrize("base, copies", [
+    ("(1,2,3)", 2), ("(1,2,3)", 3), ("(1,2,3,4)", 3), ("(1,2,3);(1,2)", 3)],
+    ids=["C3wrC2", "C3wrC3", "C4wrC3", "S3wrC3"])
+def test_wreath_oracle_matches_dixon_beyond_s4(base, copies):
+    # the twisted extensions zeta_n^(cs) * chi at e = lcm(exp(base), n) > 1
+    base = PermGroup.generated(parse_generators(base))
+    wr = wreath_cyclic(base, copies)
+    oracle = wreath_cyclic_table(character_table(base), wr.group, wr.shift, copies)
+    assert oracle == dixon_character_table(wr.group)
+
+
+def assert_outer_product_is_dixon(factors, tables=None):
+    """The outer-product table of the factors equals Dixon's on their product."""
+    group = direct_product(factors)
+    tables = tables or [character_table(f) for f in factors]
+    assert direct_product_table(tables, group) == dixon_character_table(group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_outer_product_tables_equal_dixon(data):
+    def factor():
+        degree = data.draw(st.integers(1, 4))
+        return PermGroup.generated(data.draw(st.lists(
+            st.permutations(range(degree)).map(Permutation), min_size=1, max_size=3)))
+
+    factors = [factor() for _ in range(data.draw(st.integers(1, 3)))]
+    assume(prod(f.order for f in factors) <= 2000)
+    tables = [character_table(f) for f in factors]
+    conductors = {v.conductor for t in tables for chi in t.irreducibles for v in chi.values}
+    event(f"conductor {lcm(*conductors)}")
+    assert_outer_product_is_dixon(factors, tables)
+
+
+# A4 x A4 and A4 x S3 have products of two values whose coefficients exceed
+# the largest 1-norm of either table, so they need B from the product of norms
+@pytest.mark.parametrize("gens", [
+    ["(1,2,3);(2,3,4)", "(1,2,3);(2,3,4)"], ["(1,2,3);(2,3,4)", "(1,2,3);(1,2)"],
+    ["(1,2,3)", "(1,2,3,4)"], ["(1,2,3,4)", "(1,2,3,4)", "(1,2,3)"]],
+    ids=["A4xA4", "A4xS3", "C3xC4", "C4xC4xC3"])
+def test_outer_product_tables_equal_dixon_on_fixed_factors(gens):
+    assert_outer_product_is_dixon([PermGroup.generated(parse_generators(g)) for g in gens])
+
+
+def test_outer_product_of_the_golden_f21_table_equals_dixon():
+    f21 = PermGroup.generated(parse_generators(F21_GENS))
+    golden = json.loads((Path(__file__).parent / "golden" / "table_f21.json").read_text())
+    c3 = PermGroup.generated(parse_generators("(1,2,3)"))
+    assert_outer_product_is_dixon([f21, c3], [table_from_obj(golden, f21), character_table(c3)])
 
 
 def test_decompose_reassembles_exactly(bg, s4_table, d8_table):
