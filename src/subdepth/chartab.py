@@ -13,7 +13,10 @@ decomposition, induction) runs on one integer kernel: values at zeta_e are
 packed into single ints by Kronecker substitution (:func:`_pack`), a sum over
 classes is one int dot product, and a result is read back as an int, or
 unpacked and reduced mod the e-th cyclotomic polynomial on ints only when it
-is not one.  A table packs its rows once, when it is validated.
+is not one.  A table packs its rows once, when it is validated.  Products of
+values run on the same packings: a product of packed ints is the packed
+product, so the outer-product tables and the wreath oracle multiply ints and
+normalise each distinct result to a Cyclotomic once.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -22,7 +25,8 @@ degree (ties by the value sequence under a fixed total order on cyclotomics).
 For product groups the table of the direct product is the outer product of
 the factor tables, and for wreath products by a cyclic group of prime order a
 Clifford-theoretic construction provides an independent oracle against the
-Dixon engine.
+Dixon engine; both are built on the packed kernel and validated like any
+other table.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import getitem, mul
 
 from . import modlin
-from .cyclo import Cyclotomic, cyclotomic_polynomial, zeta
+from .cyclo import Cyclotomic, cyclotomic_polynomial
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, SubdepthError, TableConsistencyError)
 from .perm import Permutation
@@ -99,12 +103,18 @@ class _Packing:
 
 
 def _measure(f):
-    """``(e, d, n)`` for a class function: the lcm of its conductors, the lcm of
-    its coefficient denominators, and the largest coefficient 1-norm of
-    ``d * value``.  A table row answers with its table's e and norm."""
+    """``(e, d, n)`` for a class function (:func:`_measure_values`).  A table
+    row answers with its table's e and norm."""
     if f._packed is not None:
         return f._packed.e, 1, f._packed.norm
-    values = f.values
+    return _measure_values(f.values)
+
+
+def _measure_values(values):
+    """``(e, d, n)`` for some values: the lcm of their conductors, the lcm of
+    their coefficient denominators, and the largest coefficient 1-norm of
+    ``d * value``.  A value object that several entries share is read once."""
+    values = {id(v): v for v in values}.values()
     e = lcm(*{v.conductor for v in values})
     d = lcm(*{c.denominator for v in values for c in v.coeffs.values()})
     return e, d, max(sum(abs(c.numerator) * (d // c.denominator) for c in v.coeffs.values())
@@ -260,8 +270,8 @@ class CharacterTable:
                 f"table is not square: {len(rows)} characters, {s} classes")
         for chi in rows:
             chi._packed = None
-        measures = [_measure(chi) for chi in rows]
-        if any(d != 1 for _, d, _ in measures):
+        e, d, norm = _measure_values(v for chi in rows for v in chi.values)
+        if d != 1:
             raise TableConsistencyError("a character value is not an algebraic integer")
         degrees = [chi.values[0].as_integer() for chi in rows]
         if any(d is None or d < 1 for d in degrees):
@@ -269,8 +279,6 @@ class CharacterTable:
         order = self.group.order
         if sum(d * d for d in degrees) != order:
             raise TableConsistencyError("degree squares do not sum to the group order")
-        e = lcm(*(m[0] for m in measures))
-        norm = max(m[2] for m in measures)
         bits = _bits(order * norm * order * norm)
         packs = [_pack(chi.values, e, bits) for chi in rows]
         sizes = self.classes.sizes()
@@ -307,9 +315,13 @@ class CharacterTable:
 
 
 def _canonical_character_sort(values_list):
-    """Sort value tuples by (degree, value sequence under the fixed total order)."""
+    """Sort value tuples by (degree, value sequence under the fixed total order).
+    A value object that several entries share has its sort key computed once."""
+    distinct = {id(v): v for values in values_list for v in values}
+    keys = {i: v.sort_key() for i, v in distinct.items()}
+
     def key(values):
-        return (values[0].as_integer(), tuple(v.sort_key() for v in values))
+        return (values[0].as_integer(), tuple([keys[id(v)] for v in values]))
     return sorted(range(len(values_list)), key=lambda i: key(values_list[i]))
 
 
@@ -573,6 +585,19 @@ def decompose(f, table):
 # Direct products and cyclic wreath products
 # ---------------------------------------------------------------------------
 
+class _Values(dict):
+    """Packed ints at (e, B) mapped to their values, each distinct int
+    normalised to a canonical Cyclotomic once (:func:`_from_packed`)."""
+
+    def __init__(self, e, bits):
+        super().__init__()
+        self.e, self.bits = e, bits
+
+    def __missing__(self, total):
+        value = self[total] = _from_packed(total, self.e, self.bits, 1)
+        return value
+
+
 def direct_product_table(factor_tables, group):
     """Outer-product table of a direct product group.
 
@@ -581,6 +606,11 @@ def direct_product_table(factor_tables, group):
     tuples of factor classes by windowed decomposition of the representatives.
     The resulting table records ``product_labels``: a map from factor
     irreducible index tuples to the row index in canonical order.
+
+    Each factor row is packed once at e = lcm of the factors' e, with B from
+    the product of the factors' norms (:func:`_pack`).  A value of the product
+    is then the int product of the factor packings at the paired classes: the
+    polynomial product, whose coefficients are at most that product of norms.
     """
     structure = group.product_structure
     if structure is None or len(structure) != len(factor_tables):
@@ -604,16 +634,17 @@ def direct_product_table(factor_tables, group):
             raise InternalConsistencyError("product class sizes do not multiply up")
         pairing.append(tuple(key))
 
-    index_tuples = list(iter_product(*[range(len(t.irreducibles)) for _, _, t in factors]))
-    all_values = []
-    for idx in index_tuples:
-        vals = []
-        for key in pairing:
-            v = factors[0][2].irreducibles[idx[0]].values[key[0]]
-            for f in range(1, len(factors)):
-                v = v * factors[f][2].irreducibles[idx[f]].values[key[f]]
-            vals.append(v)
-        all_values.append(tuple(vals))
+    e = lcm(*(t.irreducibles[0]._packed.e for t in factor_tables))
+    bits = _bits(prod(t.irreducibles[0]._packed.norm for t in factor_tables))
+    # the packed rows of the product, in the order of iter_product over the factors
+    rows = [[1] * len(pairing)]
+    for table, column in zip(factor_tables, zip(*pairing)):
+        picked = [list(map(_packing(chi, e, bits)[0].__getitem__, column))
+                  for chi in table.irreducibles]
+        rows = [list(map(mul, row, factor_row)) for row in rows for factor_row in picked]
+    values = _Values(e, bits)
+    all_values = [tuple(map(values.__getitem__, row)) for row in rows]
+    index_tuples = list(iter_product(*[range(len(t.irreducibles)) for t in factor_tables]))
     order_idx = _canonical_character_sort(all_values)
     labels = {index_tuples[i]: pos for pos, i in enumerate(order_idx)}
     irr = [ClassFunction(group, all_values[i]) for i in order_idx]
@@ -628,6 +659,12 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
     Independent of the Dixon engine: irreducibles are built as inductions of
     shift-orbit representatives of outer products plus the twisted extensions
     of the diagonal outer products, so this serves as a structural oracle.
+
+    The values are computed on the base rows packed at e = lcm(base e, n) with
+    B from n * N^n (N the base table's norm), as in
+    :func:`direct_product_table`: a block product is an int product, the twist
+    by zeta_n^(cs) a shift by B * (c s e / n mod e), and a free-orbit value an
+    int sum over the n rotations.
 
     Raises ``ValueError`` for composite ``copies``.  ``shift`` is not read:
     the block structure is decoded from the class representatives.
@@ -658,43 +695,30 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
             cycle_prod = (c.rep ** n).images[:d]
             decoded.append((s, base_class_of[tuple(cycle_prod)]))
 
-    t_count = len(base_table.irreducibles)
-    vals = [irr.values for irr in base_table.irreducibles]
-    all_values = []
-    for tup in iter_product(range(t_count), repeat=n):
+    own = base_table.irreducibles[0]._packed
+    e = lcm(own.e, n)
+    bits = _bits(n * own.norm ** n)
+    packed = [_packing(chi, e, bits)[0] for chi in base_table.irreducibles]
+    rows = []
+    for tup in iter_product(range(len(packed)), repeat=n):
         rotations = {tuple(tup[(j + r) % n] for j in range(n)) for r in range(n)}
         if tup != min(rotations):
             continue
         if len(rotations) == 1:
             # diagonal tuple: n extensions twisted by the cyclic quotient characters
-            i = tup[0]
+            a = packed[tup[0]]
             for c_twist in range(n):
-                values = []
-                for s, data in decoded:
-                    if s == 0:
-                        v = vals[i][data[0]]
-                        for comp in data[1:]:
-                            v = v * vals[i][comp]
-                    else:
-                        v = zeta(n, c_twist * s) * vals[i][data]
-                    values.append(v)
-                all_values.append(tuple(values))
+                rows.append([prod(map(a.__getitem__, data)) if s == 0
+                             else a[data] << bits * (c_twist * s * e // n % e)
+                             for s, data in decoded])
         else:
-            # free orbit: the induced character, supported on the base
-            values = []
-            for s, data in decoded:
-                if s != 0:
-                    values.append(Cyclotomic.from_rational(0))
-                    continue
-                acc = Cyclotomic.from_rational(0)
-                for r in range(n):
-                    v = vals[tup[r % n]][data[0]]
-                    for j in range(1, n):
-                        v = v * vals[tup[(j + r) % n]][data[j]]
-                    acc = acc + v
-                values.append(acc)
-            all_values.append(tuple(values))
-
+            # free orbit: the induced character, supported on the base; n is
+            # prime, so the orbit holds n distinct rotations
+            rotated = [[packed[i] for i in rotation] for rotation in rotations]
+            rows.append([sum(prod(map(getitem, a, data)) for a in rotated) if s == 0 else 0
+                         for s, data in decoded])
+    values = _Values(e, bits)
+    all_values = [tuple(map(values.__getitem__, row)) for row in rows]
     order_idx = _canonical_character_sort(all_values)
     irr = [ClassFunction(wreath_group, all_values[i]) for i in order_idx]
     return CharacterTable(wreath_group, irr)
