@@ -585,17 +585,11 @@ def decompose(f, table):
 # Direct products and cyclic wreath products
 # ---------------------------------------------------------------------------
 
-class _Values(dict):
-    """Packed ints at (e, B) mapped to their values, each distinct int
+def _unpack_rows(rows, e, bits):
+    """Rows of packed ints at (e, B) as tuples of values, each distinct int
     normalised to a canonical Cyclotomic once (:func:`_from_packed`)."""
-
-    def __init__(self, e, bits):
-        super().__init__()
-        self.e, self.bits = e, bits
-
-    def __missing__(self, total):
-        value = self[total] = _from_packed(total, self.e, self.bits, 1)
-        return value
+    values = {total: _from_packed(total, e, bits, 1) for total in set().union(*rows)}
+    return [tuple(map(values.__getitem__, row)) for row in rows]
 
 
 def direct_product_table(factor_tables, group):
@@ -642,8 +636,7 @@ def direct_product_table(factor_tables, group):
         picked = [list(map(_packing(chi, e, bits)[0].__getitem__, column))
                   for chi in table.irreducibles]
         rows = [list(map(mul, row, factor_row)) for row in rows for factor_row in picked]
-    values = _Values(e, bits)
-    all_values = [tuple(map(values.__getitem__, row)) for row in rows]
+    all_values = _unpack_rows(rows, e, bits)
     index_tuples = list(iter_product(*[range(len(t.irreducibles)) for t in factor_tables]))
     order_idx = _canonical_character_sort(all_values)
     labels = {index_tuples[i]: pos for pos, i in enumerate(order_idx)}
@@ -717,8 +710,7 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
             rotated = [[packed[i] for i in rotation] for rotation in rotations]
             rows.append([sum(prod(map(getitem, a, data)) for a in rotated) if s == 0 else 0
                          for s, data in decoded])
-    values = _Values(e, bits)
-    all_values = [tuple(map(values.__getitem__, row)) for row in rows]
+    all_values = _unpack_rows(rows, e, bits)
     order_idx = _canonical_character_sort(all_values)
     irr = [ClassFunction(wreath_group, all_values[i]) for i in order_idx]
     return CharacterTable(wreath_group, irr)
