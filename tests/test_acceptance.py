@@ -6,8 +6,10 @@ criterion's stated wall-clock budget covers the work it triggers, including
 any shared objects it is the first to request.
 """
 
+import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,8 @@ from subdepth import chartab
 from subdepth.reproduce import CRITERIA, AcceptanceContext
 
 _BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 30.0, 5: 30.0, 6: 30.0, 7: 30.0}
-_RAN = set()
+GOLDEN = Path(__file__).parent / "golden" / "reproduce_details.json"
+_DETAILS = {}  # criterion number -> its result, as stored in GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +40,11 @@ def actx(built):
 
 
 def _run(actx, number):
-    _RAN.add(number)
     desc, fn = next((d, f) for num, d, f in CRITERIA if num == number)
     t0 = time.time()
     passed, detail = fn(actx)
     elapsed = time.time() - t0
+    _DETAILS[number] = {"criterion": number, "passed": passed, "detail": detail}
     print(f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {desc}: {detail} "
           f"({elapsed:.1f}s)")
     assert passed, f"criterion {number} failed: {detail}"
@@ -104,13 +107,22 @@ def test_criterion_11_property_suites(actx):
     assert "distances add" in detail
 
 
-def test_reproduce_builds_no_table_twice(actx, built):
+def _run_the_rest(actx):
     # the criteria above share one context, as `subdepth reproduce` does
     for number, _, _ in CRITERIA:
-        if number not in _RAN:
+        if number not in _DETAILS:
             _run(actx, number)
+
+
+def test_reproduce_builds_no_table_twice(actx, built):
+    _run_the_rest(actx)
     # groups hold their tables weakly: whoever needs one keeps it (the
     # context, reports, product tables their factors).  The lemma reads its
     # tables from the family member's report and the subgroup's factors.
     assert built["dixon_character_table"] <= 16
     assert built["direct_product_table"] <= 6
+
+
+def test_reproduce_details_match_the_golden(actx):
+    _run_the_rest(actx)
+    assert [_DETAILS[n] for n in sorted(_DETAILS)] == json.loads(GOLDEN.read_text())
