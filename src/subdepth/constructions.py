@@ -183,10 +183,10 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
 
 @dataclass
 class FamilyInstance:
-    """One member of a family: ambient group, subgroup, and the helpers
-    (full base-block product, core, shift) used by the verification code.
-    The pair's depth report is computed on first use and kept, so every
-    consumer reads the same matrix, tables and relation graph."""
+    """One member of a family: ambient group (perhaps shared, see ``family``),
+    subgroup, and the helpers (full base-block product, core, shift) used by
+    the verification code.  The pair's depth report is computed on first use
+    and kept, so every consumer reads the same matrix, tables and graph."""
 
     series: str
     n: int
@@ -196,13 +196,10 @@ class FamilyInstance:
     core: PermGroup                # Core_ambient(subgroup)
     sigma: Permutation | None
     expected_depth: int
-    _emb_sub: object = field(default=None, repr=False)
     _report: object = field(default=None, repr=False)
 
     def embedding_subgroup(self):
-        if self._emb_sub is None:
-            self._emb_sub = class_fusion(self.ambient, self.subgroup)
-        return self._emb_sub
+        return class_fusion(self.ambient, self.subgroup)
 
     def report(self):
         # through the module, so a wrapper on depth.ordinary_depth sees the call
@@ -211,14 +208,14 @@ class FamilyInstance:
         return self._report
 
 
-def _wreath_step(base, seed, copies, cap):
-    """``(base wr C_copies, seed x base^(copies-1), base^copies)``.
+def _wreath_step(base, seed, copies, cap, wr=None):
+    """``(base wr C_copies, seed x base^(copies-1), base^copies)``, reusing ``wr``.
 
     The product subgroup must equal the closure of the seed on block 0 and the
     base generators moved to block i by the i-th shift power, and the ambient
     group must contain both products; otherwise this raises.
     """
-    wr = wreath_cyclic(base, copies, cap=cap)
+    wr = wr or wreath_cyclic(base, copies, cap=cap)
     subgroup = direct_product([seed] + [base] * (copies - 1), cap=cap)
     block = direct_product([base] * copies, cap=cap)
     degree = wr.group.degree
@@ -233,21 +230,26 @@ def _wreath_step(base, seed, copies, cap):
     return wr, subgroup, block
 
 
-def family(series, n, cap=DEFAULT_CAP):
+def family(series, n, cap=DEFAULT_CAP, wreath=None):
     """Build a family member: series "A" (V4 base), "B" (D8 base) or "C"
-    (wreath doubling; ``n`` counts doubling steps starting at (S4, D8))."""
+    (wreath doubling; ``n`` counts doubling steps starting at (S4, D8)).
+    Series A and B may pass ``wreath = wreath_cyclic(S4, n)`` to share one
+    ambient group, and with it its classes and table."""
     series = series.upper()
     if series not in ("A", "B", "C"):
         raise ValueError(f"unknown series {series!r} (expected A, B or C)")
     if n < 1:
         raise ValueError("the family index must be a positive integer")
+    if wreath is not None and (series == "C" or wreath.group.degree != 4 * n):
+        raise ValueError(f"series {series} n={n} cannot share a wreath product "
+                         f"of degree {wreath.group.degree}")
     bg = base_groups()
     seed = bg.v4 if series == "A" else bg.d8
     ambient, subgroup, block, sigma = bg.s4, seed, bg.s4, None
     # series A/B: one step with n copies (none at n = 1); C: n - 1 steps with two
     steps, copies = (n - 1, 2) if series == "C" else (1 if n > 1 else 0, n)
     for _ in range(steps):
-        wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap)
+        wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap, wreath)
         ambient, sigma = wr.group, wr.shift
     core = subgroup_core(ambient, subgroup)
     # for A and B the core is V4^n, built here independently of the conjugates

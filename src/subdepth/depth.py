@@ -198,17 +198,15 @@ def m_chi(matrix, graph, j):
     return max(dist.values())
 
 
-def depth_one_check(ambient, sub, emb=None):
-    """Whether G = H * C_G(x) for every x in H.
+def depth_one_check(emb):
+    """Whether G = H * C_G(x) for every x in H, for the embedding of H in G.
 
     Since |H C_G(x)| = |x^H| * |C_G(x)|, this holds exactly when every
     subgroup class has the same size as the ambient class it fuses into;
     one representative per class suffices.
     """
-    if emb is None:
-        emb = class_fusion(ambient, sub)
-    g_sizes = ambient.classes().sizes()
-    for c, target in zip(sub.classes().classes, emb.fusion):
+    g_sizes = emb.ambient.classes().sizes()
+    for c, target in zip(emb.sub.classes().classes, emb.fusion):
         if c.size != g_sizes[target]:
             return False
     return True
@@ -280,7 +278,7 @@ class DepthReport:
         }
 
 
-def ordinary_depth(ambient, sub, ambient_table=None, sub_table=None):
+def ordinary_depth(ambient, sub):
     """Evaluate every depth criterion for H <= G and return the combined report.
 
     The verdict is the minimum satisfied character-criterion bound; the matrix
@@ -288,11 +286,7 @@ def ordinary_depth(ambient, sub, ambient_table=None, sub_table=None):
     consistent (equality resp. upper bound), otherwise this raises.
     """
     emb = class_fusion(ambient, sub)
-    if ambient_table is None:
-        ambient_table = character_table(ambient)
-    if sub_table is None:
-        sub_table = character_table(sub)
-    matrix = inclusion_matrix(ambient_table, sub_table, emb)
+    matrix = inclusion_matrix(character_table(ambient), character_table(sub), emb)
     graph = relation_graph(matrix)
 
     r, s = matrix.shape
@@ -309,7 +303,7 @@ def ordinary_depth(ambient, sub, ambient_table=None, sub_table=None):
     even_bound = 2 * max(2, max_m + 1)
 
     bounds = [odd_bound, even_bound]
-    d1 = depth_one_check(ambient, sub, emb)
+    d1 = depth_one_check(emb)
     if d1:
         bounds.append(1)
     nrm = is_normal(ambient, sub)

@@ -1,12 +1,12 @@
 """One-shot verification harness: every headline value, recomputed exactly.
 
-The harness owns a context that builds each family member once and reads
-that member's one depth report (``FamilyInstance.report``); it keeps the
-reports of the three S4 pairs and the lemma's block tables itself.  So the
-expensive objects (the 41472-element wreath product and its table) are built
-once and shared across criteria.  Each criterion returns a PASS/FAIL verdict
-with a human-readable detail line; the runner prints one line per criterion
-and reports failure through the exit code.
+The harness owns a context that builds the series A and B members at each n
+together, on one S4 wr C_n, and reads each member's one depth report
+(``FamilyInstance.report``); it keeps the reports of the three S4 pairs and
+the lemma's block tables itself.  So the 41472-element wreath product and its
+table are built once.  Each criterion returns a PASS/FAIL verdict with a
+human-readable detail line; the runner prints one line per criterion and
+reports failure through the exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .chartab import (character_table, induce_character, inner_product,
                       restrict_character, wreath_cyclic_table)
-from .constructions import base_groups, family
+from .constructions import base_groups, family, wreath_cyclic
 from .depth import ordinary_depth
 from .graphs import bfs_distance, cartesian_product
 from .lemma import lemma_report, seed_factor_graphs
@@ -45,10 +45,11 @@ class AcceptanceContext:
         return self._tables.setdefault(id(group), character_table(group))
 
     def family(self, series, n):
-        key = (series, n)
-        if key not in self._families:
-            self._families[key] = family(series, n, cap=self.cap)
-        return self._families[key]
+        """The series A or B member at n >= 2, built with its sibling on one S4 wr C_n."""
+        if n not in self._families:
+            wreath = wreath_cyclic(self.bg.s4, n, cap=self.cap)
+            self._families[n] = {s: family(s, n, self.cap, wreath) for s in "AB"}
+        return self._families[n][series]
 
     def base_report(self, sub_name):
         if sub_name not in self._reports:

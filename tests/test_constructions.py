@@ -80,11 +80,19 @@ def test_family_c():
         family("C", 3, cap=10**5)
 
 
-def test_family_errors():
+def test_family_errors(bg):
     with pytest.raises(ValueError):
         family("X", 2)
     with pytest.raises(ValueError):
         family("A", 0)
+    # a shared wreath product serves only series A and B at its own n
+    wreath = wreath_cyclic(bg.s4, 2)
+    for series, n in [("C", 2), ("A", 3), ("B", 1)]:
+        with pytest.raises(ValueError, match="cannot share"):
+            family(series, n, wreath=wreath)
+    # one of the right degree on the wrong base still fails the containment check
+    with pytest.raises(SubdepthError, match="not inside"):
+        family("A", 2, wreath=wreath_cyclic(bg.d8, 2))
 
 
 def test_enumeration_identity_of_subgroup():

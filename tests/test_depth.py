@@ -206,9 +206,9 @@ def test_m_chi(v4_in_s4, s4_table):
 
 def test_depth_one(bg):
     triv = PermGroup.trivial(4)
-    assert depth_one_check(bg.s4, bg.s4)
-    assert depth_one_check(bg.s4, triv)
-    assert not depth_one_check(bg.s4, bg.v4)
+    assert depth_one_check(class_fusion(bg.s4, bg.s4))
+    assert depth_one_check(class_fusion(bg.s4, triv))
+    assert not depth_one_check(class_fusion(bg.s4, bg.v4))
     # oracle: literally compare |H * C_G(x)| with |G| over all x in H
     from subdepth.perm import centralizer
     for sub in (bg.v4, bg.d8, bg.s3, triv):
@@ -216,7 +216,7 @@ def test_depth_one(bg):
             len({(h * c).images for h in sub.elements
                  for c in centralizer(bg.s4, x).elements}) == bg.s4.order
             for x in sub.elements)
-        assert depth_one_check(bg.s4, sub) == expected
+        assert depth_one_check(class_fusion(bg.s4, sub)) == expected
 
 
 def test_core_depth_bound(bg):
