@@ -18,6 +18,11 @@ values run on the same packings: a product of packed ints is the packed
 product, so the outer-product tables and the wreath oracle multiply ints and
 normalise each distinct result to a Cyclotomic once.
 
+Each distinct value is made once where values are made: the Dixon lift,
+induction, the product tables and the JSON import each keep a dict local to
+the call, so the entries of a table or class function share value objects,
+and the kernel measures and packs each shared object once per call.
+
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
 degree (ties by the value sequence under a fixed total order on cyclotomics).
@@ -146,18 +151,26 @@ def _pack(values, e, bits, scale=1):
     ``sum w * |a|_1 * |b|_1 <= W * N_a * N_b`` in absolute value (W the sum of
     the weights, N the largest coefficient 1-norm of a value); B is taken
     from that bound (:func:`_bits`), so the digits unpack uniquely.
+
+    A value object that several entries share is packed once per call, looked
+    up by its id: ``values`` is a sequence, so it holds every object alive and
+    no id is reused while the call runs.
     """
+    memo = {}
     packed, conj = [], []
     for v in values:
-        step = e // v.conductor
-        p = q = 0
-        for k, c in v.coeffs.items():
-            c = c.numerator * (scale // c.denominator)
-            k *= step
-            p += c << (bits * k)
-            q += c << (bits * (-k % e))
-        packed.append(p)
-        conj.append(q)
+        pair = memo.get(id(v))
+        if pair is None:
+            step = e // v.conductor
+            p = q = 0
+            for k, c in v.coeffs.items():
+                c = c.numerator * (scale // c.denominator)
+                k *= step
+                p += c << (bits * k)
+                q += c << (bits * (-k % e))
+            pair = memo[id(v)] = p, q
+        packed.append(pair[0])
+        conj.append(pair[1])
     return packed, conj
 
 
@@ -262,7 +275,11 @@ class CharacterTable:
         raise KeyError("no irreducible character with those values")
 
     def validate(self):
-        """Exact checks (values in Z[zeta_d], degrees, orthogonality); raises on failure."""
+        """Exact checks (values in Z[zeta_d], degrees, orthogonality); raises on failure.
+
+        The rows are packed from their Cyclotomic values in one call, so a
+        value object that entries share is packed once (:func:`_pack`); both
+        orthogonality checks still read every entry."""
         s = len(self.classes)
         rows = self.irreducibles
         if len(rows) != s:
@@ -270,7 +287,8 @@ class CharacterTable:
                 f"table is not square: {len(rows)} characters, {s} classes")
         for chi in rows:
             chi._packed = None
-        e, d, norm = _measure_values(v for chi in rows for v in chi.values)
+        values = [v for chi in rows for v in chi.values]
+        e, d, norm = _measure_values(values)
         if d != 1:
             raise TableConsistencyError("a character value is not an algebraic integer")
         degrees = [chi.values[0].as_integer() for chi in rows]
@@ -280,7 +298,8 @@ class CharacterTable:
         if sum(d * d for d in degrees) != order:
             raise TableConsistencyError("degree squares do not sum to the group order")
         bits = _bits(order * norm * order * norm)
-        packs = [_pack(chi.values, e, bits) for chi in rows]
+        a_all, b_all = _pack(values, e, bits)
+        packs = [(a_all[i:i + s], b_all[i:i + s]) for i in range(0, s * s, s)]
         sizes = self.classes.sizes()
         for i, (a, _) in enumerate(packs):
             wa = list(map(mul, sizes, a))
@@ -421,6 +440,9 @@ def dixon_character_table(group, prime=None):
         inverse_dft[m] = [[m_inv * pow(w, l * t, p) % p for t in range(m)]
                           for l in range(m)]
 
+    # each lifted form (an int, or m and the multiplicities) is made into a
+    # Cyclotomic once, and every entry of one value shares one object
+    lifted, shared = {}, {}
     characters = []
     for basis, _ in spaces:
         v = basis[0]
@@ -441,9 +463,6 @@ def dixon_character_table(group, prime=None):
         values = []
         for k in range(s):
             m = rep_orders[k]
-            if m == 1:
-                values.append(Cyclotomic.from_rational(deg))
-                continue
             vals_t = [u[c] for c in power_class[k]]
             coeffs = {}
             for l, dft_row in enumerate(inverse_dft[m]):
@@ -457,8 +476,12 @@ def dixon_character_table(group, prime=None):
                 raise InternalConsistencyError(
                     "eigenvalue multiplicities do not sum to the character degree")
             c = _integer([coeffs.get(l, 0) for l in range(m)], m)
-            values.append(Cyclotomic._make(m, coeffs) if c is None
-                          else Cyclotomic.from_rational(c))
+            key = (m, tuple(coeffs.items())) if c is None else c
+            value = lifted.get(key)
+            if value is None:
+                value = Cyclotomic._make(m, coeffs) if c is None else Cyclotomic.from_rational(c)
+                value = lifted[key] = shared.setdefault(value, value)
+            values.append(value)
         characters.append(tuple(values))
 
     order_idx = _canonical_character_sort(characters)
@@ -513,7 +536,8 @@ def induce_character(psi, emb):
     which is the zero-extension average ``(1/|H|) sum_x psi0(x g x^-1)``
     collapsed over classes.  The weights are integers because C_H(c) is a
     subgroup of C_G(c); each value is one weighted sum of psi's packed values
-    (an irreducible's own packing when it is wide enough).
+    (an irreducible's own packing when it is wide enough), and each distinct
+    sum is normalised to a Cyclotomic once (:func:`_unpack_rows`).
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
@@ -527,9 +551,8 @@ def induce_character(psi, emb):
     e, d, n = _measure(psi)
     bits = _fit(e, _bits(max(sum(w) for w, _ in buckets) * n), psi)
     packed = _packing(psi, e, bits, d)[0]
-    return ClassFunction(emb.ambient, [
-        _from_packed(sum(map(mul, w, map(packed.__getitem__, classes))), e, bits, d)
-        for w, classes in buckets])
+    totals = [sum(map(mul, w, map(packed.__getitem__, classes))) for w, classes in buckets]
+    return ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
 
 
 def induce_character_bruteforce(psi, emb):
@@ -585,10 +608,15 @@ def decompose(f, table):
 # Direct products and cyclic wreath products
 # ---------------------------------------------------------------------------
 
-def _unpack_rows(rows, e, bits):
-    """Rows of packed ints at (e, B) as tuples of values, each distinct int
-    normalised to a canonical Cyclotomic once (:func:`_from_packed`)."""
-    values = {total: _from_packed(total, e, bits, 1) for total in set().union(*rows)}
+def _unpack_rows(rows, e, bits, scale=1):
+    """Rows of packed ints at (e, B), divided by ``scale``, as tuples of
+    values: each distinct int is normalised to a canonical Cyclotomic once
+    (:func:`_from_packed`), and ints of one value (a sum is not reduced mod
+    the cyclotomic polynomial) share one object."""
+    shared, values = {}, {}
+    for total in set().union(*rows):
+        value = _from_packed(total, e, bits, scale)
+        values[total] = shared.setdefault(value, value)
     return [tuple(map(values.__getitem__, row)) for row in rows]
 
 
@@ -766,6 +794,9 @@ def table_from_obj(obj, group):
     the shape :meth:`Cyclotomic.to_obj` writes with a conductor dividing the
     group exponent (checked before any value is normalised), and the values
     must pass :meth:`CharacterTable.validate`, so a tampered file is rejected.
+
+    Each distinct string entry is parsed once, and a dict entry every time;
+    every entry that parses to the same value shares one Cyclotomic.
     """
     from .perm import parse_cycle_notation
 
@@ -794,15 +825,22 @@ def table_from_obj(obj, group):
     if any(type(row) is not list or len(row) != len(classes) for row in obj["irreducibles"]):
         raise TableConsistencyError("each irreducible needs a list of one value per class")
     exponent = group.exponent()
+    texts, shared = {}, {}
 
     def value(v):
+        if type(v) is str and v in texts:
+            return texts[v]
         e = v.get("conductor") if isinstance(v, dict) else 1
         try:
             if type(e) is not int or e < 1 or exponent % e:
                 raise ValueError(f"conductor {e!r} does not divide the exponent {exponent}")
-            return Cyclotomic.from_obj(v)
+            x = Cyclotomic.from_obj(v)
         except ValueError as exc:
             raise TableConsistencyError(f"bad table value: {exc}") from None
+        x = shared.setdefault(x, x)
+        if type(v) is str:
+            texts[v] = x
+        return x
 
     irils = [ClassFunction(group, [value(v) for v in row]) for row in obj["irreducibles"]]
     return CharacterTable(group, irils)

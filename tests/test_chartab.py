@@ -667,7 +667,7 @@ def test_decompose_packs_each_function_once(monkeypatch, f21_table):
     assert [args[0] for args in packs] == [f.values]
 
 
-def test_induction_sums_once_per_ambient_class(monkeypatch, f21_table):
+def test_induction_normalises_each_distinct_value_once(monkeypatch, f21_table):
     group = f21_table.group
     sub = PermGroup.generated(parse_generators(F21_C7, degree=7))
     emb = class_fusion(group, sub)
@@ -682,8 +682,81 @@ def test_induction_sums_once_per_ambient_class(monkeypatch, f21_table):
 
     for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Cyclotomic, op, no_arithmetic)
-    assert induce_character(psi, emb).values == expected.values
-    assert len(makes) == len(group.classes())
+    induced = induce_character(psi, emb)
+    assert induced.values == expected.values
+    # 5 classes, 4 distinct values: one sum per class, one _make per value
+    assert len(set(induced.values)) == 4
+    assert len(makes) == len(set(induced.values))
+
+
+@pytest.fixture(scope="module")
+def s4_wr_c2_table(bg):
+    return dixon_character_table(wreath_cyclic(bg.s4, 2).group)
+
+
+def entries(table):
+    return [v for chi in table.irreducibles for v in chi.values]
+
+
+def assert_one_object_per_value(values):
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_tables_and_inductions_make_each_value_once(bg, v4_table, s4_table, f21_table,
+                                                    s4_wr_c2_table):
+    dixon = entries(s4_wr_c2_table)
+    assert (len(dixon), len(set(dixon))) == (400, 14)
+    assert_one_object_per_value(dixon)
+    obj = json.loads(json.dumps(table_to_obj(s4_wr_c2_table)))
+    assert_one_object_per_value(entries(table_from_obj(obj, s4_wr_c2_table.group)))
+    product = direct_product_table([v4_table, s4_table], direct_product([bg.v4, bg.s4]))
+    assert (len(entries(product)), len(set(entries(product)))) == (400, 7)
+    assert_one_object_per_value(entries(product))
+    sub = PermGroup.generated(parse_generators(F21_C7, degree=7))
+    emb = class_fusion(f21_table.group, sub)
+    for psi in character_table(sub).irreducibles:
+        assert_one_object_per_value(induce_character(psi, emb).values)
+
+
+def test_irrational_tables_make_each_value_once(f21_table):
+    # zeta_3 is lifted at the classes of order 3 and of order 6 of C6, and
+    # the packed values of products and of the oracle are not reduced mod
+    # the cyclotomic polynomial, so equal values arrive in different forms
+    c6 = dixon_character_table(PermGroup.generated(parse_generators("(1,2,3,4,5,6)")))
+    c3 = PermGroup.generated(parse_generators("(1,2,3)"))
+    product = direct_product_table([f21_table, character_table(c3)],
+                                   direct_product([f21_table.group, c3]))
+    wr = wreath_cyclic(c3, 3)
+    oracle = wreath_cyclic_table(character_table(c3), wr.group, wr.shift, 3)
+    for table, distinct in ((c6, 6), (product, 13), (oracle, 13)):
+        assert len(set(entries(table))) == distinct
+        assert_one_object_per_value(entries(table))
+
+
+def literal_packing(v, e, bits, scale):
+    step = e // v.conductor
+    terms = [(int(c * scale), k * step) for k, c in v.coeffs.items()]
+    return (sum(c << (bits * k) for c, k in terms),
+            sum(c << (bits * (-k % e)) for c, k in terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pack_of_shared_objects_is_the_entrywise_packing(data):
+    e = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    conductors = st.sampled_from([d for d in range(1, e + 1) if e % d == 0])
+    coeffs = st.dictionaries(st.integers(0, 11),
+                             st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                             max_size=3)
+    raws = data.draw(st.lists(st.tuples(conductors, coeffs), min_size=1, max_size=4))
+    # each value made twice: equal values held by distinct objects
+    pool = [Cyclotomic._make(d, raw) for d, raw in raws for _ in range(2)]
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    scale = lcm(1, *(c.denominator for v in pool for c in v.coeffs.values()))
+    scale *= data.draw(st.integers(1, 3))
+    bits = data.draw(st.integers(1, 12))
+    want = [literal_packing(v, e, bits, scale) for v in values]
+    assert chartab._pack(values, e, bits, scale) == ([p for p, _ in want], [q for _, q in want])
 
 
 def test_warm_depth_pack_budget(monkeypatch):
@@ -759,6 +832,35 @@ def test_table_from_obj_rejects_malformed_values(value, bg, s4_table):
     obj["irreducibles"][3][2] = value
     with pytest.raises(TableConsistencyError):
         table_from_obj(obj, bg.s4)
+
+
+@pytest.mark.parametrize("name", ["S4", "S4 wr C2"])
+def test_table_from_obj_rejects_every_entry_plus_one(name, s4_table, s4_wr_c2_table):
+    table = s4_table if name == "S4" else s4_wr_c2_table
+    text = json.dumps(table_to_obj(table))
+    s = len(table.classes)
+    for i in range(s):
+        for k in range(s):
+            obj = json.loads(text)
+            obj["irreducibles"][i][k] = (Cyclotomic.from_obj(obj["irreducibles"][i][k])
+                                         + 1).to_obj()
+            with pytest.raises(TableConsistencyError):
+                table_from_obj(obj, table.group)
+
+
+@pytest.mark.parametrize("value", MALFORMED_VALUES, ids=lambda v: repr(v)[:40])
+def test_table_from_obj_rejects_malformed_values_between_valid_copies(value, s4_wr_c2_table):
+    # the import parses each distinct string once; a malformed entry put in
+    # place of a "1" with other "1" entries before and after it is still read,
+    # and the table would pass validation if it were read as 1
+    obj = json.loads(json.dumps(table_to_obj(s4_wr_c2_table)))
+    rows = obj["irreducibles"]
+    s = len(rows)
+    flat = [v for row in rows for v in row]
+    n = next(n for n in range(s * s // 2, s * s) if flat[n] == "1" and "1" in flat[n + 1:])
+    rows[n // s][n % s] = value
+    with pytest.raises(TableConsistencyError):
+        table_from_obj(obj, s4_wr_c2_table.group)
 
 
 def test_table_from_obj_rejects_large_conductors_before_normalising(monkeypatch, bg, s4_table):
