@@ -16,10 +16,9 @@ from .chartab import (CharacterTable, ClassFunction, character_table,
 from .constructions import (BaseGroups, FamilyInstance, base_groups,
                             direct_product, family, wreath_cyclic)
 from .cyclo import Cyclotomic, zeta
-from .depth import (DepthReport, InclusionMatrix, NEG_INF, alternating_power,
-                    char_distance, core_depth_bound, depth_one_check,
-                    inclusion_matrix, m_chi, matrix_depth, ordinary_depth,
-                    relation_graph)
+from .depth import (DepthReport, InclusionMatrix, alternating_power,
+                    core_depth_bound, depth_one_check, inclusion_matrix, m_chi,
+                    matrix_depth, ordinary_depth, relation_graph)
 from .graphs import Graph, bfs_distance, cartesian_product
 from .lemma import LemmaReport, expected_overlap_graph, lemma_report
 from .perm import (DEFAULT_CAP, ClassSet, PermGroup, Permutation,

@@ -21,7 +21,9 @@ normalise each distinct result to a Cyclotomic once.
 Each distinct value is made once where values are made: the Dixon lift,
 induction, the product tables and the JSON import each keep a dict local to
 the call, so the entries of a table or class function share value objects,
-and the kernel measures and packs each shared object once per call.
+and the kernel measures and packs each shared object once per call.  Packed
+sums are keyed on their vector reduced mod the e-th cyclotomic polynomial,
+since a sum is not reduced when it is formed.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -45,8 +47,8 @@ from operator import getitem, mul
 from . import modlin
 from .cyclo import Cyclotomic, cyclotomic_polynomial
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
-                     NotACharacterError, SubdepthError, TableConsistencyError)
-from .perm import Permutation
+                     NotACharacterError, TableConsistencyError)
+from .perm import Permutation, parse_cycle_notation
 
 __all__ = [
     "ClassFunction", "CharacterTable", "inner_product", "restrict_character",
@@ -199,9 +201,9 @@ def _unfold(total, e, bits):
     return vec
 
 
-def _integer(vec, e):
-    """The int c when ``sum vec[k] zeta_e^k`` equals c, else None: the vector
-    is reduced mod the e-th cyclotomic polynomial on ints."""
+def _reduce(vec, e):
+    """The coefficients below degree phi(e) of ``sum vec[k] zeta_e^k``: the
+    vector reduced mod the e-th cyclotomic polynomial on ints, as a tuple."""
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
     vec = list(vec)
@@ -210,7 +212,13 @@ def _integer(vec, e):
         if c:
             for i in range(deg):
                 vec[k - deg + i] -= c * phi[i]
-    return None if any(vec[1:deg]) else vec[0]
+    return tuple(vec[:deg])
+
+
+def _integer(vec, e):
+    """The int c when ``sum vec[k] zeta_e^k`` equals c, else None."""
+    vec = _reduce(vec, e)
+    return None if any(vec[1:]) else vec[0]
 
 
 def _rational(total, e, bits):
@@ -610,13 +618,16 @@ def decompose(f, table):
 
 def _unpack_rows(rows, e, bits, scale=1):
     """Rows of packed ints at (e, B), divided by ``scale``, as tuples of
-    values: each distinct int is normalised to a canonical Cyclotomic once
-    (:func:`_from_packed`), and ints of one value (a sum is not reduced mod
-    the cyclotomic polynomial) share one object."""
-    shared, values = {}, {}
+    values.  Each distinct int is keyed on its vector reduced mod the
+    cyclotomic polynomial (:func:`_reduce`), so the ints of one value share
+    one object and each value is normalised to a Cyclotomic once
+    (:func:`_from_packed`)."""
+    made, values = {}, {}
     for total in set().union(*rows):
-        value = _from_packed(total, e, bits, scale)
-        values[total] = shared.setdefault(value, value)
+        key = total if e == 1 else _reduce(_unfold(total, e, bits), e)
+        if key not in made:
+            made[key] = _from_packed(total, e, bits, scale)
+        values[total] = made[key]
     return [tuple(map(values.__getitem__, row)) for row in rows]
 
 
@@ -798,8 +809,6 @@ def table_from_obj(obj, group):
     Each distinct string entry is parsed once, and a dict entry every time;
     every entry that parses to the same value shares one Cyclotomic.
     """
-    from .perm import parse_cycle_notation
-
     if not isinstance(obj, dict) or obj.get("kind") != "character_table" \
             or obj.get("schema") != 1:
         raise TableConsistencyError("not a schema-1 character table object")

@@ -16,14 +16,19 @@ yields the copy acting on block k.  The three families:
 
 Every member above the base pair comes from the same wreath step: the new
 ambient group is the old one wreathed by C_k, the new subgroup is the old
-subgroup times k - 1 copies of the old ambient group.
+subgroup times k - 1 copies of the old ambient group.  The base groups are
+built once per process and shared, with their classes and tables, by every
+member, base pair and lemma; the seed helpers read them from product groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import product as iter_product
 
 from . import depth
+from .chartab import character_table
 from .errors import EnumerationCapExceeded, SubdepthError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
                    parse_cycle_notation, parse_generators, subgroup_core)
@@ -65,8 +70,9 @@ class BaseGroups:
     s3: PermGroup
 
 
+@cache
 def base_groups():
-    """The degree-4 base groups, generated from ``BASE_GENERATORS``."""
+    """The degree-4 base groups, generated from ``BASE_GENERATORS`` once per process."""
     return BaseGroups(**{name.lower(): PermGroup.generated(parse_generators(gens, 4))
                          for name, gens in BASE_GENERATORS.items()})
 
@@ -211,9 +217,9 @@ class FamilyInstance:
 def _wreath_step(base, seed, copies, cap, wr=None):
     """``(base wr C_copies, seed x base^(copies-1), base^copies)``, reusing ``wr``.
 
-    The product subgroup must equal the closure of the seed on block 0 and the
-    base generators moved to block i by the i-th shift power, and the ambient
-    group must contain both products; otherwise this raises.
+    The generator list that ``direct_product`` closed must be the seed on
+    block 0 and the base generators moved to block i by the i-th shift power,
+    and the ambient group must contain both products; otherwise this raises.
     """
     wr = wr or wreath_cyclic(base, copies, cap=cap)
     subgroup = direct_product([seed] + [base] * (copies - 1), cap=cap)
@@ -223,7 +229,7 @@ def _wreath_step(base, seed, copies, cap, wr=None):
     for i in range(1, copies):
         conj = wr.shift ** i
         gens.extend(g.shifted(0, degree).conjugated_by(conj) for g in base.generators)
-    if PermGroup.generated(gens, cap=cap) != subgroup:
+    if subgroup.generators != tuple(gens):
         raise SubdepthError("product subgroup differs from its generated form")
     if not (wr.group.contains_group(subgroup) and wr.group.contains_group(block)):
         raise SubdepthError("family subgroup or block product is not inside the ambient group")
@@ -288,12 +294,12 @@ def _faithful_split(s4_table):
     return faithful, plain, by_index
 
 
-def seed_characters(n, s4_table, block_table):
+def seed_characters(n, block_table):
     """All outer products over n block slots with exactly one faithful factor,
-    sitting in slot one; there are 2 * 3^(n-1) of them."""
-    from itertools import product as iter_product
-
-    faithful, plain, by_index = _faithful_split(s4_table)
+    sitting in slot one; there are 2 * 3^(n-1) of them.  The S4 table is that
+    of the block product's first factor."""
+    s4 = block_table.group.product_structure[0][1]
+    faithful, plain, by_index = _faithful_split(character_table(s4))
     out = []
     for first in faithful:
         for rest in iter_product(plain, repeat=n - 1):
@@ -305,20 +311,21 @@ def seed_characters(n, s4_table, block_table):
     return out
 
 
-def distance_witness_pair(n, sub_table, v4_table, s4_table):
+def distance_witness_pair(n, sub_table):
     """The two subgroup characters realising the extremal relation distance.
 
     First factor: the Klein-group linear character with the marker element
     (1,3)(2,4) in its kernel.  Remaining factors: all trivial for the first
-    character, all sign for the second.  For n = 1 both collapse to the same
-    character.
+    character, all sign for the second.  For n = 1 the subgroup is V4 and both
+    collapse to the same character.  The V4 and S4 tables are those of the
+    subgroup's first two factors.
     """
-    nu = klein_labels(v4_table)
-    chi = sym4_labels(s4_table)
     if n == 1:
-        row = [i for i, c in enumerate(sub_table.irreducibles)
-               if c.values == v4_table.irreducibles[nu["nu2"]].values]
-        return row[0], row[0]
+        row = klein_labels(sub_table)["nu2"]
+        return row, row
+    (_, v4), (_, s4) = sub_table.group.product_structure[:2]
+    nu = klein_labels(character_table(v4))
+    chi = sym4_labels(character_table(s4))
     first = sub_table.product_labels[(nu["nu2"],) + (chi["chi1"],) * (n - 1)]
     second = sub_table.product_labels[(nu["nu2"],) + (chi["chi2"],) * (n - 1)]
     return first, second

@@ -8,8 +8,8 @@ M^(n+1) <= a * M^(n-1) entrywise for some positive integer a (M^0 is the
 identity on the Irr(H) index set).
 
 The character criteria: two irreducibles of H are related when they share an
-irreducible constituent with some chi|_H.  ``char_distance`` returns NEG_INF
-for a pair with no chain between them; the maxima behind the bounds range
+irreducible constituent with some chi|_H.  Their distance in the relation
+graph is None when no chain joins them; the maxima behind the bounds range
 over reachable characters only, since ``distances_from`` returns no entry for
 an unreachable one.  Depth <= 2m+1 iff all pairwise distances are at most
 m (m >= 1); depth <= 2m iff every chi has its restriction's constituent set
@@ -33,14 +33,15 @@ from .chartab import (character_table, decompose, induce_character,
                       restrict_character)
 from .errors import (CriterionMismatchError, InternalConsistencyError,
                      SubdepthError)
-from .graphs import NEG_INF, Graph, bfs_distance, distances_from
-# subgroup_core is unused here but perfbench/tracer.py wraps it on this module
+# bfs_distance and subgroup_core are unused here but perfbench/tracer.py
+# wraps them on this module
+from .graphs import Graph, bfs_distance, distances_from  # noqa: F401
 from .perm import class_fusion, is_normal, min_core_conjugates, subgroup_core  # noqa: F401
 
 __all__ = [
     "InclusionMatrix", "inclusion_matrix", "alternating_power", "matrix_depth",
-    "relation_graph", "char_distance", "m_chi", "depth_one_check",
-    "core_depth_bound", "CoreBound", "ordinary_depth", "DepthReport", "NEG_INF",
+    "relation_graph", "m_chi", "depth_one_check", "core_depth_bound",
+    "CoreBound", "ordinary_depth", "DepthReport",
 ]
 
 
@@ -180,12 +181,6 @@ def relation_graph(matrix):
             for b in range(a + 1, len(support)):
                 pairs.add((support[a], support[b]))
     return Graph.build(range(r), pairs)
-
-
-def char_distance(graph, i, j):
-    """Relation distance between two Irr(H) indices; NEG_INF when unrelated,
-    0 on the diagonal."""
-    return bfs_distance(graph, i, j)
 
 
 def m_chi(matrix, graph, j):

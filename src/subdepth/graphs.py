@@ -1,17 +1,13 @@
 """Small undirected graphs: Cartesian products and breadth-first distances.
 
-Distances take values in the extended integers: ``NEG_INF`` (strictly below
-every integer) marks a disconnected pair, matching the convention used by the
-character-distance machinery.
+A distance is an int, or ``None`` for a pair with no path between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-NEG_INF = float("-inf")
-
-__all__ = ["Graph", "NEG_INF", "cartesian_product", "bfs_distance", "distances_from"]
+__all__ = ["Graph", "cartesian_product", "bfs_distance", "distances_from"]
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,8 @@ def distances_from(graph, sources):
     return dist
 
 def bfs_distance(graph, u, v):
-    """Shortest-path length between two vertices; NEG_INF when disconnected."""
+    """Shortest-path length between two vertices; None when disconnected."""
     adj = graph.adjacency()
     if u not in adj or v not in adj:
         raise KeyError(f"unknown vertex {u!r} or {v!r}")
-    if u == v:
-        return 0
-    return distances_from(graph, [u]).get(v, NEG_INF)
+    return distances_from(graph, [u]).get(v)

@@ -15,9 +15,10 @@ block product whose first factor is faithful ("seeds"):
 
 Each part is checked exactly and failures carry a concrete counterexample.
 The inclusion matrix, both tables and the relation graph come from the
-member's depth report (``FamilyInstance.report``), and the S4 and V4 tables
-from the subgroup's own factor groups: on a member that has its report the
-lemma builds no inclusion matrix and no Dixon table.
+member's depth report (``FamilyInstance.report``), and the seed helpers read
+the S4 and V4 tables from the product tables' own factor groups, the base
+groups every member shares: on a member that has its report the lemma builds
+no inclusion matrix and no Dixon table.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .chartab import character_table, induce_character, inner_product
 # base_groups, inclusion_matrix and relation_graph are unused here but
 # perfbench/tracer.py wraps them on this module
 from .constructions import (base_groups, distance_witness_pair,  # noqa: F401
-                            seed_characters)
-from .depth import char_distance, inclusion_matrix, relation_graph  # noqa: F401
+                            family, seed_characters)
+from .depth import inclusion_matrix, relation_graph  # noqa: F401
 from .graphs import Graph, bfs_distance, cartesian_product
-from .perm import class_fusion
+from .perm import DEFAULT_CAP, class_fusion
 
 __all__ = ["LemmaPart", "LemmaReport", "seed_factor_graphs",
            "expected_overlap_graph", "lemma_report"]
@@ -80,28 +81,22 @@ def expected_overlap_graph(n):
     return g
 
 
-def lemma_report(n, fam=None, cap=None):
+def lemma_report(n, fam=None, cap=DEFAULT_CAP):
     """Run the five checks for the series-A member at index n (n >= 2)."""
-    from .constructions import family
-    from .perm import DEFAULT_CAP
-
     if n < 2:
         raise ValueError("the seed-structure checks need n >= 2")
     if fam is None:
-        fam = family("A", n, cap=cap or DEFAULT_CAP)
+        fam = family("A", n, cap=cap)
     if (fam.series, fam.n) != ("A", n):
         raise ValueError(f"the seed checks at n = {n} need the series-A member {n}")
     report = fam.report()
     matrix = report.inclusion
     ambient_table, sub_table = matrix.ambient_table, matrix.sub_table
-    (_, v4), (_, s4) = fam.subgroup.product_structure[:2]
-    s4_table = character_table(s4)
-    v4_table = character_table(v4)
     block_table = character_table(fam.base_block)
     emb_block = class_fusion(fam.ambient, fam.base_block)
 
     parts = {}
-    seeds = seed_characters(n, s4_table, block_table)
+    seeds = seed_characters(n, block_table)
 
     # (i) seeds induce irreducibly and injectively
     induced_rows = {}
@@ -162,8 +157,8 @@ def lemma_report(n, fam=None, cap=None):
     parts["iv"] = LemmaPart(dist == n - 1, f"distance {u} -- {v} is {dist} (want {n - 1})")
 
     # (v) the witness pair sits at relation distance exactly n
-    first, second = distance_witness_pair(n, sub_table, v4_table, s4_table)
-    wdist = char_distance(report.graph, first, second)
+    first, second = distance_witness_pair(n, sub_table)
+    wdist = bfs_distance(report.graph, first, second)
     parts["v"] = LemmaPart(wdist == n, f"witness characters at distance {wdist} (want {n})")
 
     return LemmaReport(n, parts)

@@ -19,8 +19,8 @@ from .chartab import (character_table, induce_character, inner_product,
                       restrict_character, wreath_cyclic_table)
 from .constructions import base_groups, family, wreath_cyclic
 from .depth import ordinary_depth
-from .graphs import bfs_distance, cartesian_product
-from .lemma import lemma_report, seed_factor_graphs
+from .graphs import bfs_distance
+from .lemma import expected_overlap_graph, lemma_report, seed_factor_graphs
 from .perm import DEFAULT_CAP
 
 __all__ = ["AcceptanceContext", "CriterionResult", "CRITERIA", "run_all"]
@@ -171,16 +171,10 @@ def _criterion_properties(ctx):
     pair, triangle = seed_factor_graphs()
     for n in (2, 3):
         factors = [pair] + [triangle] * (n - 1)
-        g = factors[0]
-        for f in factors[1:]:
-            g = cartesian_product(g, f)
+        g = expected_overlap_graph(n)
         for u in g.vertices:
             for v in g.vertices:
-                total = 0
-                for k in range(n):
-                    duv = bfs_distance(factors[k], u[k], v[k])
-                    total += duv
-                if bfs_distance(g, u, v) != total:
+                if bfs_distance(g, u, v) != sum(map(bfs_distance, factors, u, v)):
                     return False, f"distance additivity failed between {u} and {v}"
     checks.append("product-graph distances add coordinatewise")
     return True, "; ".join(checks)

@@ -718,7 +718,7 @@ def test_tables_and_inductions_make_each_value_once(bg, v4_table, s4_table, f21_
         assert_one_object_per_value(induce_character(psi, emb).values)
 
 
-def test_irrational_tables_make_each_value_once(f21_table):
+def test_irrational_tables_make_each_value_once(f21_table, monkeypatch):
     # zeta_3 is lifted at the classes of order 3 and of order 6 of C6, and
     # the packed values of products and of the oracle are not reduced mod
     # the cyclotomic polynomial, so equal values arrive in different forms
@@ -727,7 +727,19 @@ def test_irrational_tables_make_each_value_once(f21_table):
     product = direct_product_table([f21_table, character_table(c3)],
                                    direct_product([f21_table.group, c3]))
     wr = wreath_cyclic(c3, 3)
-    oracle = wreath_cyclic_table(character_table(c3), wr.group, wr.shift, 3)
+    c3_table = character_table(c3)
+    made = []
+    make = Cyclotomic._make
+
+    def counting(e, raw):
+        made.append(e)
+        return make(e, raw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Cyclotomic, "_make", staticmethod(counting))
+        oracle = wreath_cyclic_table(c3_table, wr.group, wr.shift, 3)
+    # each of the 13 values is normalised once, not once per packed form
+    assert len(made) == 13
     for table, distinct in ((c6, 6), (product, 13), (oracle, 13)):
         assert len(set(entries(table))) == distinct
         assert_one_object_per_value(entries(table))

@@ -42,6 +42,30 @@ def test_wreath_group(bg):
         wreath_cyclic(bg.s4, 1)
 
 
+@pytest.mark.parametrize("series,n", [("A", 2), ("B", 3)])
+def test_family_members_share_the_base_groups(series, n):
+    bg = base_groups()
+    assert base_groups() is bg
+    fam = family(series, n)
+    factors = [g for _, g in fam.subgroup.product_structure]
+    want = [bg.v4 if series == "A" else bg.d8] + [bg.s4] * (n - 1)
+    assert len(factors) == n and all(f is g for f, g in zip(factors, want))
+    assert all(g is bg.s4 for _, g in fam.base_block.product_structure)
+
+
+def test_family_closes_its_subgroup_once(monkeypatch):
+    closures = []
+    generated = PermGroup.generated.__func__
+
+    def recording(cls, *args, **kwargs):
+        closures.append(generated(cls, *args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(PermGroup, "generated", classmethod(recording))
+    fam = family("B", 3)
+    assert sum(g == fam.subgroup for g in closures) == 1
+
+
 def test_family_a1(bg):
     fam = family("A", 1)
     assert fam.ambient == bg.s4 and fam.subgroup == bg.v4
@@ -133,12 +157,18 @@ def test_family_enumerates_conjugates_once(series, n, core_enumerations):
 def test_seed_characters(bg, s4_table):
     k2 = direct_product([bg.s4, bg.s4])
     table = character_table(k2)
-    seeds = seed_characters(2, s4_table, table)
+    seeds = seed_characters(2, table)
     assert len(seeds) == 6
     assert sorted(sc.labels for sc in seeds) == [
         (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3)]
+    # the labels are those of the S4 table: a seed is the outer product of
+    # the labelled S4 rows, at the row product_labels gives it
+    chi = {int(k[3:]): i for k, i in sym4_labels(s4_table).items()}
+    for sc in seeds:
+        assert sc.row == table.product_labels[tuple(chi[l] for l in sc.labels)]
+        assert sc.values is table.irreducibles[sc.row]
     k3 = direct_product([bg.s4] * 3)
-    seeds3 = seed_characters(3, s4_table, character_table(k3))
+    seeds3 = seed_characters(3, character_table(k3))
     assert len(seeds3) == 18
     # exactly one faithful slot, in first position: the first factor has
     # degree 3, the others are non-faithful (degree 1 or 2)
@@ -150,13 +180,16 @@ def test_seed_characters(bg, s4_table):
 def test_distance_witness_pair(bg, s4_table, v4_table):
     fam = family("A", 2)
     sub_table = character_table(fam.subgroup)
-    a, b = distance_witness_pair(2, sub_table, v4_table, s4_table)
+    a, b = distance_witness_pair(2, sub_table)
     assert a != b
     assert sub_table.irreducibles[a].degree() == 1
     assert sub_table.irreducibles[b].degree() == 1
+    nu, chi = klein_labels(v4_table), sym4_labels(s4_table)
+    assert (a, b) == (sub_table.product_labels[(nu["nu2"], chi["chi1"])],
+                      sub_table.product_labels[(nu["nu2"], chi["chi2"])])
     # n = 1 collapses both endpoints onto the same character
-    x, y = distance_witness_pair(1, v4_table, v4_table, s4_table)
-    assert x == y
+    x, y = distance_witness_pair(1, v4_table)
+    assert x == y == nu["nu2"]
 
 
 def test_witness_pair_induces_to_faithful_sum(bg, s4_table, v4_table):
@@ -168,7 +201,7 @@ def test_witness_pair_induces_to_faithful_sum(bg, s4_table, v4_table):
     fam = family("A", 2)
     sub_table = character_table(fam.subgroup)
     block_table = character_table(fam.base_block)
-    first, _ = distance_witness_pair(2, sub_table, v4_table, s4_table)
+    first, _ = distance_witness_pair(2, sub_table)
     emb = class_fusion(fam.base_block, fam.subgroup)
     mults = decompose(induce_character(sub_table.irreducibles[first], emb), block_table)
     chi = sym4_labels(s4_table)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from subdepth import perm
 from subdepth.chartab import character_table
 from subdepth.constructions import klein_labels, sym4_labels
-from subdepth.depth import (NEG_INF, InclusionMatrix, alternating_power, char_distance,
-                            core_depth_bound, depth_one_check, inclusion_matrix, m_chi,
-                            matrix_depth, ordinary_depth, relation_graph)
-from subdepth.graphs import bfs_distance
+from subdepth.depth import (InclusionMatrix, alternating_power, core_depth_bound,
+                            depth_one_check, inclusion_matrix, m_chi, matrix_depth,
+                            ordinary_depth, relation_graph)
+from subdepth.graphs import bfs_distance, distances_from
 from subdepth.perm import PermGroup, class_fusion, parse_generators
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -173,10 +173,11 @@ def test_relation_graph_components(v4_in_s4, s4_table, v4_table, bg, d8_table):
 def test_char_distances(v4_in_s4, v4_table):
     g = relation_graph(v4_in_s4)
     nu = klein_labels(v4_table)
-    assert char_distance(g, nu["nu2"], nu["nu3"]) == 1
-    assert char_distance(g, nu["nu1"], nu["nu2"]) == NEG_INF
-    assert char_distance(g, nu["nu2"], nu["nu2"]) == 0
-    assert NEG_INF < 0
+    assert bfs_distance(g, nu["nu2"], nu["nu3"]) == 1
+    assert bfs_distance(g, nu["nu1"], nu["nu2"]) is None
+    assert bfs_distance(g, nu["nu2"], nu["nu2"]) == 0
+    # an unrelated character has no distance, so no maximum over distances sees it
+    assert nu["nu1"] not in distances_from(g, [nu["nu2"]])
 
 
 def test_s3_relation_graph(bg, s4_table):
@@ -187,8 +188,8 @@ def test_s3_relation_graph(bg, s4_table):
     # connected, and the two linear characters sit at distance 2
     linear = [i for i, chi in enumerate(s3_table.irreducibles) if chi.degree() == 1]
     assert len(linear) == 2
-    assert char_distance(g, linear[0], linear[1]) == 2
-    dists = [char_distance(g, i, j) for i in range(3) for j in range(3)]
+    assert bfs_distance(g, linear[0], linear[1]) == 2
+    dists = [bfs_distance(g, i, j) for i in range(3) for j in range(3)]
     assert all(d >= 0 for d in dists)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdepth.graphs import NEG_INF, Graph, bfs_distance, cartesian_product
+from subdepth.graphs import Graph, bfs_distance, cartesian_product
 from subdepth.lemma import expected_overlap_graph, seed_factor_graphs
 
 
@@ -49,7 +49,7 @@ def test_bfs():
     g = Graph.build([1, 2, 3, 4], [(1, 2), (2, 3)])
     assert bfs_distance(g, 1, 3) == 2
     assert bfs_distance(g, 1, 1) == 0
-    assert bfs_distance(g, 1, 4) == NEG_INF
+    assert bfs_distance(g, 1, 4) is None
     with pytest.raises(KeyError):
         bfs_distance(g, 1, 99)
 
