@@ -5,8 +5,11 @@ of class-multiplication matrices over a prime field F_p with p == 1 mod the
 group exponent and p^2 > 4|G|, lifted to exact cyclotomic values by Fourier
 inversion over the roots of unity of F_p.  A class matrix is never built
 whole: only its rows at the pivots of a subspace still to be split, each from
-the class-sum structure constants.  Everything is verified against
-exact row/column orthogonality before a table is returned.
+the class-sum structure constants.  A simple eigenvalue's line is read off
+one Krylov sequence of the identity class vector's component in the subspace
+(:func:`_split_space`), so only a repeated eigenvalue costs a nullspace.
+Everything is verified against exact row/column orthogonality before a table
+is returned.
 
 Every exact sum of values (both orthogonality checks, scalar products,
 decomposition, induction) runs on one integer kernel: values at zeta_e are
@@ -378,16 +381,20 @@ def dixon_character_table(group, prime=None):
     # Split F_p^s into the common eigenspaces of the class matrices, taking the
     # matrices in canonical class order until every subspace is a line.  Of
     # each matrix only the rows at the pivots of an unsplit subspace are read.
-    spaces = [(_identity_rref(s), list(range(s)))]
+    # A subspace is (basis, pivots, start): its basis in rref, the pivot
+    # columns, and the component in it of e_0, the identity class vector, from
+    # which _split_space reads off the eigenlines.
+    spaces = [(_identity_rref(s), list(range(s)), [1] + [0] * (s - 1))]
     for i in range(1, s):
-        if all(len(basis) == 1 for basis, _ in spaces):
+        if all(len(space[0]) == 1 for space in spaces):
             break
         rows = {}
         next_spaces = []
-        for basis, pivots in spaces:
+        for space in spaces:
+            basis, pivots, _ = space
             dim = len(basis)
             if dim == 1:
-                next_spaces.append((basis, pivots))
+                next_spaces.append(space)
                 continue
             for j in pivots:
                 if j not in rows:
@@ -402,28 +409,11 @@ def dixon_character_table(group, prime=None):
             if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
                 # the class acts as the scalar lam: the subspace stays whole,
                 # and its basis is already in rref
-                next_spaces.append((basis, pivots))
+                next_spaces.append(space)
                 continue
-            cp = modlin.charpoly_mod(act, p)
-            basis_cols = list(zip(*basis))
-            split_total = 0
-            for lam in modlin.roots_mod(cp, p):
-                shifted = [row[:] for row in act]
-                for t in range(dim):
-                    shifted[t][t] = (shifted[t][t] - lam) % p
-                coord_basis = modlin.nullspace_mod(shifted, p)
-                if not coord_basis:
-                    continue
-                ambient = [[sum(map(mul, coords, col)) % p for col in basis_cols]
-                           for coords in coord_basis]
-                red, piv = modlin.rref_mod(ambient, p)
-                split_total += len(red)
-                next_spaces.append((red, piv))
-            if split_total != dim:
-                raise InternalConsistencyError(
-                    "class-matrix eigenspace splitting lost dimensions")
+            next_spaces.extend(_split_space(space, act, p))
         spaces = next_spaces
-    if not all(len(basis) == 1 for basis, _ in spaces):
+    if not all(len(space[0]) == 1 for space in spaces):
         raise InternalConsistencyError("class matrices failed to separate all characters")
 
     inv_class = [class_of[cs.classes[k].rep.inverse().images] for k in range(s)]
@@ -452,7 +442,7 @@ def dixon_character_table(group, prime=None):
     # Cyclotomic once, and every entry of one value shares one object
     lifted, shared = {}, {}
     characters = []
-    for basis, _ in spaces:
+    for basis, _, _ in spaces:
         v = basis[0]
         if v[0] == 0:
             raise InternalConsistencyError("eigenvector vanishes at the identity class")
@@ -495,6 +485,67 @@ def dixon_character_table(group, prime=None):
     order_idx = _canonical_character_sort(characters)
     irr = [ClassFunction(group, characters[i]) for i in order_idx]
     return CharacterTable(group, irr)
+
+
+def _split_space(space, act, p):
+    """Split one subspace into the eigenspaces of a class matrix acting on it.
+
+    ``space`` is (basis, pivots, start) as in :func:`dixon_character_table`
+    and ``act`` the matrix in that basis.  Returns one such triple per
+    eigenvalue, ascending: a simple eigenvalue's line (with pivots and start
+    None, as a line is never split again), or a repeated eigenvalue's
+    eigenspace in rref carrying its own component of e_0.
+
+    Why e_0: write w_chi for the common eigenvector with entry
+    |C_k| chi(z_k)/chi(1) at class k.  Column orthogonality gives
+    e_0 = sum_chi (chi(1)^2/|G|) w_chi, and no coefficient vanishes mod p, as
+    p == 1 mod the exponent does not divide |G|.  Every subspace is spanned by
+    some of the w_chi, so e_0's component u in it has a nonzero part in each
+    eigenline, and its coordinates are its entries at the pivots.  With g the
+    product of (x - mu) over the distinct eigenvalues, g(act) u = 0, and for
+    each eigenvalue lam, q(act) u with q = g/(x - lam) is u's part in the
+    lam-eigenspace times the nonzero product of (lam - mu), mu != lam.  So one
+    Krylov sequence u, act u, ..., act^r u gives every simple eigenvalue's
+    line, and only a repeated eigenvalue costs a nullspace.
+    """
+    basis, pivots, start = space
+    roots = modlin.roots_mod(modlin.charpoly_mod(act, p), p)
+    distinct = sorted(set(roots))
+    g = [1]
+    for mu in distinct:
+        g = [(a - mu * b) % p for a, b in zip([0] + g, g + [0])]
+    krylov = [[start[j] for j in pivots]]
+    for _ in distinct:
+        krylov.append(modlin.matvec_mod(act, krylov[-1], p))
+    krylov_cols = list(zip(*krylov))
+    if any(sum(map(mul, g, col)) % p for col in krylov_cols):
+        raise InternalConsistencyError(
+            "the identity class vector leaves the eigenspaces of a class matrix")
+    basis_cols = list(zip(*basis))
+    out = []
+    split_total = 0
+    for lam in distinct:
+        q = modlin.divide_root(g, lam, p)
+        v = [sum(map(mul, q, col)) % p for col in krylov_cols]
+        if not any(v):
+            raise InternalConsistencyError(
+                "the identity class vector has no component in an eigenspace")
+        image = [sum(map(mul, v, col)) % p for col in basis_cols]
+        if roots.count(lam) == 1:
+            out.append(([image], None, None))
+            split_total += 1
+            continue
+        shifted = [row[:] for row in act]
+        for t in range(len(act)):
+            shifted[t][t] = (shifted[t][t] - lam) % p
+        ambient = [[sum(map(mul, coords, col)) % p for col in basis_cols]
+                   for coords in modlin.nullspace_mod(shifted, p)]
+        red, piv = modlin.rref_mod(ambient, p)
+        out.append((red, piv, image))
+        split_total += len(red)
+    if split_total != len(basis):
+        raise InternalConsistencyError("class-matrix eigenspace splitting lost dimensions")
+    return out
 
 
 def _class_matrix_row(group, i, j):

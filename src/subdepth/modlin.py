@@ -4,12 +4,15 @@ Everything here works on plain lists of Python ints reduced mod p.  Sizes are
 small (matrices indexed by conjugacy classes), so the algorithms are the plain
 dense ones, written to compute only what the caller reads: a product row is
 one int dot product, and elimination touches a row only from its pivot column
-on.  Row order, eigenvalue order and nullspace bases are all fixed functions
-of the input.
+on.  Roots are found by trying candidates outward from 0, since the
+eigenvalues of a rational class are small integers, and each is divided out
+as it is found.  Row order, eigenvalue order and nullspace bases are all fixed
+functions of the input.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 
 from .errors import SubdepthError
@@ -17,6 +20,7 @@ from .errors import SubdepthError
 __all__ = [
     "is_prime", "smallest_dixon_prime", "primitive_root", "sqrt_mod",
     "matvec_mod", "rref_mod", "nullspace_mod", "charpoly_mod", "roots_mod",
+    "divide_root",
 ]
 
 
@@ -209,12 +213,51 @@ def charpoly_mod(a, p):
 
 
 def roots_mod(poly, p):
-    """All roots of the polynomial in F_p, ascending."""
+    """Every root of the polynomial in F_p, as often as it divides, ascending.
+
+    Candidates are tried outward from 0 (0, 1, -1, 2, -2, ...) at one Horner
+    evaluation each.  A root is divided out by synthetic division, which also
+    evaluates the quotient at it, and the scan stops once the quotient is
+    constant.  So roots that are integers of absolute value at most c are all
+    found within 2c + 1 candidates; only a factor with no root in F_p makes
+    the scan run through all of it.
+    """
+    high = [c % p for c in reversed(poly)]  # descending coefficients
+    while high and not high[0]:
+        del high[0]
+    if not high:
+        raise ValueError("the zero polynomial vanishes everywhere")
     out = []
-    for x in range(p):
+    if len(high) == 1:
+        return out
+    half = p // 2
+    candidates = chain((0,), chain.from_iterable(
+        zip(range(1, half + 1), range(-1, -half - 1, -1))))
+    for x in candidates:
         acc = 0
-        for c in reversed(poly):
+        for c in high:
             acc = (acc * x + c) % p
-        if acc == 0:
-            out.append(x)
-    return out
+        if acc:
+            continue
+        while not acc:  # divide x out, evaluating the quotient at x as it forms
+            out.append(x % p)
+            quotient, b = [], 0
+            for c in high[:-1]:
+                b = (b * x + c) % p
+                quotient.append(b)
+                acc = (acc * x + b) % p
+            high = quotient
+        if len(high) == 1:
+            break
+    return sorted(out)
+
+
+def divide_root(poly, x, p):
+    """The quotient of the polynomial by (X - x), ascending coefficients; the
+    remainder, the value at x, is dropped."""
+    quotient = [0] * (len(poly) - 1)
+    acc = 0
+    for k in range(len(poly) - 1, 0, -1):
+        acc = (acc * x + poly[k]) % p
+        quotient[k - 1] = acc
+    return quotient

@@ -517,11 +517,12 @@ def is_normal(ambient, sub):
 
 
 def _bitset(indices):
-    """The Python int with exactly the given bits set."""
-    data = bytearray(max(indices) // 8 + 1)
+    """The Python int with exactly the given bits set: an ASCII 1 per index in
+    a string of binary digits, read most significant first."""
+    digits = bytearray(b"0") * (max(indices) + 1)
     for i in indices:
-        data[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(data, "little")
+        digits[i] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def _conjugates_and_core(ambient, sub):
@@ -545,7 +546,7 @@ def _conjugates_and_core(ambient, sub):
     steps = list(zip((g.images for g in ambient.generators), ambient._conjugation()))
     for current, w in zip(members, witnesses):    # members grows while it is walked
         for g, act in steps:
-            image = [act[i] for i in current]
+            image = list(map(act.__getitem__, current))
             bits = _bitset(image)
             if bits not in seen:
                 seen.add(bits)

@@ -9,7 +9,11 @@ runs once, and its detail line must equal the one in
 ``golden/reproduce_details.json``.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -136,3 +140,19 @@ def test_reproduce_builds_no_table_twice(actx, built):
 def test_reproduce_details_match_the_golden(actx):
     _run_the_rest(actx)
     assert [_DETAILS[n] for n in sorted(_DETAILS)] == json.loads(GOLDEN.read_text())
+
+
+def test_s8_in_s9_report_is_byte_identical():
+    # run as its own process, so the table counts above see none of its tables
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))",
+         "depth", "--group", "(1,2);(1,2,3,4,5,6,7,8,9)",
+         "--subgroup", "(1,2);(1,2,3,4,5,6,7,8)", "--format", "json"],
+        capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0 and json.loads(done.stdout)["depth"] == 15
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        "29bb5019562a3e5690c3bdf5ec8864ea2064925d26a6a98b17da2f29aee83821"

@@ -19,8 +19,8 @@ from subdepth.chartab import (CharacterTable, character_table, decompose,
 from subdepth.constructions import (direct_product, klein_labels, sym4_labels,
                                     wreath_cyclic)
 from subdepth.cyclo import Cyclotomic, zeta
-from subdepth.errors import (GroupMismatchError, NotACharacterError,
-                             TableConsistencyError)
+from subdepth.errors import (GroupMismatchError, InternalConsistencyError,
+                             NotACharacterError, TableConsistencyError)
 from subdepth.modlin import is_prime, smallest_dixon_prime
 from subdepth.perm import PermGroup, Permutation, class_fusion, parse_generators
 
@@ -409,6 +409,61 @@ def test_dixon_keeps_scalar_subspaces_whole(monkeypatch, bg):
     # the table of S4 wr C2, byte for byte as `table --group A:n=2` pins it
     golden = (Path(__file__).parent / "golden" / "table_a2.json").read_text()
     assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
+
+
+@pytest.mark.parametrize("name, repeated", [("S8", 3), ("S4 wr C2", 9)])
+def test_dixon_takes_a_nullspace_only_for_a_repeated_eigenvalue(monkeypatch, bg,
+                                                               name, repeated):
+    calls = Counter()
+    roots_mod, nullspace_mod = modlin.roots_mod, modlin.nullspace_mod
+
+    def counted_roots(poly, p):
+        roots = roots_mod(poly, p)
+        calls["repeated"] += sum(1 for n in Counter(roots).values() if n > 1)
+        return roots
+
+    def counted_nullspace(m, p):
+        calls["nullspace"] += 1
+        return nullspace_mod(m, p)
+
+    monkeypatch.setattr(modlin, "roots_mod", counted_roots)
+    monkeypatch.setattr(modlin, "nullspace_mod", counted_nullspace)
+    group = (PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6,7,8)"))
+             if name == "S8" else wreath_cyclic(bg.s4, 2).group)
+    dixon_character_table(group)
+    assert calls["nullspace"] == calls["repeated"] == repeated
+
+
+IDENTITY_PLANE = ([[1, 0], [0, 1]], [0, 1])
+
+
+def test_split_space_gives_lines_and_repeated_eigenspaces():
+    p = 13
+    act = [[2, 0, 0], [0, 5, 0], [0, 0, 2]]
+    spaces = chartab._split_space(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2],
+                                   [1, 1, 1]), act, p)
+    # 2 repeats: its plane in rref, carrying the start's part in it times 2 - 5
+    assert spaces[0] == ([[1, 0, 0], [0, 0, 1]], [0, 2], [10, 0, 10])
+    # 5 is simple: its line, times 5 - 2
+    assert spaces[1] == ([[0, 3, 0]], None, None)
+
+
+@pytest.mark.parametrize("start, message", [
+    # (x - 3)(act) kills e_1, but 3's eigenspace is only a line
+    ([1, 0], "lost dimensions"),
+    # and e_2 is no sum of eigenvectors at all
+    ([0, 1], "leaves the eigenspaces"),
+])
+def test_split_space_rejects_a_jordan_block(start, message):
+    with pytest.raises(InternalConsistencyError, match=message):
+        chartab._split_space((*IDENTITY_PLANE, start), [[3, 1], [0, 3]], 13)
+
+
+def test_split_space_rejects_a_start_with_no_part_in_an_eigenline():
+    act = [[2, 0], [0, 5]]
+    assert len(chartab._split_space((*IDENTITY_PLANE, [1, 1]), act, 13)) == 2
+    with pytest.raises(InternalConsistencyError, match="no component"):
+        chartab._split_space((*IDENTITY_PLANE, [1, 0]), act, 13)
 
 
 def test_dixon_tables_agree_at_two_primes_on_the_wreath_product(bg):

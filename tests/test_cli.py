@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,15 @@ def test_table_prime_override(capsys):
     assert out == reference
     code, _, err = run_cli(capsys, "table", "--group", "S4", "--prime", "11")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("group, prime", [("S4", "10000141"), ("A:n=2", "1000033")])
+def test_table_at_a_large_prime_is_fast(capsys, group, prime):
+    _, reference, _ = run_cli(capsys, "table", "--group", group)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "table", "--group", group, "--prime", prime)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == reference
 
 
 def test_family_subcommand(capsys):

@@ -1,6 +1,10 @@
 import random
 import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from subdepth.modlin import (charpoly_mod, is_prime, nullspace_mod,
                              primitive_root, roots_mod, smallest_dixon_prime,
                              sqrt_mod, rref_mod)
@@ -129,3 +133,76 @@ def test_roots_mod():
     p = 13
     # x^2 - 1 has roots 1 and 12
     assert roots_mod([12, 0, 1], p) == [1, 12]
+    # (x - 3)^2 (x + 1) = x^3 - 5x^2 + 3x + 9: 3 twice, and -1 once
+    assert roots_mod([9, 3, -5, 1], p) == [3, 3, 12]
+    # x^2 + 1 has no root mod 7; coefficients need not be reduced
+    assert roots_mod([8, 0, 15], 7) == []
+
+
+def test_roots_mod_of_constants_and_zero():
+    assert roots_mod([5], 13) == [] and roots_mod([5, 0, 13], 13) == []
+    for zero in ([], [0], [13, 26, 0]):
+        with pytest.raises(ValueError):
+            roots_mod(zero, 13)
+
+
+def _multiply(a, b, p):
+    """The product of two polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _brute_roots(poly, p):
+    """Each x in F_p as often as (X - x) divides the polynomial, found by trial
+    division by every x in turn; independent oracle."""
+    out = []
+    for x in range(p):
+        while len(poly) > 1:
+            quotient, acc = [0] * (len(poly) - 1), 0
+            for k in range(len(poly) - 1, 0, -1):
+                acc = (acc * x + poly[k]) % p
+                quotient[k - 1] = acc
+            if (acc * x + poly[0]) % p:
+                break
+            out.append(x)
+            poly = quotient
+    return out
+
+
+PRIMES_BELOW_100 = [q for q in range(2, 100) if is_prime(q)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_roots_mod_against_trial_division(data):
+    p = data.draw(st.sampled_from(PRIMES_BELOW_100))
+    if data.draw(st.booleans()):
+        poly = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=8))
+        poly.append(data.draw(st.integers(1, p - 1)))
+    else:
+        # a product of linear factors, some repeated, and of quadratics
+        # x^2 - n for a non-residue n, which have no root
+        poly = [data.draw(st.integers(1, p - 1))]
+        for root in data.draw(st.lists(st.integers(0, p - 1), max_size=6)):
+            for _ in range(data.draw(st.integers(1, 2))):
+                poly = _multiply(poly, [-root % p, 1], p)
+        squares = {x * x % p for x in range(p)}
+        for n in data.draw(st.lists(st.integers(1, p - 1), max_size=2)):
+            if n not in squares:
+                poly = _multiply(poly, [-n % p, 0, 1], p)
+    roots = roots_mod(poly, p)
+    assert roots == sorted(roots)
+    assert roots == _brute_roots(poly, p)
+
+
+def test_roots_mod_of_integer_roots_at_a_large_prime():
+    p = 10000141
+    poly = [1]
+    for root in (-24, -3, 0, 0, 2, 8, 8, 8, 12):
+        poly = _multiply(poly, [-root % p, 1], p)
+    start = time.perf_counter()
+    assert roots_mod(poly, p) == [0, 0, 2, 8, 8, 8, 12, p - 24, p - 3]
+    assert time.perf_counter() - start < 0.1

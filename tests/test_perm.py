@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subdepth import perm
 from subdepth.constructions import direct_product
 from subdepth.errors import (CycleParseError, EnumerationCapExceeded,
                              NotASubgroupError)
@@ -174,6 +175,13 @@ def test_core_examples():
     # core is normal, contained in the subgroup, and stable under more intersection
     assert is_normal(s4, core)
     assert d8.contains_group(core)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2000), min_size=1, max_size=60), st.booleans())
+def test_bitset_sets_exactly_the_given_bits(indices, with_duplicates):
+    indices = indices + [0] + (indices[:3] if with_duplicates else [])
+    assert perm._bitset(indices) == sum(1 << i for i in set(indices))
 
 
 def test_min_core_conjugates():
