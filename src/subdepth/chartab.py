@@ -8,10 +8,11 @@ whole: only its rows at the pivots of a subspace still to be split, each from
 the class-sum structure constants.  A simple eigenvalue's line is read off
 one Krylov sequence of the identity class vector's component in the subspace
 (:func:`_split_space`), so only a repeated eigenvalue costs a nullspace.
-Everything is verified against exact row/column orthogonality before a table
-is returned.
+Everything is verified against exact row orthogonality before a table is
+returned; for a square table the column relation and the degree-square sum
+follow from it (see :meth:`CharacterTable.validate`).
 
-Every exact sum of values (both orthogonality checks, scalar products,
+Every exact sum of values (the orthogonality check, scalar products,
 decomposition, induction) runs on one integer kernel: values at zeta_e are
 packed into single ints by Kronecker substitution (:func:`_pack`), a sum over
 classes is one int dot product, and a result is read back as an int, or
@@ -286,11 +287,19 @@ class CharacterTable:
         raise KeyError("no irreducible character with those values")
 
     def validate(self):
-        """Exact checks (values in Z[zeta_d], degrees, orthogonality); raises on failure.
+        """Exact checks (values in Z[zeta_d], degrees, row orthogonality); raises on failure.
+
+        The row relation is the whole orthogonality check (Isaacs, Character
+        Theory of Finite Groups, 2.18).  With X the table and
+        D = diag(|C_k|) it says X D conj(X)^T = |G| I.  Square matrices
+        with AB = cI, c != 0, also satisfy BA = cI, so conj(X)^T X = |G| D^-1:
+        the column relation, whose entry at the identity class is
+        sum chi(1)^2 = |G|.  Entry (i, j) of the row relation is the conjugate
+        of entry (j, i), so only the pairs i <= j are summed.
 
         The rows are packed from their Cyclotomic values in one call, so a
-        value object that entries share is packed once (:func:`_pack`); both
-        orthogonality checks still read every entry."""
+        value object that entries share is packed once (:func:`_pack`); the
+        diagonal of the row relation still reads every entry."""
         s = len(self.classes)
         rows = self.irreducibles
         if len(rows) != s:
@@ -306,8 +315,6 @@ class CharacterTable:
         if any(d is None or d < 1 for d in degrees):
             raise TableConsistencyError("a character degree is not a positive integer")
         order = self.group.order
-        if sum(d * d for d in degrees) != order:
-            raise TableConsistencyError("degree squares do not sum to the group order")
         bits = _bits(order * norm * order * norm)
         a_all, b_all = _pack(values, e, bits)
         packs = [(a_all[i:i + s], b_all[i:i + s]) for i in range(0, s * s, s)]
@@ -320,15 +327,6 @@ class CharacterTable:
                     raise TableConsistencyError(
                         f"row orthogonality failed at characters {i}, {j}: "
                         f"{_from_packed(total, e, bits, 1)!r}/{order}")
-        cols = list(zip(*(a for a, _ in packs)))
-        conj_cols = list(zip(*(b for _, b in packs)))
-        for k in range(s):
-            for l in range(k, s):
-                total = sum(map(mul, cols[k], conj_cols[l]))
-                if _rational(total, e, bits) != (order // sizes[k] if k == l else 0):
-                    raise TableConsistencyError(
-                        f"column orthogonality failed at classes {k}, {l}: "
-                        f"{_from_packed(total, e, bits, 1)!r}")
         for chi, (a, b) in zip(rows, packs):
             chi._packed = _Packing(e, bits, norm, a, b)
 

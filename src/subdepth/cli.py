@@ -48,7 +48,8 @@ def _parse_family_spec(spec):
     if series not in ("A", "B", "C") or not tail:
         return None
     key, _, value = tail.partition("=")
-    if key.strip().lower() not in ("n", "step") or not value.strip().isdigit():
+    if (key.strip().lower() not in ("n", "step")
+            or not (value.isascii() and value.strip().isdigit())):
         return None
     return series, int(value)
 

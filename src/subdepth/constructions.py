@@ -43,13 +43,10 @@ __all__ = [
 
 # The conventional marker elements of the degree-4 base groups, by name.
 MARKERS = {
-    "g1": Permutation.identity(4),
     "g2": parse_cycle_notation("(1,3)(2,4)", 4),
     "g3": parse_cycle_notation("(1,2)(3,4)", 4),
-    "g3p": parse_cycle_notation("(1,2,3)", 4),
     "g4": parse_cycle_notation("(1,4)(2,3)", 4),
     "g4p": parse_cycle_notation("(1,3)", 4),
-    "g5": parse_cycle_notation("(1,2,3,4)", 4),
 }
 
 

@@ -272,18 +272,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self):
         """Complex conjugation, the field map zeta_e -> zeta_e^(-1)."""
         if self.conductor == 1:

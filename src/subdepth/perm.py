@@ -180,7 +180,7 @@ def parse_cycle_notation(text, degree):
             continue  # "()" is the identity cycle
         points = []
         for tok in body.split(","):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise CycleParseError(f"bad point {tok!r} in {text!r}")
             p = int(tok)
             if p < 1 or p > degree:
@@ -208,7 +208,7 @@ def parse_generators(text, degree=None):
         largest = 0
         for chunk in chunks:
             for tok in chunk.replace("(", " ").replace(")", " ").replace(",", " ").split():
-                if tok.isdigit():
+                if tok.isascii() and tok.isdigit():
                     largest = max(largest, int(tok))
         if largest == 0:
             raise CycleParseError("cannot infer degree from identity-only generators; "

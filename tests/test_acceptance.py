@@ -142,17 +142,38 @@ def test_reproduce_details_match_the_golden(actx):
     assert [_DETAILS[n] for n in sorted(_DETAILS)] == json.loads(GOLDEN.read_text())
 
 
-def test_s8_in_s9_report_is_byte_identical():
-    # run as its own process, so the table counts above see none of its tables
+def _cli_process(argv, **env):
+    """The CLI run as its own process on this checkout's sources, so the table
+    counts above see none of its tables; ``env`` adds environment variables."""
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
-         "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))",
-         "depth", "--group", "(1,2);(1,2,3,4,5,6,7,8,9)",
-         "--subgroup", "(1,2);(1,2,3,4,5,6,7,8)", "--format", "json"],
+         "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, env=env, timeout=120)
+
+
+def test_s8_in_s9_report_is_byte_identical():
+    done = _cli_process(["depth", "--group", "(1,2);(1,2,3,4,5,6,7,8,9)",
+                         "--subgroup", "(1,2);(1,2,3,4,5,6,7,8)", "--format", "json"])
     assert done.returncode == 0 and json.loads(done.stdout)["depth"] == 15
     assert hashlib.sha256(done.stdout).hexdigest() == \
         "29bb5019562a3e5690c3bdf5ec8864ea2064925d26a6a98b17da2f29aee83821"
+
+
+# Two golden invocations (see test_golden.py): a pair with irrational
+# characters, and a family member with its verification.
+HASH_SEED_CASES = {
+    "depth_f21_c3": ["depth", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
+                     "--subgroup", "(2,3,5)(4,7,6)", "--degree", "7"],
+    "family_c2_verify": ["family", "--series", "C", "--n", "2", "--verify"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_CASES))
+def test_golden_reports_do_not_depend_on_the_hash_seed(name):
+    golden = (GOLDEN.parent / f"{name}.json").read_bytes()
+    for seed in ("0", "1", "2", "3"):
+        done = _cli_process(HASH_SEED_CASES[name] + ["--format", "json"], PYTHONHASHSEED=seed)
+        assert done.returncode == 0 and done.stdout == golden, f"PYTHONHASHSEED={seed}"

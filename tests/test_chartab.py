@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -661,7 +662,11 @@ def test_validation_rejects_non_characters(bg, v4_table):
         # keeps orthogonality and the degree squares, but a degree becomes -1
         rows[0] = [-v for v in rows[0]]
 
-    for tamper in (rotate, negate):
+    def double(rows):
+        # keeps every relation between distinct rows; only the diagonal fails
+        rows[1] = [2 * v for v in rows[1]]
+
+    for tamper in (rotate, negate, double):
         with pytest.raises(TableConsistencyError):
             table_from_obj(tampered_v4(v4_table, tamper), bg.v4)
 
@@ -690,6 +695,85 @@ def test_validation_catches_irrational_corruption(f21_table):
     value["coeffs"][0] = [exponent, str(Fraction(coeff) + 1)]
     with pytest.raises(TableConsistencyError):
         table_from_obj(obj, group)
+
+
+def reference_verdicts(group, rows):
+    """``(accepted, row_ok, col_ok)`` for a table given as rows of Cyclotomic
+    values, from literal Cyclotomic sums without the packed kernel: squareness,
+    values in Z[zeta], positive integer degrees, the degree squares and both
+    orthogonality relations.  Each relation is a Hermitian matrix, so its
+    pairs i <= j are all of it."""
+    sizes = group.classes().sizes()
+    s, order = len(sizes), group.order
+    if len(rows) != s or any(len(row) != s for row in rows):
+        return False, False, False
+    conj = [[v.conjugate() for v in row] for row in rows]
+    weighted = [[sz * b for sz, b in zip(sizes, row)] for row in conj]
+    zero = Cyclotomic.from_rational(0)
+    row_ok = all(sum(map(mul, rows[i], weighted[j]), zero) == (order if i == j else 0)
+                 for i in range(s) for j in range(i, s))
+    col_ok = all(sum((rows[i][k] * conj[i][l] for i in range(s)), zero)
+                 == (Fraction(order, sizes[k]) if k == l else 0)
+                 for k in range(s) for l in range(k, s))
+    integral = all(c.denominator == 1 for row in rows for v in row for c in v.coeffs.values())
+    degrees = [row[0].as_integer() for row in rows]
+    positive = all(d is not None and d >= 1 for d in degrees)
+    squares = positive and sum(d * d for d in degrees) == order
+    return integral and positive and squares and row_ok and col_ok, row_ok, col_ok
+
+
+def tamper_table(data, table):
+    """The table's rows with one drawn tampering applied, and its name."""
+    rows = [list(chi.values) for chi in table.irreducibles]
+    s = len(rows)
+    index = st.integers(0, s - 1)
+    kind = data.draw(st.sampled_from(["add", "swap entries", "negate", "combine",
+                                      "swap rows", "permute columns"]))
+    i, j, k = data.draw(index), data.draw(index), data.draw(index)
+    if kind == "add":  # zeta_1 is 1
+        rows[i][j] = rows[i][j] + zeta(data.draw(st.integers(1, 12)))
+    elif kind == "swap entries":
+        rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+    elif kind == "negate":
+        rows[i] = [-v for v in rows[i]]
+    elif kind == "combine":
+        # with j == k == i the row doubles, which only the diagonal of the row
+        # relation sees, or vanishes
+        j, k = (data.draw(st.sampled_from([i, x])) for x in (j, k))
+        sign = data.draw(st.sampled_from([1, -1]))
+        rows[i] = [a + sign * b for a, b in zip(rows[j], rows[k])]
+    elif kind == "swap rows":
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        sizes = table.classes.sizes()
+        shared = [[c for c in range(s) if sizes[c] == size] for size in sorted(set(sizes))]
+        block = data.draw(st.sampled_from([b for b in shared if len(b) > 1]))
+        moved = dict(zip(block, data.draw(st.permutations(block))))
+        rows = [[row[moved.get(c, c)] for c in range(s)] for row in rows]
+    return rows, kind
+
+
+@pytest.mark.parametrize("name", ["V4", "S4", "F21", "S4 wr C2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_row_relation_alone_decides_validation(name, data, v4_table, s4_table, f21_table,
+                                               s4_wr_c2_table):
+    # for a square table the row relation implies the column relation and the
+    # degree-square sum, so validation accepts exactly what the full literal
+    # check accepts
+    table = {"V4": v4_table, "S4": s4_table, "F21": f21_table,
+             "S4 wr C2": s4_wr_c2_table}[name]
+    group = table.group
+    rows, kind = tamper_table(data, table)
+    accepted, row_ok, col_ok = reference_verdicts(group, rows)
+    event(f"{kind}: {'accepted' if accepted else 'rejected'}")
+    assert col_ok == row_ok
+    try:
+        CharacterTable(group, [ClassFunction(group, r) for r in rows])
+    except TableConsistencyError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 @pytest.mark.parametrize("gens", [F21_C7, F21_C3])

@@ -9,6 +9,8 @@ import pytest
 
 from subdepth import cli
 from subdepth.cli import main
+from subdepth.errors import CycleParseError
+from subdepth.perm import DEFAULT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -211,3 +213,15 @@ def test_degree_below_one_rejected(capsys, degree):
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--degree" in err
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["(1,٢)", "A:n=٢", "(1,²)", "A:n=²"])
+def test_non_ascii_digits_rejected(capsys, spec):
+    # str.isdigit accepts an Arabic-Indic two and a superscript two; a spec
+    # reads ASCII digits only
+    with pytest.raises(CycleParseError):
+        cli._resolve_group(spec, "group", None, DEFAULT_CAP)
+    code, out, err = run_cli(capsys, "table", "--group", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "invalid literal" not in err
+    assert len(err.strip().splitlines()) == 1
