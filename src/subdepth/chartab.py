@@ -554,11 +554,11 @@ def _class_matrix_row(group, i, j):
     """
     cs = group.classes()
     raw = group.raw_elements
-    class_of = cs.class_of
+    index, labels = group._index, cs.labels
     zj = cs.classes[j].rep.images
     counts = [0] * len(cs)
     for idx in cs.classes[i].members:
-        counts[class_of[tuple(map(raw[idx].__getitem__, zj))]] += 1
+        counts[labels[index[tuple(map(raw[idx].__getitem__, zj))]]] += 1
     size_j = cs.classes[j].size
     row = []
     for count, c in zip(counts, cs.classes):

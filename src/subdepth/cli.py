@@ -43,14 +43,21 @@ CAP_ENV_VAR = "SUBDEPTH_CAP"
 
 
 def _parse_family_spec(spec):
-    head, _, tail = spec.partition(":")
+    """``(series, k)`` for a family spec, None for any other spec.
+
+    A head A, B or C followed by ':' always makes a family spec, so a
+    malformed value is reported against the spec instead of being read as
+    cycle notation.
+    """
+    head, colon, tail = spec.partition(":")
     series = head.strip().upper()
-    if series not in ("A", "B", "C") or not tail:
+    if series not in ("A", "B", "C") or not colon:
         return None
     key, _, value = tail.partition("=")
     if (key.strip().lower() not in ("n", "step")
             or not (value.isascii() and value.strip().isdigit())):
-        return None
+        raise CycleParseError(f"malformed family spec {spec!r}: "
+                              "expected A:n=<k>, B:n=<k> or C:step=<k>")
     return series, int(value)
 
 

@@ -6,7 +6,7 @@ class SubdepthError(Exception):
 
 
 class CycleParseError(SubdepthError, ValueError):
-    """Malformed cycle notation, repeated point, or point out of range."""
+    """Malformed cycle notation or family spec, repeated point, or point out of range."""
 
 
 class EnumerationCapExceeded(SubdepthError):

@@ -15,9 +15,11 @@ that determinism for bit-for-bit reproducible output.
 Conjugacy classes and cores work on element indices (positions in that list):
 each group derives, once, the conjugation action of its generators as one index
 list per generator from the right multiplications its search recorded, without
-hashing image tuples; classes are orbits under it, and the conjugates of a
-subgroup are Python-int bitsets over the ambient indices, so their
-intersections are ``&`` operations.
+hashing image tuples; classes are orbits under it, stored as one class label
+per element index, so looking up the class of an image tuple goes through the
+group's own index dict and builds no second one; the conjugates of a subgroup
+are Python-int bitsets over the ambient indices, so their intersections are
+``&`` operations.
 """
 
 from __future__ import annotations
@@ -217,6 +219,25 @@ def parse_generators(text, degree=None):
     return [parse_cycle_notation(chunk, degree) for chunk in chunks]
 
 
+class _ClassLookup:
+    """Raw image tuple -> class index through the group's own index dict and
+    the class label of each element index: ``[key]`` raises KeyError and
+    ``.get(key)`` returns None for a tuple outside the group."""
+
+    __slots__ = ("_index", "_labels")
+
+    def __init__(self, index, labels):
+        self._index = index
+        self._labels = labels
+
+    def __getitem__(self, key):
+        return self._labels[self._index[key]]
+
+    def get(self, key, default=None):
+        i = self._index.get(key)
+        return default if i is None else self._labels[i]
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     rep: Permutation          # lexicographically smallest member
@@ -228,9 +249,10 @@ class ClassSet:
     """Conjugacy classes in canonical order: ascending size, ties broken by
     the lexicographically smallest member.  The identity class is always first."""
 
-    def __init__(self, classes, class_of):
+    def __init__(self, classes, labels, index):
         self.classes = classes
-        self.class_of = class_of  # raw image tuple -> class index
+        self.labels = labels      # element index -> class index
+        self.class_of = _ClassLookup(index, labels)   # raw image tuple -> class index
 
     def __len__(self):
         return len(self.classes)
@@ -287,17 +309,16 @@ class PermGroup:
         steps = [(itemgetter(*g.images) if degree > 1 else tuple, r.append)
                  for g, r in zip(gens, right)]
         lookup = index.get
-        head = 0
-        while head < len(raw):
-            x = raw[head]
-            head += 1
+        size = 1
+        for x in raw:                    # raw grows while it is walked
             for compose, record in steps:
                 y = compose(x)
                 i = lookup(y)
                 if i is None:
-                    if len(raw) >= cap:
-                        raise EnumerationCapExceeded(cap, len(raw))
-                    i = index[y] = len(raw)
+                    if size >= cap:
+                        raise EnumerationCapExceeded(cap, size)
+                    i = index[y] = size
+                    size += 1
                     raw.append(y)
                 record(i)
         group._right = right
@@ -376,7 +397,7 @@ class PermGroup:
 
     def contains_group(self, sub):
         return (sub.degree == self.degree
-                and all(x in self._index for x in sub._raw))
+                and all(map(self._index.__contains__, sub._raw)))
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -450,37 +471,40 @@ def _conjugation_action(group):
 
 
 def _conjugacy_classes(group):
-    """Classes as orbits of element indices under the conjugation action."""
+    """Classes as orbits of element indices under the conjugation action.
+
+    The walk writes each element's discovery label (its orbit's position in
+    discovery order) into one list, each orbit's growing member list serving
+    as its queue; after the canonical sort one ``map`` over the small list
+    ``remap`` turns those labels into canonical class indices.
+    """
     raw = group._raw
     action = group._conjugation()
-    seen = bytearray(len(raw))
+    labels = [None] * len(raw)
     found = []
     for i0 in range(len(raw)):
-        if seen[i0]:
+        if labels[i0] is not None:
             continue
-        seen[i0] = 1
+        label = len(found)
+        labels[i0] = label
         members = [i0]
-        stack = [i0]
-        while stack:
-            i = stack.pop()
+        for i in members:                # members grows while it is walked
             for act in action:
                 j = act[i]
-                if not seen[j]:
-                    seen[j] = 1
+                if labels[j] is None:
+                    labels[j] = label
                     members.append(j)
-                    stack.append(j)
-        min_member = min(map(raw.__getitem__, members))
-        found.append((len(members), min_member, tuple(members)))
-    found.sort(key=lambda item: (item[0], item[1]))
+        found.append((len(members), min(map(raw.__getitem__, members)), tuple(members)))
+    order = sorted(range(len(found)), key=lambda k: found[k][:2])
+    remap = [0] * len(found)
     classes = []
-    class_of = dict(group._index)   # same keys: overwriting the values never resizes it
-    for idx, (size, min_member, members) in enumerate(found):
+    for idx, k in enumerate(order):
+        remap[k] = idx
+        size, min_member, members = found[k]
         classes.append(ConjugacyClass(Permutation(min_member), size, members))
-        for j in members:
-            class_of[raw[j]] = idx
     if not classes[0].rep.is_identity:
         raise SubdepthError("canonical class order lost the identity class")
-    return ClassSet(tuple(classes), class_of)
+    return ClassSet(tuple(classes), list(map(remap.__getitem__, labels)), group._index)
 
 
 def centralizer(group, x):
@@ -539,7 +563,7 @@ def _conjugates_and_core(ambient, sub):
     """
     _require_subgroup(ambient, sub)
     index = ambient._index
-    members = [[index[x] for x in sub._raw]]      # index lists, parallel to conjugates
+    members = [list(map(index.__getitem__, sub._raw))]  # index lists, parallel to conjugates
     conjugates = [_bitset(members[0])]
     witnesses = [tuple(range(ambient.degree))]
     seen = set(conjugates)

@@ -225,3 +225,19 @@ def test_non_ascii_digits_rejected(capsys, spec):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "invalid literal" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["A:n=x", "B:step=", "C:n=٢", "A:", "b:k=2", "C:step=-1"])
+def test_malformed_family_specs_name_the_spec(capsys, spec):
+    # a head A, B or C and a ':' make a family spec; a bad value is reported
+    # against it, not read as cycle notation ("cannot infer degree ...")
+    with pytest.raises(CycleParseError):
+        cli._resolve_group(spec, "group", None, DEFAULT_CAP)
+    for argv in (["table", "--group", spec],
+                 ["depth", "--group", "S4", "--subgroup", spec],
+                 ["depth", "--group", spec, "--subgroup", "A:n=2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and repr(spec) in err
+        assert "infer degree" not in err
+        assert len(err.strip().splitlines()) == 1

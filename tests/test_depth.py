@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdepth import perm
-from subdepth.chartab import character_table
-from subdepth.constructions import klein_labels, sym4_labels
+from subdepth.chartab import character_table, table_to_obj
+from subdepth.constructions import family, klein_labels, sym4_labels
 from subdepth.depth import (InclusionMatrix, alternating_power, core_depth_bound,
                             depth_one_check, inclusion_matrix, m_chi, matrix_depth,
                             ordinary_depth, relation_graph)
@@ -288,3 +289,54 @@ def test_report_consistency(bg):
     obj = rep.to_obj()
     assert obj["schema"] == 1 and obj["depth"] == 4
     assert obj["criteria"]["matrix"]["depth"] == 4
+
+
+# -- outputs do not depend on the element order ------------------------------------
+# The element order is the breadth-first closure order of the generator list;
+# classes are labelled in the order that walk discovers them and only then
+# sorted canonically, so every output must be the same for another order.
+
+def report_json(ambient, sub, drop_witnesses=False):
+    obj = ordinary_depth(ambient, sub).to_obj()
+    if drop_witnesses:
+        witnesses = obj["criteria"]["core"].pop("witnesses")
+        assert witnesses[0] == "()"
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def assert_same_classes_and_table(group, other):
+    assert group.frozen() == other.frozen()
+    cs, other_cs = group.classes(), other.classes()
+    assert [(c.rep, c.size) for c in cs.classes] == [(c.rep, c.size) for c in other_cs.classes]
+    assert all(cs.class_of[x] == other_cs.class_of[x] for x in group.raw_elements)
+    assert (json.dumps(table_to_obj(character_table(group)), sort_keys=True)
+            == json.dumps(table_to_obj(character_table(other)), sort_keys=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_outputs_do_not_depend_on_the_generator_order(data):
+    degree = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.permutations(range(degree)).map(perm.Permutation),
+                              min_size=1, max_size=3))
+    group = PermGroup.generated(gens)
+    other = PermGroup.generated(data.draw(st.permutations(gens)))
+    assert_same_classes_and_table(group, other)
+    # the core witnesses are products of the generators, found by a walk over
+    # them in list order, so only they may differ; the first is the identity
+    sub = PermGroup.generated(gens[:1])
+    assert (report_json(group, sub, drop_witnesses=True)
+            == report_json(other, sub, drop_witnesses=True))
+
+
+def test_wreath_outputs_do_not_depend_on_the_generator_order():
+    fam = family("A", 2)
+    ambient, sub = fam.ambient, fam.subgroup
+    expected = report_json(ambient, sub)
+    orders = set()
+    for gens in permutations(ambient.generators):
+        other = PermGroup.generated(gens)
+        orders.add(tuple(other.raw_elements))
+        assert_same_classes_and_table(ambient, other)
+        assert report_json(other, sub) == expected
+    assert len(orders) == 6

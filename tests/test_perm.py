@@ -1,5 +1,6 @@
+import sys
 import tracemalloc
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, permutations, product
 from math import prod
 
 import pytest
@@ -122,6 +123,22 @@ def test_s4_classes():
 def test_v4_classes_singletons():
     cs = V4().classes()
     assert cs.sizes() == [1, 1, 1, 1]
+
+
+def test_class_lookup_reads_the_groups_own_index():
+    # class_of maps an image tuple through the group's index dict and one
+    # class label per element index; no second element-keyed dict is built
+    group = PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6,7)"))
+    group._conjugation()
+    tracemalloc.start()
+    try:
+        cs = group.classes()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < sys.getsizeof(group._index)
+    assert not isinstance(cs.class_of, dict) and cs.class_of._index is group._index
+    assert len(cs.labels) == group.order
 
 
 def test_class_partition():
@@ -322,6 +339,17 @@ def test_classes_and_cores_match_brute_force(kind, data):
     for k, c in enumerate(classes.classes):
         assert c.rep.images == min(raw[i] for i in c.members) and c.size == len(c.members)
         assert all(classes.class_of[raw[i]] == k for i in c.members)
+    # canonical order: ascending size, then smallest member
+    canonical = sorted(orbits, key=lambda orbit: (len(orbit), min(orbit)))
+    for i, x in enumerate(raw):
+        k = next(k for k, orbit in enumerate(canonical) if x in orbit)
+        assert classes.class_of[x] == classes.class_of.get(x) == classes.labels[i] == k
+    outside = next((p for p in permutations(range(group.degree)) if p not in group), None)
+    for x in (outside, tuple(range(group.degree + 1))):
+        if x is not None:
+            assert classes.class_of.get(x) is None
+            with pytest.raises(KeyError):
+                classes.class_of[x]
 
     conjugates = literal_conjugates(group, sub)
     core = frozenset.intersection(*conjugates)
