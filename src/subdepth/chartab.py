@@ -17,7 +17,9 @@ decomposition, induction) runs on one integer kernel: values at zeta_e are
 packed into single ints by Kronecker substitution (:func:`_pack`), a sum over
 classes is one int dot product, and a result is read back as an int, or
 unpacked and reduced mod the e-th cyclotomic polynomial on ints only when it
-is not one.  A table packs its rows once, when it is validated.  Products of
+is not one.  A table packs its rows once, when it is validated.  A rational
+packing is its values at every e and B, so restriction and induction of
+rational characters carry theirs on to every later sum.  Products of
 values run on the same packings: a product of packed ints is the packed
 product, so the outer-product tables and the wreath oracle multiply ints and
 normalise each distinct result to a Cyclotomic once.
@@ -67,7 +69,9 @@ class ClassFunction:
 
     ``values`` holds one exact cyclotomic per class, in the group's canonical
     class order.  An irreducible of a table also carries the table's packing
-    of its values (see :func:`_pack`).
+    of its values (see :func:`_pack`).  A rational packing is its values at
+    every e and B, so a restriction or induction of a rational character
+    carries its own, with the exact largest |value| as its norm.
     """
 
     __slots__ = ("group", "values", "_packed")
@@ -105,7 +109,9 @@ class ClassFunction:
 
 
 class _Packing:
-    """A table row's packed values and conjugates at the table's e, B and norm."""
+    """Packed values and conjugates at (e, B), with a bound on the values'
+    1-norms: a table row's at its table's e, B and norm, or a rational
+    restriction's or induction's at e = 1 and its own largest |value|."""
 
     __slots__ = ("e", "bits", "norm", "values", "conj")
 
@@ -115,7 +121,8 @@ class _Packing:
 
 def _measure(f):
     """``(e, d, n)`` for a class function (:func:`_measure_values`).  A table
-    row answers with its table's e and norm."""
+    row answers with its table's e and norm, and a carried rational packing
+    with its exact n."""
     if f._packed is not None:
         return f._packed.e, 1, f._packed.norm
     return _measure_values(f.values)
@@ -181,9 +188,11 @@ def _pack(values, e, bits, scale=1):
 
 
 def _packing(f, e, bits, scale=1):
-    """f packed at (e, B): a table row's own packing when it matches, else new."""
+    """f packed at (e, B): its own packing when that is rational or matches,
+    else new.  A rational value c packs to c at every e and B, and is its own
+    conjugate."""
     own = f._packed
-    if own is not None and own.e == e and own.bits == bits:
+    if own is not None and (own.e == 1 or (own.e == e and own.bits == bits)):
         return own.values, own.conj
     return _pack(f.values, e, bits, scale)
 
@@ -579,10 +588,18 @@ def _identity_rref(s):
 # ---------------------------------------------------------------------------
 
 def restrict_character(chi, emb):
-    """Restrict a class function on the ambient group along a subgroup embedding."""
+    """Restrict a class function on the ambient group along a subgroup embedding.
+
+    A rational packing of ``chi`` is carried on, gathered through the fusion.
+    """
     if chi.group is not emb.ambient:
         raise GroupMismatchError("class function does not live on the embedding's ambient group")
-    return ClassFunction(emb.sub, [chi.values[a] for a in emb.fusion])
+    f = ClassFunction(emb.sub, [chi.values[a] for a in emb.fusion])
+    own = chi._packed
+    if own is not None and own.e == 1:
+        ints = [own.values[a] for a in emb.fusion]
+        f._packed = _Packing(1, own.bits, max(map(abs, ints)), ints, ints)
+    return f
 
 
 def induce_character(psi, emb):
@@ -593,8 +610,10 @@ def induce_character(psi, emb):
     which is the zero-extension average ``(1/|H|) sum_x psi0(x g x^-1)``
     collapsed over classes.  The weights are integers because C_H(c) is a
     subgroup of C_G(c); each value is one weighted sum of psi's packed values
-    (an irreducible's own packing when it is wide enough), and each distinct
-    sum is normalised to a Cyclotomic once (:func:`_unpack_rows`).
+    (its own packing when that is rational or wide enough), and each distinct
+    sum is normalised to a Cyclotomic once (:func:`_unpack_rows`).  When psi
+    packs at e = 1 with no denominator, the sums are the values, and the
+    induced function carries them as its packing.
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
@@ -609,7 +628,10 @@ def induce_character(psi, emb):
     bits = _fit(e, _bits(max(sum(w) for w, _ in buckets) * n), psi)
     packed = _packing(psi, e, bits, d)[0]
     totals = [sum(map(mul, w, map(packed.__getitem__, classes))) for w, classes in buckets]
-    return ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
+    f = ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
+    if e == 1 and d == 1:
+        f._packed = _Packing(1, bits, max(map(abs, totals)), totals, totals)
+    return f
 
 
 def induce_character_bruteforce(psi, emb):

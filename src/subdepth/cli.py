@@ -32,11 +32,11 @@ import sys
 from .chartab import character_table, dixon_character_table, table_to_obj
 from .constructions import BASE_GENERATORS, family
 from .depth import ordinary_depth
-from .errors import (CycleParseError, EnumerationCapExceeded,
+from .errors import (CycleParseError, DegreeCapExceeded, EnumerationCapExceeded,
                      InternalConsistencyError, SubdepthError,
                      TableConsistencyError)
 from .lemma import lemma_report
-from .perm import DEFAULT_CAP, PermGroup, parse_generators
+from .perm import DEFAULT_CAP, PermGroup, largest_point, parse_generators
 from .reproduce import AcceptanceContext, run_all
 
 CAP_ENV_VAR = "SUBDEPTH_CAP"
@@ -62,7 +62,11 @@ def _parse_family_spec(spec):
 
 
 def _resolve_group(spec, role, degree, cap):
-    """Turn a group spec into a PermGroup (role: 'group' or 'subgroup')."""
+    """Turn a group spec into a PermGroup (role: 'group' or 'subgroup').
+
+    A degree inferred from cycle notation above the element cap is refused
+    before any permutation is built (:func:`main` refuses a given one).
+    """
     name = spec.strip()
     fam_spec = _parse_family_spec(name)
     if fam_spec is not None:
@@ -73,6 +77,9 @@ def _resolve_group(spec, role, degree, cap):
         return PermGroup.trivial(degree or 4)
     if upper in BASE_GENERATORS:
         return PermGroup.generated(parse_generators(BASE_GENERATORS[upper], 4), cap=cap)
+    inferred = largest_point(name) if degree is None else 0
+    if inferred > cap:
+        raise DegreeCapExceeded(cap, inferred)
     gens = parse_generators(name, degree)
     return PermGroup.generated(gens, cap=cap)
 
@@ -249,9 +256,13 @@ def main(argv=None):
             return 2
     if cap < 1:
         parser.error("--cap must be at least 1")
-    if getattr(args, "degree", None) is not None and args.degree < 1:
+    degree = getattr(args, "degree", None)
+    if degree is not None and degree < 1:
         print("error: --degree must be at least 1", file=sys.stderr)
         return 2
+    if degree is not None and degree > cap:
+        print(f"error: {DegreeCapExceeded(cap, degree)}", file=sys.stderr)
+        return 3
     handlers = {
         "table": _cmd_table,
         "depth": _cmd_depth,
@@ -271,7 +282,7 @@ def main(argv=None):
     except CycleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationCapExceeded as exc:
+    except (EnumerationCapExceeded, DegreeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InternalConsistencyError, TableConsistencyError) as exc:

@@ -23,6 +23,16 @@ class EnumerationCapExceeded(SubdepthError):
         )
 
 
+class DegreeCapExceeded(SubdepthError):
+    """A permutation degree above the element cap, refused before any
+    permutation is built: every element holds one image per point."""
+
+    def __init__(self, cap, degree):
+        self.cap = cap
+        self.degree = degree
+        super().__init__(f"degree {degree} exceeds the element cap {cap}")
+
+
 class NotASubgroupError(SubdepthError, ValueError):
     """An operation that needs H <= G was handed something else."""
 

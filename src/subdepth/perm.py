@@ -38,7 +38,7 @@ DEFAULT_CAP = 10**6
 
 __all__ = [
     "DEFAULT_CAP", "Permutation", "PermGroup", "ClassSet", "ConjugacyClass",
-    "SubgroupEmbedding", "parse_cycle_notation", "parse_generators",
+    "SubgroupEmbedding", "parse_cycle_notation", "parse_generators", "largest_point",
     "centralizer", "is_normal", "subgroup_core", "min_core_conjugates",
     "class_fusion",
 ]
@@ -201,21 +201,24 @@ def parse_cycle_notation(text, degree):
     return Permutation(images)
 
 
+def largest_point(text):
+    """The largest point a generator list names, 0 when it names none."""
+    for sep in "(),;":
+        text = text.replace(sep, " ")
+    return max((int(tok) for tok in text.split() if tok.isascii() and tok.isdigit()),
+               default=0)
+
+
 def parse_generators(text, degree=None):
     """Parse a ';'-separated generator list; infers the degree when not given."""
     chunks = [c for c in (p.strip() for p in text.split(";")) if c]
     if not chunks:
         raise CycleParseError("empty generator list")
     if degree is None:
-        largest = 0
-        for chunk in chunks:
-            for tok in chunk.replace("(", " ").replace(")", " ").replace(",", " ").split():
-                if tok.isascii() and tok.isdigit():
-                    largest = max(largest, int(tok))
-        if largest == 0:
+        degree = largest_point(text)
+        if degree == 0:
             raise CycleParseError("cannot infer degree from identity-only generators; "
                                   "pass the degree explicitly")
-        degree = largest
     return [parse_cycle_notation(chunk, degree) for chunk in chunks]
 
 

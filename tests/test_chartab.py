@@ -588,11 +588,12 @@ def near_capacity(data, table, conductors):
 def test_packed_kernel_near_the_row_capacity(name, data, s4_table, f21_table):
     table = s4_table if name == "S4" else f21_table
     own = table.irreducibles[0]._packed
-    # conductors dividing the table's e reuse its rows; any other conductor repacks them
+    # rational rows (S4) are reused at every e and B; irrational rows (F21)
+    # for conductors dividing the table's e, and any other conductor repacks them
     fitting = st.just(1) if name == "S4" else st.sampled_from([1, 3, 7])
     f = near_capacity(data, table, data.draw(st.sampled_from([fitting, st.integers(1, 12)])))
     e, _, n = chartab._measure(f)
-    reused = own.e % e == 0 and n <= row_capacity(table)
+    reused = own.e == 1 or (own.e % e == 0 and n <= row_capacity(table))
     event("rows reused" if reused else "rows repacked")
 
     packs = []
@@ -914,15 +915,108 @@ def test_warm_depth_pack_budget(monkeypatch):
     from subdepth.constructions import family
     from subdepth.depth import ordinary_depth
     fam = family("B", 2)
-    ambient_table = character_table(fam.ambient)
-    sub_table = character_table(fam.subgroup)
+    # held here, as a group holds its table weakly
+    tables = character_table(fam.ambient), character_table(fam.subgroup)
+    assert all(table.irreducibles[0]._packed.e == 1 for table in tables)
+    packs, measures = [], []
+    monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
+    monkeypatch.setattr(chartab, "_measure_values",
+                        counting(measures, chartab._measure_values))
+    assert ordinary_depth(fam.ambient, fam.subgroup).depth == fam.expected_depth
+    # both tables are rational: every restriction and induction carries its
+    # rows' ints, so nothing is measured or packed again
+    assert (len(packs), len(measures)) == (0, 0)
+
+
+def test_warm_depth_pack_budget_on_an_irrational_pair(monkeypatch, f21_table):
+    from subdepth.depth import ordinary_depth
+    group = f21_table.group
+    sub = PermGroup.generated(parse_generators(F21_C3, degree=7))
+    sub_table = character_table(sub)
+    assert f21_table.irreducibles[0]._packed.e == 21
     packs = []
     monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
-    assert ordinary_depth(fam.ambient, fam.subgroup).depth == fam.expected_depth
+    ordinary_depth(group, sub)
     # one pack per decomposed character: s restrictions and r inductions;
     # induction reads each irreducible of H from its table's packing
-    r, s = len(sub_table.irreducibles), len(ambient_table.irreducibles)
+    r, s = len(sub_table.irreducibles), len(f21_table.irreducibles)
     assert len(packs) <= r + s
+
+
+@pytest.fixture(scope="module")
+def carried_pairs(bg, s4_table, f21_table):
+    """Ambient and subgroup tables with their embedding: S4, S4 wr C2
+    (``A:n=2``) and V4 x S4 have rational tables, F21 an irrational one; the
+    subgroups mix both kinds."""
+    from subdepth.constructions import family
+    fam = family("A", 2)
+    pairs = {}
+
+    def add(name, table, sub):
+        pairs[name] = (table, character_table(sub), class_fusion(table.group, sub))
+
+    for gens in ("(1,3)(2,4);(1,2)(3,4)", "(1,3);(1,2,3,4)", "(1,2,3,4)"):
+        add(f"S4 > {gens}", s4_table, PermGroup.generated(parse_generators(gens, degree=4)))
+    wreath_table = character_table(fam.ambient)
+    add("A:n=2", wreath_table, fam.subgroup)
+    add("S4 wr C2 > S4 x S4", wreath_table, fam.base_block)
+    product_table = character_table(fam.subgroup)
+    for gens in ("(1,3)(2,4);(1,2)(3,4);(5,7);(5,6,7,8)", "(1,2)(3,4)(5,6,7,8)"):
+        add(f"V4 x S4 > {gens}", product_table,
+            PermGroup.generated(parse_generators(gens, degree=8)))
+    for gens in (F21_C7, F21_C3):
+        add(f"F21 > {gens}", f21_table, PermGroup.generated(parse_generators(gens, degree=7)))
+    return pairs
+
+
+def assert_carried_packing_is_the_values(f):
+    """A carried packing is rational, measures like the values and equals
+    their packing at every e and B."""
+    own = f._packed
+    assert own.e == 1
+    assert chartab._measure(f) == chartab._measure_values(f.values)
+    for e in (1, 3, 7):
+        for bits in (own.bits, 2 * own.bits + 1):
+            assert (own.values, own.conj) == chartab._pack(f.values, e, bits)
+            assert chartab._packing(f, e, bits) == chartab._pack(f.values, e, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_restriction_and_induction_carry_rational_packings(data, carried_pairs):
+    name = data.draw(st.sampled_from(sorted(carried_pairs)))
+    table, sub_table, emb = carried_pairs[name]
+    chi = data.draw(st.sampled_from(table.irreducibles))
+    psi = data.draw(st.sampled_from(sub_table.irreducibles))
+    res, ind = restrict_character(chi, emb), induce_character(psi, emb)
+    # a multiple of a restriction, with or without denominators, is measured
+    # from its values, and its induction carries a packing when it is integral
+    q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    scaled = ClassFunction(emb.sub, [q * v for v in res.values])
+    e, d, _ = chartab._measure_values(scaled.values)
+    ind_scaled = induce_character(scaled, emb)
+    assert (ind_scaled._packed is not None) == (e == d == 1)
+    functions = [res, ind, induce_character(res, emb), restrict_character(ind, emb),
+                 ind_scaled]
+    carried = [f for f in functions if f._packed is not None]
+    event(f"{len(carried)} of 5 carry a packing")
+    if name.startswith("F21"):
+        # the rows of irrational tables carry none, whatever their values
+        assert res._packed is None and ind._packed is None
+    if table.irreducibles[0]._packed.e == 1:
+        assert res in carried
+    if sub_table.irreducibles[0]._packed.e == 1:
+        assert all(f._packed is not None for f in functions[:4])
+    for f in carried:
+        assert_carried_packing_is_the_values(f)
+    # every later sum reads the carried ints: Frobenius reciprocity, and the
+    # decompositions on both sides
+    lhs, rhs = inner_product(ind, chi), inner_product(psi, res)
+    assert lhs == rhs == literal_inner_product(ind, chi) == literal_inner_product(psi, res)
+    assert decompose(res, sub_table) == tuple(
+        literal_inner_product(res, phi).as_integer() for phi in sub_table.irreducibles)
+    assert decompose(ind, table) == tuple(
+        literal_inner_product(ind, phi).as_integer() for phi in table.irreducibles)
 
 
 @pytest.mark.parametrize("c", [0, 5, -7])

@@ -154,6 +154,41 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "(1,51)"],
+    ["table", "--group", "(1,2)", "--degree", "51"],
+    ["table", "--group", "trivial", "--degree", "51"],
+    ["depth", "--group", "(1,51);(1,2)", "--subgroup", "(1,2)"],
+    ["depth", "--group", "(1,2)", "--subgroup", "(1,2)", "--degree", "51"],
+])
+def test_degree_above_the_cap_is_refused(capsys, monkeypatch, argv):
+    def no_permutation(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(cli, "parse_generators", no_permutation)
+    code, out, err = run_cli(capsys, *argv, "--cap", "50")
+    assert (code, out) == (3, "")
+    assert "degree 51" in err and "cap 50" in err
+
+
+@pytest.mark.parametrize("argv", [["--group", "(1,50)"],
+                                  ["--group", "(1,2)", "--degree", "50"]])
+def test_degree_at_the_cap_is_accepted(capsys, argv):
+    code, out, _ = run_cli(capsys, "table", *argv, "--cap", "50", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["degree"], obj["order"]) == (50, 2)
+
+
+@pytest.mark.parametrize("argv", [["--group", "(1,2000000)"],
+                                  ["--group", "(1,2)", "--degree", "2000000"]])
+def test_large_degree_is_refused_at_the_default_cap(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "table", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and f"degree 2000000 exceeds the element cap {DEFAULT_CAP}" in err
+
+
 def test_trivial_subgroup(capsys):
     code, out, _ = run_cli(capsys, "depth", "--group", "S4",
                            "--subgroup", "trivial", "--format", "json")
