@@ -47,11 +47,11 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from operator import getitem, mul
 
 from . import modlin
-from .cyclo import Cyclotomic, cyclotomic_polynomial
+from .cyclo import Cyclotomic, reduce_vector
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, TableConsistencyError)
 from .perm import Permutation, parse_cycle_notation
@@ -214,23 +214,9 @@ def _unfold(total, e, bits):
     return vec
 
 
-def _reduce(vec, e):
-    """The coefficients below degree phi(e) of ``sum vec[k] zeta_e^k``: the
-    vector reduced mod the e-th cyclotomic polynomial on ints, as a tuple."""
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    vec = list(vec)
-    for k in range(e - 1, deg - 1, -1):
-        c = vec[k]
-        if c:
-            for i in range(deg):
-                vec[k - deg + i] -= c * phi[i]
-    return tuple(vec[:deg])
-
-
 def _integer(vec, e):
     """The int c when ``sum vec[k] zeta_e^k`` equals c, else None."""
-    vec = _reduce(vec, e)
+    vec = reduce_vector(vec, e)
     return None if any(vec[1:]) else vec[0]
 
 
@@ -371,6 +357,12 @@ def dixon_character_table(group, prime=None):
 
     The prime defaults to the smallest p == 1 (mod exponent) with
     p > 2*sqrt(|G|); an explicit override must satisfy the same bounds.
+
+    Each eigenvector gives chi(1)^2 mod p, and chi(1) is read as the divisor
+    d of |G| with d^2 <= |G| whose square matches.  That divisor is unique:
+    d1^2 == d2^2 (mod p) with d1 > d2 would need p to divide
+    (d1 - d2)(d1 + d2), whose factors lie in (0, 2*sqrt(|G|)], below p.  No
+    match raises :class:`InternalConsistencyError`.
     """
     cs = group.classes()
     s = len(cs)
@@ -423,7 +415,6 @@ def dixon_character_table(group, prime=None):
     if not all(len(space[0]) == 1 for space in spaces):
         raise InternalConsistencyError("class matrices failed to separate all characters")
 
-    inv_class = [class_of[cs.classes[k].rep.inverse().images] for k in range(s)]
     size_inv = [pow(sz, -1, p) for sz in sizes]
     g0 = modlin.primitive_root(p)
     z_e = pow(g0, (p - 1) // e, p)
@@ -437,6 +428,11 @@ def dixon_character_table(group, prime=None):
             row.append(class_of[acc.images])
             acc = acc * zk
         power_class.append(row)
+    # z^(m-1) = z^-1 for z of order m
+    inv_class = [row[-1] for row in power_class]
+    # the candidate degrees by their squares mod p, which are distinct as
+    # p > 2*sqrt(|G|) (see the docstring)
+    degree_of_square = {d * d % p: d for d in range(1, isqrt(order) + 1) if order % d == 0}
     # per element order m, row l of the inverse DFT: m^-1 zeta_m^(-l t), t < m
     inverse_dft = {}
     for m in set(rep_orders):
@@ -461,8 +457,8 @@ def dixon_character_table(group, prime=None):
             ssum = (ssum + v[k] * v[inv_class[k]] * size_inv[k]) % p
         if ssum == 0:
             raise InternalConsistencyError("degenerate eigenvector in degree recovery")
-        deg = modlin.sqrt_mod(order * pow(ssum, -1, p) % p, p)
-        if not deg or order % deg:
+        deg = degree_of_square.get(order * pow(ssum, -1, p) % p)
+        if deg is None:
             raise InternalConsistencyError("character degree recovery failed")
         u = [deg * v[k] * size_inv[k] % p for k in range(s)]
         values = []
@@ -690,12 +686,12 @@ def decompose(f, table):
 def _unpack_rows(rows, e, bits, scale=1):
     """Rows of packed ints at (e, B), divided by ``scale``, as tuples of
     values.  Each distinct int is keyed on its vector reduced mod the
-    cyclotomic polynomial (:func:`_reduce`), so the ints of one value share
-    one object and each value is normalised to a Cyclotomic once
-    (:func:`_from_packed`)."""
+    cyclotomic polynomial (:func:`subdepth.cyclo.reduce_vector`), so the ints
+    of one value share one object and each value is normalised to a
+    Cyclotomic once (:func:`_from_packed`)."""
     made, values = {}, {}
     for total in set().union(*rows):
-        key = total if e == 1 else _reduce(_unfold(total, e, bits), e)
+        key = total if e == 1 else reduce_vector(_unfold(total, e, bits), e)
         if key not in made:
             made[key] = _from_packed(total, e, bits, scale)
         values[total] = made[key]

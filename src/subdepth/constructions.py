@@ -29,7 +29,7 @@ from itertools import product as iter_product
 
 from . import depth
 from .chartab import character_table
-from .errors import EnumerationCapExceeded, SubdepthError
+from .errors import EnumerationCapExceeded, InternalConsistencyError
 from .perm import (DEFAULT_CAP, PermGroup, Permutation, class_fusion,
                    parse_cycle_notation, parse_generators, subgroup_core)
 
@@ -92,7 +92,7 @@ def klein_labels(v4_table):
             if chi.values[k].as_integer() == 1:
                 out["nu" + name[1]] = i
     if sorted(out) != ["nu1", "nu2", "nu3", "nu4"]:
-        raise SubdepthError("failed to label the Klein-group characters")
+        raise InternalConsistencyError("failed to label the Klein-group characters")
     return out
 
 
@@ -114,7 +114,7 @@ def sym4_labels(s4_table):
         else:
             out["chi4" if chi.values[transposition].as_integer() == 1 else "chi5"] = i
     if sorted(out) != [f"chi{k}" for k in range(1, 6)]:
-        raise SubdepthError("failed to label the S4 characters")
+        raise InternalConsistencyError("failed to label the S4 characters")
     return out
 
 
@@ -156,7 +156,7 @@ def direct_product(factors, cap=DEFAULT_CAP):
         gens.extend(g.shifted(off, degree) for g in f.generators)
     group = PermGroup.generated(gens, cap=cap)
     if group.order != total:
-        raise SubdepthError("direct product closure has the wrong order")
+        raise InternalConsistencyError("direct product closure has the wrong order")
     group.product_structure = tuple(zip(offsets, factors))
     return group
 
@@ -171,12 +171,19 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
     """base wr C_n, generated by the block-0 copy of the base and the shift."""
     if copies < 2:
         raise ValueError("a wreath product needs at least two copies")
+    # the order is base.order^copies * copies: refuse it above the cap before
+    # building a permutation on base.degree * copies points
+    order = copies
+    for _ in range(copies):
+        order *= base.order
+        if order > cap:
+            raise EnumerationCapExceeded(cap, order)
     degree = base.degree * copies
     shift = block_shift(base.degree, copies)
     gens = [g.shifted(0, degree) for g in base.generators] + [shift]
     group = PermGroup.generated(gens, cap=cap)
-    if group.order != base.order ** copies * copies:
-        raise SubdepthError("wreath product closure has the wrong order")
+    if group.order != order:
+        raise InternalConsistencyError("wreath product closure has the wrong order")
     return CyclicWreath(group, shift)
 
 
@@ -227,9 +234,10 @@ def _wreath_step(base, seed, copies, cap, wr=None):
         conj = wr.shift ** i
         gens.extend(g.shifted(0, degree).conjugated_by(conj) for g in base.generators)
     if subgroup.generators != tuple(gens):
-        raise SubdepthError("product subgroup differs from its generated form")
+        raise InternalConsistencyError("product subgroup differs from its generated form")
     if not (wr.group.contains_group(subgroup) and wr.group.contains_group(block)):
-        raise SubdepthError("family subgroup or block product is not inside the ambient group")
+        raise InternalConsistencyError(
+            "family subgroup or block product is not inside the ambient group")
     return wr, subgroup, block
 
 
@@ -254,10 +262,13 @@ def family(series, n, cap=DEFAULT_CAP, wreath=None):
     for _ in range(steps):
         wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap, wreath)
         ambient, sigma = wr.group, wr.shift
+    if ambient.order > cap:
+        # the base groups and a shared wreath product were built at their own cap
+        raise EnumerationCapExceeded(cap, ambient.order)
     core = subgroup_core(ambient, subgroup)
     # for A and B the core is V4^n, built here independently of the conjugates
     if series != "C" and n > 1 and core != direct_product([bg.v4] * n, cap=cap):
-        raise SubdepthError("family core does not match the computed core")
+        raise InternalConsistencyError("family core does not match the computed core")
     expected = {"A": 2 * n, "B": 4 * n, "C": 2 ** (n + 1)}[series]
     return FamilyInstance(series, n, ambient, subgroup, block, core, sigma, expected)
 

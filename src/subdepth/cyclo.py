@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import SubdepthError
+from .errors import InternalConsistencyError
 
-__all__ = ["Cyclotomic", "zeta", "cyclotomic_polynomial"]
+__all__ = ["Cyclotomic", "zeta", "cyclotomic_polynomial", "reduce_vector"]
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -43,7 +43,7 @@ def _exact_polydiv(num, den):
             for i, dc in enumerate(den):
                 num[k + i] -= c * dc
     if any(num):
-        raise SubdepthError("polynomial division was not exact")
+        raise InternalConsistencyError("polynomial division was not exact")
     return out
 
 
@@ -63,6 +63,21 @@ def _phi(e):
     return len(cyclotomic_polynomial(e)) - 1
 
 
+def reduce_vector(vec, e):
+    """The coefficients below degree phi(e) of ``sum vec[k] zeta_e^k``, for
+    ``vec`` dense over the exponents [0, e): the vector reduced mod the e-th
+    cyclotomic polynomial, as a tuple."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    vec = list(vec)
+    for k in range(e - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            for i in range(deg):
+                vec[k - deg + i] -= c * phi[i]
+    return tuple(vec[:deg])
+
+
 def _reduce_mod_cyclotomic(coeffs, e):
     """Reduce {exponent: Fraction} with exponents in [0, e) modulo Phi_e.
 
@@ -71,22 +86,10 @@ def _reduce_mod_cyclotomic(coeffs, e):
     deg = _phi(e)
     if all(k < deg for k in coeffs):
         return {k: c for k, c in coeffs.items() if c}
-    phi_poly = cyclotomic_polynomial(e)
-    dense = [Fraction(0)] * e
+    dense = [0] * e
     for k, c in coeffs.items():
         dense[k] += c
-    for k in range(e - 1, deg - 1, -1):
-        c = dense[k]
-        if not c:
-            continue
-        dense[k] = Fraction(0)
-        base = k - deg
-        # x^k = x^(k-deg) * (x^deg - Phi_e(x))
-        for i in range(deg):
-            pc = phi_poly[i]
-            if pc:
-                dense[base + i] -= c * pc
-    return {k: c for k, c in enumerate(dense[:deg]) if c}
+    return {k: c for k, c in enumerate(reduce_vector(dense, e)) if c}
 
 
 @lru_cache(maxsize=None)

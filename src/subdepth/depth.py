@@ -225,9 +225,11 @@ class CoreBound:
 
 def core_depth_bound(ambient, sub):
     """Depth <= 2m from the core as an intersection of m conjugates; 2m-1
-    when the core is central in the ambient group."""
+    when the core is central in the ambient group, that is, when each of its
+    elements is alone in its ambient conjugacy class."""
     m, witnesses, core = min_core_conjugates(ambient, sub)
-    central = all(ambient.center_contains(x) for x in core.raw_elements)
+    cs = ambient.classes()
+    central = all(cs.classes[cs.class_of[x]].size == 1 for x in core.raw_elements)
     bound = 2 * m - 1 if central else 2 * m
     return CoreBound(bound, m, central, tuple(witnesses))
 

@@ -12,7 +12,8 @@ class CycleParseError(SubdepthError, ValueError):
 class EnumerationCapExceeded(SubdepthError):
     """Group enumeration hit the element cap before closing.
 
-    ``partial_count`` holds the number of distinct elements found so far.
+    ``partial_count`` holds the number of distinct elements found so far, or
+    a lower bound on the order when that is refused before enumerating.
     """
 
     def __init__(self, cap, partial_count):

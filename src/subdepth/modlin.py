@@ -15,10 +15,10 @@ from __future__ import annotations
 from itertools import chain
 from operator import mul
 
-from .errors import SubdepthError
+from .errors import InternalConsistencyError
 
 __all__ = [
-    "is_prime", "smallest_dixon_prime", "primitive_root", "sqrt_mod",
+    "is_prime", "smallest_dixon_prime", "primitive_root",
     "matvec_mod", "rref_mod", "nullspace_mod", "charpoly_mod", "roots_mod",
     "divide_root",
 ]
@@ -80,38 +80,8 @@ def primitive_root(p):
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
-    raise SubdepthError(f"no primitive root found modulo {p}")  # unreachable for prime p
-
-
-def sqrt_mod(a, p):
-    """The square root of a mod the prime p lying in [0, p/2), or None if there
-    is none (a non-residue, or 1 mod 2, whose root 1 is not below p/2).
-
-    Euler's criterion decides whether a is a square, and Tonelli-Shanks finds
-    a root from the smallest non-residue, in O(log^2 p) multiplications.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2 or pow(a, (p - 1) // 2, p) != 1:
-        return None
-    q, m = p - 1, 0  # p - 1 = q * 2^m with q odd
-    while q % 2 == 0:
-        q //= 2
-        m += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    # invariant: r^2 = t a, and t and c have orders dividing 2^(m-1) and 2^m
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:  # the least i with t^(2^i) = 1
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return min(r, p - r)
+    # unreachable for prime p
+    raise InternalConsistencyError(f"no primitive root found modulo {p}")
 
 
 def matvec_mod(m, v, p):

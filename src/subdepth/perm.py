@@ -31,8 +31,8 @@ from itertools import combinations
 from math import lcm
 from operator import and_, itemgetter
 
-from .errors import (CycleParseError, EnumerationCapExceeded, NotASubgroupError,
-                     SubdepthError)
+from .errors import (CycleParseError, EnumerationCapExceeded, InternalConsistencyError,
+                     NotASubgroupError)
 
 DEFAULT_CAP = 10**6
 
@@ -423,15 +423,6 @@ class PermGroup:
             self._exponent = e
         return self._exponent
 
-    def center_contains(self, perm):
-        """Whether ``perm`` commutes with every generator (hence with the group)."""
-        x = perm.images if isinstance(perm, Permutation) else tuple(perm)
-        for g in self.generators:
-            gi = g.images
-            if tuple(map(gi.__getitem__, x)) != tuple(map(x.__getitem__, gi)):
-                return False
-        return True
-
 
 def _conjugation_action(group):
     """g·x·g⁻¹ for each generator g, on element indices, without hashing.
@@ -506,7 +497,7 @@ def _conjugacy_classes(group):
         size, min_member, members = found[k]
         classes.append(ConjugacyClass(Permutation(min_member), size, members))
     if not classes[0].rep.is_identity:
-        raise SubdepthError("canonical class order lost the identity class")
+        raise InternalConsistencyError("canonical class order lost the identity class")
     return ClassSet(tuple(classes), list(map(remap.__getitem__, labels)), group._index)
 
 
@@ -586,7 +577,7 @@ def _conjugates_and_core(ambient, sub):
     core = PermGroup.from_elements(ambient.degree,
                                    [raw[i] for i in members[0] if core_bits >> i & 1])
     if not is_normal(ambient, core):
-        raise SubdepthError("core computation produced a non-normal subgroup")
+        raise InternalConsistencyError("core computation produced a non-normal subgroup")
     return conjugates, witnesses, core_bits, core
 
 
@@ -613,7 +604,7 @@ def min_core_conjugates(ambient, sub):
         for combo in combinations(range(len(conjugates)), m):
             if reduce(and_, map(conjugates.__getitem__, combo)) == core_bits:
                 return m, [Permutation(witnesses[i]) for i in combo], core
-    raise SubdepthError("conjugate search failed to reach the core")  # unreachable
+    raise InternalConsistencyError("conjugate search failed to reach the core")  # unreachable
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -86,6 +86,28 @@ def test_dixon_prime_override(s4_table, bg):
         dixon_character_table(bg.s4, prime=13 * 2)  # not prime
     with pytest.raises(ValueError):
         dixon_character_table(bg.s4, prime=11)  # wrong residue
+
+
+def test_divisors_up_to_the_root_have_distinct_squares_mod_a_dixon_size_prime():
+    # the Dixon lift reads chi(1) as the divisor d <= sqrt|G| of |G| whose
+    # square matches mod p, which p^2 > 4|G| makes unique
+    for order in range(1, 3001):
+        divisors = [d for d in range(1, isqrt(order) + 1) if order % d == 0]
+        primes, p = [], 2 * isqrt(order)
+        while len(primes) < 3:
+            p += 1
+            if p * p > 4 * order and is_prime(p):
+                primes.append(p)
+        for p in primes:
+            assert len({d * d % p for d in divisors}) == len(divisors), (order, p)
+
+
+def test_dixon_refuses_a_degree_outside_the_divisors(monkeypatch, bg):
+    # with d = 1 the only candidate, the degree-2 and degree-3 characters of
+    # S4 match none
+    monkeypatch.setattr(chartab, "isqrt", lambda n: 1)
+    with pytest.raises(InternalConsistencyError, match="degree recovery"):
+        dixon_character_table(bg.s4)
 
 
 def test_inner_products(s4_table, v4_table, bg):

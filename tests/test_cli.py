@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import cli
+from subdepth import cli, perm
 from subdepth.cli import main
 from subdepth.errors import CycleParseError
 from subdepth.perm import DEFAULT_CAP
@@ -187,6 +187,30 @@ def test_large_degree_is_refused_at_the_default_cap(capsys, argv):
     code, _, err = run_cli(capsys, "table", *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and f"degree 2000000 exceeds the element cap {DEFAULT_CAP}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--group", "A:n=1"],
+    ["table", "--group", "B:n=1"],
+    ["table", "--group", "C:step=1"],
+    ["depth", "--group", "C:step=1", "--subgroup", "C:step=1"],
+    ["family", "--series", "C", "--n", "1"],
+])
+def test_cap_applies_to_members_built_from_the_base_groups(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cap", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "cap 5" in err
+    code, out, _ = run_cli(capsys, *argv, "--cap", "24")
+    assert code == 0 and out
+
+
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    # a core that fails its normality check is a fault of the program, not of
+    # the command line
+    monkeypatch.setattr(perm, "is_normal", lambda ambient, sub: False)
+    code, out, err = run_cli(capsys, "depth", "--group", "S4", "--subgroup", "D8")
+    assert (code, out) == (4, "")
+    assert err == "internal error: core computation produced a non-normal subgroup\n"
 
 
 def test_trivial_subgroup(capsys):

@@ -6,7 +6,7 @@ from subdepth.constructions import (MARKERS, base_groups, block_shift,
                                     direct_product, distance_witness_pair,
                                     family, klein_labels, seed_characters,
                                     sym4_labels, wreath_cyclic)
-from subdepth.errors import EnumerationCapExceeded, SubdepthError
+from subdepth.errors import EnumerationCapExceeded, InternalConsistencyError
 from subdepth.perm import PermGroup, parse_cycle_notation, subgroup_core
 
 
@@ -104,6 +104,28 @@ def test_family_c():
         family("C", 3, cap=10**5)
 
 
+@pytest.mark.parametrize("series", "ABC")
+def test_family_at_one_applies_the_cap_to_the_shared_base_group(series):
+    # the member at n = 1 is the base pair, built once at the default cap
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        family(series, 1, cap=23)
+    assert (exc.value.cap, exc.value.partial_count) == (23, 24)
+    assert family(series, 1, cap=24).ambient.order == 24
+
+
+@pytest.mark.parametrize("series,n", [("A", 10**9), ("B", 3), ("C", 10**9)])
+def test_wreath_order_above_the_cap_is_refused_before_enumerating(series, n, monkeypatch):
+    base_groups()
+
+    def no_enumeration(cls, *args, **kwargs):
+        raise AssertionError("a group above the cap was enumerated")
+
+    monkeypatch.setattr(PermGroup, "generated", classmethod(no_enumeration))
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        family(series, n, cap=1151 if series == "C" else 2000)
+    assert exc.value.partial_count > exc.value.cap
+
+
 def test_family_errors(bg):
     with pytest.raises(ValueError):
         family("X", 2)
@@ -115,7 +137,7 @@ def test_family_errors(bg):
         with pytest.raises(ValueError, match="cannot share"):
             family(series, n, wreath=wreath)
     # one of the right degree on the wrong base still fails the containment check
-    with pytest.raises(SubdepthError, match="not inside"):
+    with pytest.raises(InternalConsistencyError, match="not inside"):
         family("A", 2, wreath=wreath_cyclic(bg.d8, 2))
 
 
@@ -144,7 +166,7 @@ def test_family_checks_the_generated_subgroup(series, n, monkeypatch):
         return product(factors[::-1], cap=cap)
 
     monkeypatch.setattr(constructions, "direct_product", reversed_product)
-    with pytest.raises(SubdepthError, match="generated form"):
+    with pytest.raises(InternalConsistencyError, match="generated form"):
         family(series, n)
 
 

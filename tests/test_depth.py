@@ -235,6 +235,20 @@ def test_core_depth_bound(bg):
         assert (bound.bound, bound.conjugate_count, bound.central) == (2 * n - 1, n, True)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_core_is_central_exactly_when_it_commutes_with_the_group(data):
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)).map(perm.Permutation),
+                              min_size=1, max_size=3))
+    group = PermGroup.generated(gens)
+    x = group.elements[data.draw(st.integers(0, group.order - 1))]
+    sub = PermGroup.generated([x])
+    core = perm.subgroup_core(group, sub)
+    central = all(z * g == g * z for z in core.elements for g in group.elements)
+    assert core_depth_bound(group, sub).central == central
+
+
 def test_core_depth_bound_enumerates_conjugates_once(bg, core_enumerations):
     for sub in (bg.v4, bg.d8, bg.s3, bg.s4):
         core_enumerations.clear()

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdepth.modlin import (charpoly_mod, is_prime, nullspace_mod,
-                             primitive_root, roots_mod, smallest_dixon_prime,
-                             sqrt_mod, rref_mod)
+                             primitive_root, roots_mod, rref_mod,
+                             smallest_dixon_prime)
 
 
 def test_smallest_dixon_prime():
@@ -29,35 +29,6 @@ def test_primitive_root():
             x = x * g % p
             seen.add(x)
         assert len(seen) == p - 1
-
-
-def test_sqrt_mod():
-    p = 73
-    for r in range(p // 2 + 1):
-        got = sqrt_mod(r * r % p, p)
-        assert got is not None and got * got % p == r * r % p and got < p / 2
-
-
-def _scan_sqrt(a, p):
-    """The root in [0, p/2) by trying each candidate; independent oracle."""
-    return next((r for r in range((p + 1) // 2) if r * r % p == a % p), None)
-
-
-def test_sqrt_mod_matches_the_scan_below_500():
-    for p in filter(is_prime, range(500)):
-        assert [sqrt_mod(a, p) for a in range(-1, p + 1)] == \
-            [_scan_sqrt(a, p) for a in range(-1, p + 1)]
-
-
-def test_sqrt_mod_is_fast_at_a_seven_digit_prime():
-    p = 1000033
-    assert is_prime(p)
-    start = time.perf_counter()
-    roots = [sqrt_mod(a, p) for a in range(2, 12)]
-    assert (time.perf_counter() - start) / len(roots) < 0.01
-    for a, r in zip(range(2, 12), roots):
-        assert r is None or (r * r % p == a and r < p / 2)
-    assert any(r is None for r in roots) and any(r is not None for r in roots)
 
 
 def _brute_charpoly(a, p):

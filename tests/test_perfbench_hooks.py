@@ -1,4 +1,4 @@
-"""The traced benchmark wraps subdepth names from outside the package: a
+"""The benchmark reads and wraps subdepth names from outside the package: a
 rename or deletion of any of them must fail here, not in a benchmark run."""
 
 import subprocess
@@ -30,3 +30,11 @@ def test_benchmark_tracer_installs_on_the_package():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "installed"
+
+
+def test_benchmark_smoke_passes():
+    # the cheapest op of every workload, traced and untraced: a name the
+    # workloads read that is renamed or deleted fails here
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
