@@ -29,7 +29,10 @@ induction, the product tables and the JSON import each keep a dict local to
 the call, so the entries of a table or class function share value objects,
 and the kernel measures and packs each shared object once per call.  Packed
 sums are keyed on their vector reduced mod the e-th cyclotomic polynomial,
-since a sum is not reduced when it is formed.
+since a sum is not reduced when it is formed.  The boundaries read each
+shared object once in the same way: the JSON export converts each distinct
+value object once, and table equality compares each distinct pair of
+objects at the same position once.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -326,11 +329,22 @@ class CharacterTable:
             chi._packed = _Packing(e, bits, norm, a, b)
 
     def __eq__(self, other):
-        return (isinstance(other, CharacterTable)
+        """Same group, class representatives and values, entry for entry.
+
+        Each distinct pair of value objects at the same position is compared
+        once, looked up by their ids: both tables hold every object alive, so
+        no id is reused while the call runs.  The shapes are compared first,
+        as the pairing zips the rows."""
+        if not (isinstance(other, CharacterTable)
                 and self.group == other.group
                 and [c.rep for c in self.classes.classes] == [c.rep for c in other.classes.classes]
-                and [chi.values for chi in self.irreducibles]
-                == [chi.values for chi in other.irreducibles])
+                and [len(chi.values) for chi in self.irreducibles]
+                == [len(chi.values) for chi in other.irreducibles]):
+            return False
+        pairs = {(id(a), id(b)): (a, b)
+                 for chi, psi in zip(self.irreducibles, other.irreducibles)
+                 for a, b in zip(chi.values, psi.values)}
+        return all(a == b for a, b in pairs.values())
 
     def __repr__(self):
         return (f"CharacterTable(order={self.group.order}, "
@@ -604,24 +618,20 @@ def induce_character(psi, emb):
     Computed classwise through the fusion map:
     ``psi^G(g) = sum over fused H-classes c of psi(c) * |C_G(g)|/|C_H(c)|``,
     which is the zero-extension average ``(1/|H|) sum_x psi0(x g x^-1)``
-    collapsed over classes.  The weights are integers because C_H(c) is a
-    subgroup of C_G(c); each value is one weighted sum of psi's packed values
-    (its own packing when that is rational or wide enough), and each distinct
-    sum is normalised to a Cyclotomic once (:func:`_unpack_rows`).  When psi
-    packs at e = 1 with no denominator, the sums are the values, and the
-    induced function carries them as its packing.
+    collapsed over classes.  The weights and their largest sum, which sets B,
+    are the embedding's own, built once per embedding
+    (:attr:`subdepth.perm.SubgroupEmbedding.induction_weights`), so every
+    induction along it only reads them.  Each value is one weighted sum of
+    psi's packed values (its own packing when that is rational or wide
+    enough), and each distinct sum is normalised to a Cyclotomic once
+    (:func:`_unpack_rows`).  When psi packs at e = 1 with no denominator, the
+    sums are the values, and the induced function carries them as its packing.
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
-    g_cent = [emb.ambient.order // n for n in emb.ambient.classes().sizes()]
-    h_cent = [emb.sub.order // n for n in emb.sub.classes().sizes()]
-    buckets = [([], []) for _ in g_cent]
-    for c, target in enumerate(emb.fusion):
-        weights, classes = buckets[target]
-        weights.append(g_cent[target] // h_cent[c])
-        classes.append(c)
+    buckets, weight_sum = emb.induction_weights
     e, d, n = _measure(psi)
-    bits = _fit(e, _bits(max(sum(w) for w, _ in buckets) * n), psi)
+    bits = _fit(e, _bits(weight_sum * n), psi)
     packed = _packing(psi, e, bits, d)[0]
     totals = [sum(map(mul, w, map(packed.__getitem__, classes))) for w, classes in buckets]
     f = ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
@@ -847,8 +857,13 @@ def character_table(group):
 # ---------------------------------------------------------------------------
 
 def table_to_obj(table):
+    """The JSON-ready form of a table.  Each distinct value object is
+    converted once (:meth:`Cyclotomic.to_obj`), looked up by its id, so the
+    entries that share a value share its JSON form."""
     classes = table.classes
     order = table.group.order
+    distinct = {id(v): v for chi in table.irreducibles for v in chi.values}
+    objs = {i: v.to_obj() for i, v in distinct.items()}
     return {
         "schema": 1,
         "kind": "character_table",
@@ -859,7 +874,7 @@ def table_to_obj(table):
              "centralizer_order": order // c.size}
             for c in classes.classes
         ],
-        "irreducibles": [[v.to_obj() for v in chi.values] for chi in table.irreducibles],
+        "irreducibles": [[objs[id(v)] for v in chi.values] for chi in table.irreducibles],
     }
 
 

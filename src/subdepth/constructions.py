@@ -145,7 +145,7 @@ def direct_product(factors, cap=DEFAULT_CAP):
     for f in factors:
         total *= f.order
     if total > cap:
-        raise EnumerationCapExceeded(cap, total)
+        raise EnumerationCapExceeded(cap, total, counted=False)
     offsets = []
     at = 0
     for f in factors:
@@ -177,7 +177,7 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
     for _ in range(copies):
         order *= base.order
         if order > cap:
-            raise EnumerationCapExceeded(cap, order)
+            raise EnumerationCapExceeded(cap, order, counted=False)
     degree = base.degree * copies
     shift = block_shift(base.degree, copies)
     gens = [g.shifted(0, degree) for g in base.generators] + [shift]
@@ -264,7 +264,7 @@ def family(series, n, cap=DEFAULT_CAP, wreath=None):
         ambient, sigma = wr.group, wr.shift
     if ambient.order > cap:
         # the base groups and a shared wreath product were built at their own cap
-        raise EnumerationCapExceeded(cap, ambient.order)
+        raise EnumerationCapExceeded(cap, ambient.order, counted=False)
     core = subgroup_core(ambient, subgroup)
     # for A and B the core is V4^n, built here independently of the conjugates
     if series != "C" and n > 1 and core != direct_product([bg.v4] * n, cap=cap):

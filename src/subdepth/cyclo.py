@@ -187,7 +187,9 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q):
-        q = Fraction(q)
+        """The rational q (an int or a Fraction); a Fraction is kept as it is."""
+        if type(q) is not Fraction:
+            q = Fraction(q)
         return Cyclotomic(1, {0: q} if q else {}, _normalized=True)
 
     # -- predicates and views ----------------------------------------------

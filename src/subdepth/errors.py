@@ -10,18 +10,20 @@ class CycleParseError(SubdepthError, ValueError):
 
 
 class EnumerationCapExceeded(SubdepthError):
-    """Group enumeration hit the element cap before closing.
+    """A group above the element cap: its enumeration hit the cap before
+    closing, or its order, worked out from the orders of its parts, exceeds it.
 
-    ``partial_count`` holds the number of distinct elements found so far, or
-    a lower bound on the order when that is refused before enumerating.
+    ``partial_count`` holds the number of distinct elements found so far, or,
+    with ``counted=False``, that order or a lower bound on it, which the
+    message then names as such.
     """
 
-    def __init__(self, cap, partial_count):
+    def __init__(self, cap, partial_count, *, counted=True):
         self.cap = cap
         self.partial_count = partial_count
-        super().__init__(
-            f"enumeration cap {cap} exceeded ({partial_count} elements found, closure incomplete)"
-        )
+        detail = (f"{partial_count} elements found, closure incomplete" if counted
+                  else f"the group order is at least {partial_count}")
+        super().__init__(f"enumeration cap {cap} exceeded ({detail})")
 
 
 class DegreeCapExceeded(SubdepthError):

@@ -51,12 +51,16 @@ def smallest_dixon_prime(exponent, order):
 
 
 def validate_dixon_prime(p, exponent, order):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Raise ValueError unless p is a prime == 1 (mod exponent) with p^2 > 4*order.
+
+    The residue and the size are checked before primality, which divides by
+    trial up to sqrt(p), so a large p that fails either is refused at once."""
     if (p - 1) % exponent:
         raise ValueError(f"{p} is not congruent to 1 mod the group exponent {exponent}")
     if p * p <= 4 * order:
         raise ValueError(f"{p} is not larger than twice the square root of the group order")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def _factorize(n):

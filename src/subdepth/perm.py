@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import lcm
 from operator import and_, itemgetter
@@ -609,7 +609,12 @@ def min_core_conjugates(ambient, sub):
 
 @dataclass(frozen=True)
 class SubgroupEmbedding:
-    """A subgroup together with the fusion map of its classes into the ambient ones."""
+    """A subgroup together with the fusion map of its classes into the ambient ones.
+
+    Induction along the embedding sums with integer weights that depend only
+    on the embedding, so they are computed here, once, on first use
+    (:attr:`induction_weights`).
+    """
     ambient: PermGroup
     sub: PermGroup
     fusion: tuple  # sub class index -> ambient class index
@@ -617,6 +622,23 @@ class SubgroupEmbedding:
     @property
     def index(self):
         return self.ambient.order // self.sub.order
+
+    @cached_property
+    def induction_weights(self):
+        """``(buckets, bound)``: for each ambient class g, the pair
+        ``(weights, classes)`` of the subgroup classes c that fuse into it and
+        their weights |C_G(g)|/|C_H(c)|, and the largest weight sum over the
+        ambient classes.  The weights are integers because C_H(c) is a
+        subgroup of C_G(c).  Tuples, as every induction shares them."""
+        g_cent = [self.ambient.order // n for n in self.ambient.classes().sizes()]
+        h_cent = [self.sub.order // n for n in self.sub.classes().sizes()]
+        buckets = [([], []) for _ in g_cent]
+        for c, target in enumerate(self.fusion):
+            weights, classes = buckets[target]
+            weights.append(g_cent[target] // h_cent[c])
+            classes.append(c)
+        return (tuple((tuple(w), tuple(c)) for w, c in buckets),
+                max(sum(weights) for weights, _ in buckets))
 
 
 def class_fusion(ambient, sub):

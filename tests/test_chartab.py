@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
@@ -17,13 +18,15 @@ from subdepth.chartab import (CharacterTable, character_table, decompose,
                               induce_character_bruteforce, inner_product,
                               restrict_character, table_from_obj, table_to_obj,
                               wreath_cyclic_table, ClassFunction)
-from subdepth.constructions import (direct_product, klein_labels, sym4_labels,
+from subdepth.constructions import (direct_product, family, klein_labels, sym4_labels,
                                     wreath_cyclic)
 from subdepth.cyclo import Cyclotomic, zeta
 from subdepth.errors import (GroupMismatchError, InternalConsistencyError,
                              NotACharacterError, TableConsistencyError)
+from subdepth.depth import inclusion_matrix
 from subdepth.modlin import is_prime, smallest_dixon_prime
-from subdepth.perm import PermGroup, Permutation, class_fusion, parse_generators
+from subdepth.perm import (PermGroup, Permutation, SubgroupEmbedding, class_fusion,
+                           parse_generators)
 
 # The classic tables of the Klein four-group and S4, frozen with their
 # conventional class order (identity, the marker double transpositions /
@@ -82,10 +85,14 @@ def test_dixon_c2():
 def test_dixon_prime_override(s4_table, bg):
     t = dixon_character_table(bg.s4, prime=37)  # 37 = 3*12+1 > 2*sqrt(24)
     assert t == s4_table
-    with pytest.raises(ValueError):
-        dixon_character_table(bg.s4, prime=13 * 2)  # not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not prime"):
+        dixon_character_table(bg.s4, prime=5 * 5)  # 1 mod 12 and large enough, not prime
+    with pytest.raises(ValueError, match="not congruent"):
+        dixon_character_table(bg.s4, prime=13 * 2)  # not prime, and the wrong residue
+    with pytest.raises(ValueError, match="not congruent"):
         dixon_character_table(bg.s4, prime=11)  # wrong residue
+    with pytest.raises(ValueError, match="not larger"):
+        dixon_character_table(bg.v4, prime=3)  # 1 mod 2 but 3^2 <= 4 * 4
 
 
 def test_divisors_up_to_the_root_have_distinct_squares_mod_a_dixon_size_prime():
@@ -1207,3 +1214,119 @@ def test_table_from_obj_rejects_headers_of_another_group(bg, s4_table):
     obj["classes"][2]["rep"] = "(1,2,3)"
     with pytest.raises(GroupMismatchError):
         table_from_obj(obj, bg.s4)
+
+
+# -- Fixed work done once: induction weights, rational values, export, equality ----
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_induction_through_one_reused_embedding_matches_the_literal_sum(data):
+    group = data.draw(random_groups("generated"))
+    x = data.draw(st.sampled_from(group.raw_elements))
+    sub = PermGroup.generated([Permutation(x)])
+    event(f"|G| = {group.order}, |H| = {sub.order}")
+    emb = class_fusion(group, sub)
+    irr = character_table(sub).irreducibles
+    induced = [induce_character(psi, emb) for psi in irr]
+    for psi, ind in zip(irr, induced):
+        assert ind == induce_character_bruteforce(psi, emb)
+    fresh = class_fusion(group, sub)
+    assert fresh.induction_weights == emb.induction_weights
+    assert [induce_character(psi, fresh) for psi in irr] == induced
+
+
+def test_induction_weights_are_built_once_per_embedding(monkeypatch):
+    fam = family("A", 2)
+    calls = []
+    weights = SubgroupEmbedding.__dict__["induction_weights"].func
+
+    def counting(emb):
+        calls.append(emb)
+        return weights(emb)
+
+    counted = cached_property(counting)
+    counted.__set_name__(SubgroupEmbedding, "induction_weights")
+    monkeypatch.setattr(SubgroupEmbedding, "induction_weights", counted)
+    emb = fam.embedding_subgroup()
+    sub_table = character_table(fam.subgroup)
+    matrix = inclusion_matrix(character_table(fam.ambient), sub_table, emb)
+    r = len(sub_table.irreducibles)
+    assert (fam.ambient.order, fam.subgroup.order, r) == (1152, 96, 20)
+    assert len(matrix.entries) == r and calls == [emb]
+    for psi in sub_table.irreducibles:
+        induce_character(psi, emb)
+    assert calls == [emb]
+
+
+@pytest.fixture(scope="module")
+def export_tables(bg, s4_table, f21_table, s4_wr_c2_table):
+    v4_x_s4 = direct_product([bg.v4, bg.s4])
+    return {"S4": s4_table, "F21": f21_table, "S4 wr C2": s4_wr_c2_table,
+            "V4 x S4": character_table(v4_x_s4)}
+
+
+@pytest.mark.parametrize("name", ["S4", "F21", "S4 wr C2", "V4 x S4"])
+def test_table_to_obj_converts_each_distinct_value_once(name, export_tables, monkeypatch):
+    table = export_tables[name]
+    # every entry converted on its own
+    want = dict(table_to_obj(table),
+                irreducibles=[[v.to_obj() for v in chi.values] for chi in table.irreducibles])
+    conversions = []
+    to_obj = Cyclotomic.to_obj
+
+    def counting(v):
+        conversions.append(v)
+        return to_obj(v)
+
+    monkeypatch.setattr(Cyclotomic, "to_obj", counting)
+    got = table_to_obj(table)
+    assert len(conversions) == len({id(v) for v in entries(table)})
+    assert json.dumps(got) == json.dumps(want)
+    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(want, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", ["S4", "F21", "S4 wr C2", "V4 x S4"])
+def test_table_equality_pairs_the_values_position_by_position(name, export_tables, monkeypatch):
+    table = export_tables[name]
+    group = table.group
+
+    def table_of(rows):
+        return CharacterTable(group, [ClassFunction(group, row) for row in rows])
+
+    # every entry a new object of the same value
+    rows = [[Cyclotomic.from_obj(v.to_obj()) for v in chi.values] for chi in table.irreducibles]
+    assert len({id(v) for row in rows for v in row}) == len(entries(table))
+    assert table_of(rows) == table
+    swapped = [list(chi.values) for chi in table.irreducibles]
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert table_of(swapped) != table
+    # the copies below are not tables, so they are built without validation
+    monkeypatch.setattr(CharacterTable, "validate", lambda self: None)
+    shorter = table_of([chi.values for chi in table.irreducibles][:-1])
+    assert shorter != table and table != shorter
+    # one entry whose object is shared with other positions changed to another
+    # value object of the table, which stays correct at its own positions: at
+    # some such position a memo keyed on one side's id alone misses the change
+    flat = entries(table)
+    s = len(table.classes)
+    shared = Counter(map(id, flat))
+    distinct = list({id(v): v for v in flat}.values())
+    for pos, v in enumerate(flat):
+        if shared[id(v)] == 1:
+            continue
+        for w in (next(w for w in distinct if w != v),
+                  next(w for w in reversed(distinct) if w != v)):
+            changed = [list(chi.values) for chi in table.irreducibles]
+            changed[pos // s][pos % s] = w
+            assert table_of(changed) != table and table != table_of(changed)
+
+
+@pytest.mark.parametrize("total, scale", [(0, 1), (0, 6), (5, 1), (-5, 1), (-12, 8),
+                                          (12, 8), (-7, 3), (10**30, 4 * 10**15), (-9, 9)])
+def test_rational_packed_sum_is_one_fraction(total, scale):
+    got = chartab._from_packed(total, 1, 3, scale)
+    want = Cyclotomic.from_rational(Fraction(total, scale))
+    assert got == want and got.conductor == 1
+    assert got.coeffs == ({} if total == 0 else {0: Fraction(total, scale)})
+    q = Fraction(total, scale)
+    assert Cyclotomic.from_rational(q).coeffs.get(0, q) is q

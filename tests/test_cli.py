@@ -74,6 +74,17 @@ def test_table_prime_override(capsys):
     assert code == 2 and "error" in err
 
 
+def test_large_prime_with_the_wrong_residue_is_refused_at_once(capsys):
+    # 10^18 + 3 == 7 (mod 12): refused by its residue before any primality test
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--group", "S4",
+                             "--prime", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: 1000000000000000003 is not congruent to 1 mod the group "
+                   "exponent 12\n")
+
+
 @pytest.mark.parametrize("group, prime", [("S4", "10000141"), ("A:n=2", "1000033")])
 def test_table_at_a_large_prime_is_fast(capsys, group, prime):
     _, reference, _ = run_cli(capsys, "table", "--group", group)
@@ -202,6 +213,19 @@ def test_cap_applies_to_members_built_from_the_base_groups(capsys, argv):
     assert err.startswith("error:") and "cap 5" in err
     code, out, _ = run_cli(capsys, *argv, "--cap", "24")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["family", "--series", "A", "--n", "300", "--cap", "2000"], 7200),
+    (["family", "--series", "C", "--n", "1", "--cap", "5"], 24),
+    (["table", "--group", "B:n=3", "--cap", "2000"], 41472),
+])
+def test_cap_refusal_from_the_order_names_the_order(capsys, argv, order):
+    # these groups are refused from their order, so no element count is quoted
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    cap = argv[-1]
+    assert err == f"error: enumeration cap {cap} exceeded (the group order is at least {order})\n"
 
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):

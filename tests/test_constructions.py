@@ -113,6 +113,16 @@ def test_family_at_one_applies_the_cap_to_the_shared_base_group(series):
     assert family(series, 1, cap=24).ambient.order == 24
 
 
+def test_order_refusals_name_the_order_and_enumeration_names_the_count(bg):
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        direct_product([bg.s4, bg.s4, bg.s4], cap=1000)
+    assert exc.value.partial_count == 13824
+    assert str(exc.value) == "enumeration cap 1000 exceeded (the group order is at least 13824)"
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        PermGroup.generated(bg.s4.generators, cap=10)
+    assert str(exc.value) == "enumeration cap 10 exceeded (10 elements found, closure incomplete)"
+
+
 @pytest.mark.parametrize("series,n", [("A", 10**9), ("B", 3), ("C", 10**9)])
 def test_wreath_order_above_the_cap_is_refused_before_enumerating(series, n, monkeypatch):
     base_groups()
