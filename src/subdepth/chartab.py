@@ -377,6 +377,11 @@ def dixon_character_table(group, prime=None):
     d1^2 == d2^2 (mod p) with d1 > d2 would need p to divide
     (d1 - d2)(d1 + d2), whose factors lie in (0, 2*sqrt(|G|)], below p.  No
     match raises :class:`InternalConsistencyError`.
+
+    Values lift through z_e = modlin.root_of_unity(e, p), of order e = exp(G),
+    as zeta_e.  Any other choice is z_e^k with gcd(k, e) = 1, which applies the
+    Galois map zeta_e -> zeta_e^k to every row; Irr(G) is closed under it and
+    the rows are sorted canonically, so the table does not change.
     """
     cs = group.classes()
     s = len(cs)
@@ -397,7 +402,8 @@ def dixon_character_table(group, prime=None):
     # A subspace is (basis, pivots, start): its basis in rref, the pivot
     # columns, and the component in it of e_0, the identity class vector, from
     # which _split_space reads off the eigenlines.
-    spaces = [(_identity_rref(s), list(range(s)), [1] + [0] * (s - 1))]
+    identity = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
+    spaces = [(identity, list(range(s)), [1] + [0] * (s - 1))]
     for i in range(1, s):
         if all(len(space[0]) == 1 for space in spaces):
             break
@@ -430,8 +436,7 @@ def dixon_character_table(group, prime=None):
         raise InternalConsistencyError("class matrices failed to separate all characters")
 
     size_inv = [pow(sz, -1, p) for sz in sizes]
-    g0 = modlin.primitive_root(p)
-    z_e = pow(g0, (p - 1) // e, p)
+    z_e = modlin.root_of_unity(e, p)
     rep_orders = [cs.classes[k].rep.order() for k in range(s)]
     power_class = []
     for k in range(s):
@@ -587,10 +592,6 @@ def _class_matrix_row(group, i, j):
                 f"class matrix {i} row {j}: {size_j * count} not divisible by {c.size}")
         row.append(a)
     return row
-
-
-def _identity_rref(s):
-    return [[1 if i == j else 0 for j in range(s)] for i in range(s)]
 
 
 # ---------------------------------------------------------------------------

@@ -286,13 +286,11 @@ class Cyclotomic:
 
     # -- ordering, hashing, formatting ----------------------------------------
 
-    def _key(self):
+    def sort_key(self):
+        """A fixed total order on values, used for canonical character ordering
+        and for the hash."""
         return (self.conductor, tuple(sorted(
             (k, c.numerator, c.denominator) for k, c in self.coeffs.items())))
-
-    def sort_key(self):
-        """A fixed total order on values, used for canonical character ordering."""
-        return self._key()
 
     def __eq__(self, other):
         other = Cyclotomic._coerce(other)
@@ -302,7 +300,7 @@ class Cyclotomic:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(self.sort_key())
         return self._hash
 
     def __repr__(self):

@@ -7,7 +7,8 @@ one int dot product, and elimination touches a row only from its pivot column
 on.  Roots are found by trying candidates outward from 0, since the
 eigenvalues of a rational class are small integers, and each is divided out
 as it is found.  Row order, eigenvalue order and nullspace bases are all fixed
-functions of the input.
+functions of the input.  Primality is a deterministic Miller-Rabin test, and
+no integer is factorised.
 """
 
 from __future__ import annotations
@@ -18,22 +19,29 @@ from operator import mul
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "is_prime", "smallest_dixon_prime", "primitive_root",
+    "PRIMALITY_BOUND", "is_prime", "smallest_dixon_prime", "root_of_unity",
     "matvec_mod", "rref_mod", "nullspace_mod", "charpoly_mod", "roots_mod",
     "divide_root",
 ]
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the smallest strong pseudoprime to every base (Sorenson and Webster, 2017)
+PRIMALITY_BOUND = 3317044064679887385961981
+
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin to the bases 2 ... 41, exact below PRIMALITY_BOUND; at or
+    above it ValueError is raised rather than a guess made."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}")
+    if n < 2 or n in _BASES:
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -53,8 +61,8 @@ def smallest_dixon_prime(exponent, order):
 def validate_dixon_prime(p, exponent, order):
     """Raise ValueError unless p is a prime == 1 (mod exponent) with p^2 > 4*order.
 
-    The residue and the size are checked before primality, which divides by
-    trial up to sqrt(p), so a large p that fails either is refused at once."""
+    The residue and the size are checked first, then primality by Miller-Rabin,
+    which is exact below PRIMALITY_BOUND and refuses a p at or above it."""
     if (p - 1) % exponent:
         raise ValueError(f"{p} is not congruent to 1 mod the group exponent {exponent}")
     if p * p <= 4 * order:
@@ -63,29 +71,19 @@ def validate_dixon_prime(p, exponent, order):
         raise ValueError(f"{p} is not prime")
 
 
-def _factorize(n):
-    out = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def primitive_root(p):
-    """The smallest primitive root modulo the prime p."""
-    if p == 2:
-        return 1
-    factors = _factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
+def root_of_unity(e, p):
+    """A primitive e-th root of unity mod the prime p, for e dividing p - 1: the
+    ((p-1)/e)-th power z of the smallest x >= 2 for which z has order exactly e.
+    As z^e = 1, each order is found by walking at most e powers."""
+    for x in range(2, p):
+        z = acc = pow(x, (p - 1) // e, p)
+        k = 1
+        while acc != 1:
+            acc, k = acc * z % p, k + 1
+        if k == e:
+            return z
     # unreachable for prime p
-    raise InternalConsistencyError(f"no primitive root found modulo {p}")
+    raise InternalConsistencyError(f"no element of order {e} found modulo {p}")
 
 
 def matvec_mod(m, v, p):

@@ -286,7 +286,6 @@ class PermGroup:
         self._right = None                        # set by generated(); see _conjugation_action
         self._exponent = None
         self._char_table = None
-        self._frozen = None
         self.product_structure = None             # set by direct products
 
     # -- construction ---------------------------------------------------------
@@ -380,17 +379,14 @@ class PermGroup:
     def raw_elements(self):
         return self._raw
 
-    def frozen(self):
-        if self._frozen is None:
-            self._frozen = frozenset(self._raw)
-        return self._frozen
-
     def __eq__(self, other):
-        return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self.frozen() == other.frozen())
+        """Same degree and elements: groups of one order are equal when one
+        contains the other, which its index dict answers (degrees included)."""
+        return other is self or (isinstance(other, PermGroup) and self.order == other.order
+                                 and self.contains_group(other))
 
     def __hash__(self):
-        return hash((self.degree, self.frozen()))
+        return hash((self.degree, self.order))
 
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators[:4])

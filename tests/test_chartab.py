@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -321,6 +321,23 @@ def test_dixon_irrational_values():
     # the quaternion group on 8 points: degrees 1,1,1,1,2
     q8 = PermGroup.generated(parse_generators("(1,2,3,4)(5,6,7,8);(1,5,3,7)(2,8,4,6)"))
     assert dixon_character_table(q8).degrees() == [1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("gens", ["(1,2);(1,2,3,4)", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
+                                  "(1,2,3,4)(5,6,7,8);(1,5,3,7)(2,8,4,6)", "(1,2,3,4,5)"],
+                         ids=["S4", "F21", "Q8", "C5"])
+def test_dixon_table_does_not_depend_on_the_root_of_unity(monkeypatch, gens):
+    # any primitive e-th root z^k, gcd(k, e) = 1, applies a Galois automorphism
+    # to every row; Irr(G) is closed under it and the rows are sorted canonically
+    reference = dixon_character_table(PermGroup.generated(parse_generators(gens)))
+    text = json.dumps(table_to_obj(reference), sort_keys=True)
+    e = reference.group.exponent()
+    root = modlin.root_of_unity
+    for k in (k for k in range(2, e) if gcd(k, e) == 1):
+        monkeypatch.setattr(modlin, "root_of_unity", lambda e, p, k=k: pow(root(e, p), k, p))
+        table = dixon_character_table(PermGroup.generated(parse_generators(gens)))
+        assert table == reference
+        assert json.dumps(table_to_obj(table), sort_keys=True) == text
 
 
 def test_value_conductors_divide_element_orders(s4_table, d8_table):

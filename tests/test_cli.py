@@ -15,6 +15,16 @@ from subdepth.perm import DEFAULT_CAP
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_cli_process(*argv, **kwargs):
+    """Run the CLI in a child process importing ``src/``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        text=True, env=env, timeout=120, **kwargs)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -85,6 +95,27 @@ def test_large_prime_with_the_wrong_residue_is_refused_at_once(capsys):
                    "exponent 12\n")
 
 
+def test_a_19_digit_prime_is_checked_and_used_at_once(capsys):
+    _, reference, _ = run_cli(capsys, "table", "--group", "S4")
+    start = time.perf_counter()
+    done = run_cli_process("table", "--group", "S4", "--prime", "1000000000000000009",
+                           capture_output=True)
+    assert time.perf_counter() - start < 5.0
+    assert (done.returncode, done.stdout, done.stderr) == (0, reference, "")
+
+
+@pytest.mark.parametrize("prime, message", [
+    # a strong pseudoprime to every base up to 37, == 1 (mod 12)
+    ("318665857834031151167461", "318665857834031151167461 is not prime"),
+    # == 1 (mod 12) and above the bound of the Miller-Rabin test
+    ("3317044064679887385961993",
+     "primality is decided only below 3317044064679887385961981"),
+])
+def test_a_prime_that_cannot_be_confirmed_is_refused(prime, message):
+    done = run_cli_process("table", "--group", "S4", "--prime", prime, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("group, prime", [("S4", "10000141"), ("A:n=2", "1000033")])
 def test_table_at_a_large_prime_is_fast(capsys, group, prime):
     _, reference, _ = run_cli(capsys, "table", "--group", group)
@@ -132,14 +163,8 @@ def test_closed_stdout_exits_quietly(argv):
     # standard output is a pipe whose read end is already closed
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     try:
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from subdepth.cli import main; sys.exit(main(sys.argv[1:]))",
-             *argv],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        done = run_cli_process(*argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert done.returncode == 1

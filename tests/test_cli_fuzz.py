@@ -47,6 +47,8 @@ def ints(edges, low, high):
 DEGREES = ints(["8", "4", "2000", "2001", "10000000000"], -1, 12)
 COUNTS = ints(["2", "1", "3", "10", "1000000000", "99999999999"], -1, 3)
 OPTIONS = {
+    # primes are decided at once at any size, but a group with irrational
+    # classes scans most of F_p for eigenvalues, so --prime stays near 10^7
     "table": {"--group": GROUPS, "--degree": DEGREES,
               "--prime": ints(["73", "2", "3", "13", "37", "97", "1000033", "10000141"],
                               -3, 10**7)},

@@ -249,6 +249,33 @@ def test_core_is_central_exactly_when_it_commutes_with_the_group(data):
     assert core_depth_bound(group, sub).central == central
 
 
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_depth_theorems_on_random_pairs(data):
+    # G on at most 5 points, H generated by one or two of its elements; every
+    # expectation is computed literally from the elements
+    degree = data.draw(st.integers(1, 5))
+    gens = data.draw(st.lists(st.permutations(range(degree)).map(perm.Permutation),
+                              min_size=1, max_size=3))
+    group = PermGroup.generated(gens)
+    sub = PermGroup.generated(data.draw(st.lists(st.sampled_from(group.elements),
+                                                 min_size=1, max_size=2)))
+    depth = ordinary_depth(group, sub).depth
+    normal = all(h.conjugated_by(g) in sub for g in group.elements for h in sub.elements)
+    assert (depth <= 2) == normal
+
+    def centralizer_order(ambient, h):
+        return sum(g * h == h * g for g in ambient.elements)
+    depth_one = all(sub.order * centralizer_order(group, h)
+                    == group.order * centralizer_order(sub, h) for h in sub.elements)
+    assert (depth == 1) == depth_one
+    g = data.draw(st.sampled_from(group.elements))
+    conjugate = PermGroup.generated([h.conjugated_by(g) for h in sub.generators])
+    assert ordinary_depth(group, conjugate).depth == depth
+    assert ordinary_depth(group, group).depth == 1
+
+
 def test_core_depth_bound_enumerates_conjugates_once(bg, core_enumerations):
     for sub in (bg.v4, bg.d8, bg.s3, bg.s4):
         core_enumerations.clear()
@@ -319,7 +346,7 @@ def report_json(ambient, sub, drop_witnesses=False):
 
 
 def assert_same_classes_and_table(group, other):
-    assert group.frozen() == other.frozen()
+    assert set(group.raw_elements) == set(other.raw_elements)
     cs, other_cs = group.classes(), other.classes()
     assert [(c.rep, c.size) for c in cs.classes] == [(c.rep, c.size) for c in other_cs.classes]
     assert all(cs.class_of[x] == other_cs.class_of[x] for x in group.raw_elements)

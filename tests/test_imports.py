@@ -1,4 +1,5 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package module imports is read in that module, and every
+name in its ``__all__`` exists in it.
 
 The only exceptions are the names the traced benchmark wraps on a module
 (``SPANS`` and ``COUNTED`` in ``perfbench/tracer.py``): the module binds them
@@ -7,6 +8,7 @@ so that the wrapper can replace them where their callers look them up.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,10 @@ def test_every_imported_name_is_read(path):
     unread = [(line, name) for line, name in imported_names(tree)
               if name not in read and (path.stem, name) not in wrapped]
     assert unread == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exported_name_exists(path):
+    module = importlib.import_module(f"subdepth.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

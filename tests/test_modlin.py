@@ -1,12 +1,13 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdepth.modlin import (charpoly_mod, is_prime, nullspace_mod,
-                             primitive_root, roots_mod, rref_mod,
+from subdepth.modlin import (PRIMALITY_BOUND, charpoly_mod, is_prime,
+                             nullspace_mod, root_of_unity, roots_mod, rref_mod,
                              smallest_dixon_prime)
 
 
@@ -20,15 +21,43 @@ def test_smallest_dixon_prime():
     assert p == 433
 
 
-def test_primitive_root():
-    for p in (13, 73, 433):
-        g = primitive_root(p)
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        assert len(seen) == p - 1
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_against_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # Carmichael numbers, strong pseudoprimes to the first few bases, and
+    # 318665857834031151167461, a strong pseudoprime to every base up to 37
+    # that only base 41 exposes
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+
+
+def test_is_prime_refuses_at_the_bound():
+    assert PRIMALITY_BOUND == 3317044064679887385961981
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2):
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            is_prime(n)
+
+
+def _order(z, p):
+    k, acc = 1, z
+    while acc != 1:
+        acc = acc * z % p
+        k += 1
+    return k
+
+
+def test_root_of_unity_has_order_exactly_e():
+    for e in (d for d in range(1, 841) if 840 % d == 0):
+        p = smallest_dixon_prime(e, e)
+        assert _order(root_of_unity(e, p), p) == e
 
 
 def _brute_charpoly(a, p):

@@ -188,7 +188,7 @@ def test_core_examples():
     for g in s4.elements:
         conjugates.add(frozenset((g * h * g.inverse()).images for h in d8.elements))
     inter = set.intersection(*map(set, conjugates))
-    assert inter == set(core.frozen())
+    assert inter == set(core.raw_elements)
     # core is normal, contained in the subgroup, and stable under more intersection
     assert is_normal(s4, core)
     assert d8.contains_group(core)
@@ -209,7 +209,7 @@ def test_min_core_conjugates():
     assert m == 2 and core == subgroup_core(s4, d8)
     # witnesses verifiably intersect to the core
     sets = [frozenset((w * h * w.inverse()).images for h in d8.elements) for w in wit]
-    assert set.intersection(*map(set, sets)) == set(core.frozen())
+    assert set.intersection(*map(set, sets)) == set(core.raw_elements)
 
 
 def test_class_fusion():
@@ -308,6 +308,23 @@ def groups_with_subgroups(draw, kind):
     return group, sub
 
 
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_groups_are_equal_exactly_when_their_elements_are(kind, data):
+    group, sub = data.draw(groups_with_subgroups(kind))
+    gens = list(group.generators)
+    reordered = PermGroup.generated(data.draw(st.permutations(gens)))
+    rebuilt = PermGroup.from_elements(group.degree, group.raw_elements[::-1])
+    for other in (group, reordered, rebuilt):
+        assert other == group and group == other and hash(other) == hash(group)
+    if sub.order < group.order:
+        assert sub != group and group != sub
+    wider = PermGroup.generated([Permutation(g.images + (group.degree,)) for g in gens])
+    assert wider.order == group.order and wider != group and group != wider
+    assert group != set(group.raw_elements)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factors=st.lists(generated_groups(4), min_size=1, max_size=3))
 def test_direct_product_is_the_cartesian_product(factors):
@@ -316,7 +333,7 @@ def test_direct_product_is_the_cartesian_product(factors):
     literal = {sum((tuple(off + v for v in x) for off, x in zip(offsets, combo)), ())
                for combo in product(*(f.raw_elements for f in factors))}
     group = direct_product(factors)
-    assert group.frozen() == literal
+    assert set(group.raw_elements) == literal
     assert group.order == prod(f.order for f in factors)
 
 
@@ -353,10 +370,10 @@ def test_classes_and_cores_match_brute_force(kind, data):
 
     conjugates = literal_conjugates(group, sub)
     core = frozenset.intersection(*conjugates)
-    assert subgroup_core(group, sub).frozen() == core
+    assert set(subgroup_core(group, sub).raw_elements) == core
 
     m, witnesses, found_core = min_core_conjugates(group, sub)
-    assert found_core.frozen() == core and len(witnesses) == m
+    assert set(found_core.raw_elements) == core and len(witnesses) == m
     assert witnesses[0].is_identity
     chosen = [frozenset(literal_conjugate(w.images, h) for h in sub.raw_elements)
               for w in witnesses]
