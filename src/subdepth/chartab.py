@@ -57,7 +57,7 @@ from . import modlin
 from .cyclo import Cyclotomic, reduce_vector
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, TableConsistencyError)
-from .perm import Permutation, parse_cycle_notation
+from .perm import parse_cycle_notation
 
 __all__ = [
     "ClassFunction", "CharacterTable", "inner_product", "restrict_character",
@@ -394,7 +394,6 @@ def dixon_character_table(group, prime=None):
         p = prime
 
     sizes = cs.sizes()
-    class_of = cs.class_of
 
     # Split F_p^s into the common eigenspaces of the class matrices, taking the
     # matrices in canonical class order until every subspace is a line.  Of
@@ -437,24 +436,13 @@ def dixon_character_table(group, prime=None):
 
     size_inv = [pow(sz, -1, p) for sz in sizes]
     z_e = modlin.root_of_unity(e, p)
-    rep_orders = [cs.classes[k].rep.order() for k in range(s)]
-    power_class = []
-    for k in range(s):
-        zk = cs.classes[k].rep
-        acc = Permutation.identity(group.degree)
-        row = []
-        for _ in range(rep_orders[k]):
-            row.append(class_of[acc.images])
-            acc = acc * zk
-        power_class.append(row)
-    # z^(m-1) = z^-1 for z of order m
-    inv_class = [row[-1] for row in power_class]
+    inv_class = [row[-1] for row in cs.powers]
     # the candidate degrees by their squares mod p, which are distinct as
     # p > 2*sqrt(|G|) (see the docstring)
     degree_of_square = {d * d % p: d for d in range(1, isqrt(order) + 1) if order % d == 0}
     # per element order m, row l of the inverse DFT: m^-1 zeta_m^(-l t), t < m
     inverse_dft = {}
-    for m in set(rep_orders):
+    for m in set(map(len, cs.powers)):
         w = pow(z_e, -(e // m), p)
         m_inv = pow(m, -1, p)
         inverse_dft[m] = [[m_inv * pow(w, l * t, p) % p for t in range(m)]
@@ -481,9 +469,9 @@ def dixon_character_table(group, prime=None):
             raise InternalConsistencyError("character degree recovery failed")
         u = [deg * v[k] * size_inv[k] % p for k in range(s)]
         values = []
-        for k in range(s):
-            m = rep_orders[k]
-            vals_t = [u[c] for c in power_class[k]]
+        for row in cs.powers:
+            m = len(row)
+            vals_t = [u[c] for c in row]
             coeffs = {}
             for l, dft_row in enumerate(inverse_dft[m]):
                 c_l = sum(map(mul, dft_row, vals_t)) % p
@@ -886,8 +874,9 @@ def table_from_obj(obj, group):
     :class:`TableConsistencyError`, and a header or class list that differs
     from ``group``'s raises :class:`GroupMismatchError`.  Every value must have
     the shape :meth:`Cyclotomic.to_obj` writes with a conductor dividing the
-    group exponent (checked before any value is normalised), and the values
-    must pass :meth:`CharacterTable.validate`, so a tampered file is rejected.
+    order of its class's elements (checked before any value is normalised), and
+    the values must pass :meth:`CharacterTable.validate`, so a tampered file is
+    rejected.
 
     Each distinct string entry is parsed once, and a dict entry every time;
     every entry that parses to the same value shares one Cyclotomic.
@@ -916,16 +905,16 @@ def table_from_obj(obj, group):
             raise GroupMismatchError("class list does not match the canonical classes")
     if any(type(row) is not list or len(row) != len(classes) for row in obj["irreducibles"]):
         raise TableConsistencyError("each irreducible needs a list of one value per class")
-    exponent = group.exponent()
+    orders = list(map(len, group.classes().powers))
     texts, shared = {}, {}
 
-    def value(v):
+    def value(v, m):
         if type(v) is str and v in texts:
             return texts[v]
         e = v.get("conductor") if isinstance(v, dict) else 1
         try:
-            if type(e) is not int or e < 1 or exponent % e:
-                raise ValueError(f"conductor {e!r} does not divide the exponent {exponent}")
+            if type(e) is not int or e < 1 or m % e:
+                raise ValueError(f"conductor {e!r} does not divide the element order {m}")
             x = Cyclotomic.from_obj(v)
         except ValueError as exc:
             raise TableConsistencyError(f"bad table value: {exc}") from None
@@ -934,5 +923,5 @@ def table_from_obj(obj, group):
             texts[v] = x
         return x
 
-    irils = [ClassFunction(group, [value(v) for v in row]) for row in obj["irreducibles"]]
+    irils = [ClassFunction(group, list(map(value, row, orders))) for row in obj["irreducibles"]]
     return CharacterTable(group, irils)

@@ -23,6 +23,7 @@ member, base pair and lemma; the seed helpers read them from product groups.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iter_product
@@ -168,22 +169,28 @@ class CyclicWreath:
 
 
 def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
-    """base wr C_n, generated by the block-0 copy of the base and the shift."""
+    """base wr C_n, generated by the block-0 copy of the base and the shift.
+    The base holds each product weakly, as a group holds its table, so calls
+    share one group (and its classes and table) while anyone keeps it."""
     if copies < 2:
         raise ValueError("a wreath product needs at least two copies")
     # the order is base.order^copies * copies: refuse it above the cap before
-    # building a permutation on base.degree * copies points
+    # building a permutation on base.degree * copies points or sharing one
     order = copies
     for _ in range(copies):
         order *= base.order
         if order > cap:
             raise EnumerationCapExceeded(cap, order, counted=False)
-    degree = base.degree * copies
     shift = block_shift(base.degree, copies)
-    gens = [g.shifted(0, degree) for g in base.generators] + [shift]
-    group = PermGroup.generated(gens, cap=cap)
-    if group.order != order:
-        raise InternalConsistencyError("wreath product closure has the wrong order")
+    held = base._wreaths.get(copies)
+    group = held and held()
+    if group is None:
+        degree = base.degree * copies
+        gens = [g.shifted(0, degree) for g in base.generators] + [shift]
+        group = PermGroup.generated(gens, cap=cap)
+        if group.order != order:
+            raise InternalConsistencyError("wreath product closure has the wrong order")
+        base._wreaths[copies] = weakref.ref(group)
     return CyclicWreath(group, shift)
 
 
@@ -193,7 +200,7 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
 
 @dataclass
 class FamilyInstance:
-    """One member of a family: ambient group (perhaps shared, see ``family``),
+    """One member of a family: ambient group (shared, see ``wreath_cyclic``),
     subgroup, and the helpers (full base-block product, core, shift) used by
     the verification code.  The pair's depth report is computed on first use
     and kept, so every consumer reads the same matrix, tables and graph."""
@@ -218,14 +225,14 @@ class FamilyInstance:
         return self._report
 
 
-def _wreath_step(base, seed, copies, cap, wr=None):
-    """``(base wr C_copies, seed x base^(copies-1), base^copies)``, reusing ``wr``.
+def _wreath_step(base, seed, copies, cap):
+    """``(base wr C_copies, seed x base^(copies-1), base^copies)``.
 
     The generator list that ``direct_product`` closed must be the seed on
     block 0 and the base generators moved to block i by the i-th shift power,
     and the ambient group must contain both products; otherwise this raises.
     """
-    wr = wr or wreath_cyclic(base, copies, cap=cap)
+    wr = wreath_cyclic(base, copies, cap=cap)
     subgroup = direct_product([seed] + [base] * (copies - 1), cap=cap)
     block = direct_product([base] * copies, cap=cap)
     degree = wr.group.degree
@@ -241,29 +248,26 @@ def _wreath_step(base, seed, copies, cap, wr=None):
     return wr, subgroup, block
 
 
-def family(series, n, cap=DEFAULT_CAP, wreath=None):
+def family(series, n, cap=DEFAULT_CAP):
     """Build a family member: series "A" (V4 base), "B" (D8 base) or "C"
     (wreath doubling; ``n`` counts doubling steps starting at (S4, D8)).
-    Series A and B may pass ``wreath = wreath_cyclic(S4, n)`` to share one
-    ambient group, and with it its classes and table."""
+    Members on one wreath product (A and B at one n) share it while any caller
+    keeps it, and with it its classes and table (see ``wreath_cyclic``)."""
     series = series.upper()
     if series not in ("A", "B", "C"):
         raise ValueError(f"unknown series {series!r} (expected A, B or C)")
     if n < 1:
         raise ValueError("the family index must be a positive integer")
-    if wreath is not None and (series == "C" or wreath.group.degree != 4 * n):
-        raise ValueError(f"series {series} n={n} cannot share a wreath product "
-                         f"of degree {wreath.group.degree}")
     bg = base_groups()
     seed = bg.v4 if series == "A" else bg.d8
     ambient, subgroup, block, sigma = bg.s4, seed, bg.s4, None
     # series A/B: one step with n copies (none at n = 1); C: n - 1 steps with two
     steps, copies = (n - 1, 2) if series == "C" else (1 if n > 1 else 0, n)
     for _ in range(steps):
-        wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap, wreath)
+        wr, subgroup, block = _wreath_step(ambient, subgroup, copies, cap)
         ambient, sigma = wr.group, wr.shift
     if ambient.order > cap:
-        # the base groups and a shared wreath product were built at their own cap
+        # the base groups were built at their own cap
         raise EnumerationCapExceeded(cap, ambient.order, counted=False)
     core = subgroup_core(ambient, subgroup)
     # for A and B the core is V4^n, built here independently of the conjugates

@@ -147,9 +147,6 @@ class Permutation:
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __hash__(self):
         return hash(self.images)
 
@@ -263,6 +260,20 @@ class ClassSet:
     def sizes(self):
         return [c.size for c in self.classes]
 
+    @cached_property
+    def powers(self):
+        """Per class with representative z of order m, the classes of z^0, ...,
+        z^(m-1), walked on image tuples; ``row[-1]`` is the class of z^-1."""
+        identity, out = self.classes[0].rep.images, []
+        for c in self.classes:
+            z = acc = c.rep.images
+            row = [0]
+            while acc != identity:
+                row.append(self.class_of[acc])
+                acc = tuple(map(acc.__getitem__, z))
+            out.append(tuple(row))
+        return tuple(out)
+
 
 class PermGroup:
     """A finite permutation group with its full element list.
@@ -284,8 +295,8 @@ class PermGroup:
         self._classes = None
         self._action = None
         self._right = None                        # set by generated(); see _conjugation_action
-        self._exponent = None
         self._char_table = None
+        self._wreaths = {}                        # copies -> weakref of self wr C_copies
         self.product_structure = None             # set by direct products
 
     # -- construction ---------------------------------------------------------
@@ -412,12 +423,7 @@ class PermGroup:
         return self._action
 
     def exponent(self):
-        if self._exponent is None:
-            e = 1
-            for c in self.classes().classes:
-                e = lcm(e, c.rep.order())
-            self._exponent = e
-        return self._exponent
+        return lcm(*map(len, self.classes().powers))
 
 
 def _conjugation_action(group):
@@ -557,7 +563,9 @@ def _conjugates_and_core(ambient, sub):
     conjugates = [_bitset(members[0])]
     witnesses = [tuple(range(ambient.degree))]
     seen = set(conjugates)
-    steps = list(zip((g.images for g in ambient.generators), ambient._conjugation()))
+    # sorted, so that the witnesses do not depend on the generators' order
+    steps = sorted(zip((g.images for g in ambient.generators), ambient._conjugation()),
+                   key=itemgetter(0))
     for current, w in zip(members, witnesses):    # members grows while it is walked
         for g, act in steps:
             image = list(map(act.__getitem__, current))

@@ -1,7 +1,7 @@
 """One-shot verification harness: every headline value, recomputed exactly.
 
-The harness owns a context that builds the series A and B members at each n
-together, on one S4 wr C_n, and reads each member's one depth report
+The harness owns a context that keeps the series A and B members, which share
+S4 wr C_n at each n, and reads each member's one depth report
 (``FamilyInstance.report``); it keeps the reports of the three S4 pairs and
 the lemma's block tables itself.  So the 41472-element wreath product and its
 table are built once.  Each criterion returns a PASS/FAIL verdict with a
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .chartab import (character_table, induce_character, inner_product,
                       restrict_character, wreath_cyclic_table)
-from .constructions import base_groups, family, wreath_cyclic
+from .constructions import base_groups, family
 from .depth import ordinary_depth
 from .graphs import bfs_distance
 from .lemma import expected_overlap_graph, lemma_report, seed_factor_graphs
@@ -45,11 +45,10 @@ class AcceptanceContext:
         return self._tables.setdefault(id(group), character_table(group))
 
     def family(self, series, n):
-        """The series A or B member at n >= 2, built with its sibling on one S4 wr C_n."""
-        if n not in self._families:
-            wreath = wreath_cyclic(self.bg.s4, n, cap=self.cap)
-            self._families[n] = {s: family(s, n, self.cap, wreath) for s in "AB"}
-        return self._families[n][series]
+        """The series A or B member at n, kept for the context's lifetime."""
+        if (series, n) not in self._families:
+            self._families[series, n] = family(series, n, self.cap)
+        return self._families[series, n]
 
     def base_report(self, sub_name):
         if sub_name not in self._reports:

@@ -1347,3 +1347,42 @@ def test_rational_packed_sum_is_one_fraction(total, scale):
     assert got.coeffs == ({} if total == 0 else {0: Fraction(total, scale)})
     q = Fraction(total, scale)
     assert Cyclotomic.from_rational(q).coeffs.get(0, q) is q
+
+
+def test_dixon_reads_power_maps_off_the_classes_without_permutation_products(
+        monkeypatch, bg):
+    # a fresh copy, so its classes and power maps are walked under the count
+    group = PermGroup.generated(wreath_cyclic(bg.s4, 2).group.generators)
+    products = []
+    multiply = Permutation.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    table = dixon_character_table(group)
+    assert products == []
+    assert len(table.irreducibles) == len(group.classes())
+
+
+def test_table_from_obj_rejects_the_c4_table_with_two_columns_swapped():
+    # swapping the values at (1,2,3,4) and (1,3)(2,4) keeps orthogonality but
+    # puts zeta_4 at an element of order 2
+    group = PermGroup.generated(parse_generators("(1,2,3,4)"))
+    obj = json.loads(json.dumps(table_to_obj(character_table(group))))
+    assert [c["rep"] for c in obj["classes"]] == ["()", "(1,2,3,4)", "(1,3)(2,4)", "(1,4,3,2)"]
+    for row in obj["irreducibles"]:
+        row[1], row[2] = row[2], row[1]
+    with pytest.raises(TableConsistencyError,
+                       match="conductor 4 does not divide the element order 2"):
+        table_from_obj(obj, group)
+
+
+def test_exported_tables_import_with_conductors_dividing_their_element_orders(bg):
+    # the groups of the table goldens, and of the family members' round trips
+    members = [family("A", 2), family("B", 2)]
+    groups = [bg.s4, bg.d8, PermGroup.generated(parse_generators(F21_GENS))]
+    for group in groups + [g for fam in members for g in (fam.ambient, fam.subgroup)]:
+        table = character_table(group)
+        assert table_from_obj(json.loads(json.dumps(table_to_obj(table))), group) == table

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -153,6 +154,31 @@ def test_depth_builds_a_family_member_once(capsys, monkeypatch):
                            "--subgroup", "A:n=2", "--format", "json")
     assert code == 0 and json.loads(out)["depth"] == 4
     assert calls == [("A", 2)]
+
+
+@pytest.mark.parametrize("group", ["(1,2);(1,2,3,4)", "(1,2,3,4);(1,2)"])
+def test_core_witnesses_do_not_depend_on_the_generator_order(capsys, group):
+    code, out, _ = run_cli(capsys, "depth", "--group", group, "--subgroup", "(1,3)",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["criteria"]["core"]["witnesses"] == ["()", "(1,2)"]
+
+
+def test_depth_of_two_members_closes_their_wreath_product_once(capsys, monkeypatch):
+    gc.collect()  # so that no S4 wr C3 is left over from earlier tests
+    orders = []
+    generated = perm.PermGroup.generated.__func__
+
+    def recording(cls, *args, **kwargs):
+        group = generated(cls, *args, **kwargs)
+        orders.append(group.order)
+        return group
+
+    monkeypatch.setattr(perm.PermGroup, "generated", classmethod(recording))
+    code, out, _ = run_cli(capsys, "depth", "--group", "A:n=3",
+                           "--subgroup", "B:n=3", "--format", "json")
+    assert code == 0 and json.loads(out)["depth"] == 12
+    assert orders.count(24 ** 3 * 3) == 1
 
 
 @pytest.mark.parametrize("argv", [

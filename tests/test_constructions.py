@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from subdepth import constructions
@@ -141,14 +144,41 @@ def test_family_errors(bg):
         family("X", 2)
     with pytest.raises(ValueError):
         family("A", 0)
-    # a shared wreath product serves only series A and B at its own n
-    wreath = wreath_cyclic(bg.s4, 2)
-    for series, n in [("C", 2), ("A", 3), ("B", 1)]:
-        with pytest.raises(ValueError, match="cannot share"):
-            family(series, n, wreath=wreath)
-    # one of the right degree on the wrong base still fails the containment check
+
+
+def test_family_checks_that_its_products_lie_in_the_ambient_group(bg, monkeypatch):
+    # a wreath product of the right degree on the wrong base fails the
+    # containment check
+    monkeypatch.setattr(constructions, "wreath_cyclic",
+                        lambda base, copies, cap: wreath_cyclic(bg.d8, copies, cap))
     with pytest.raises(InternalConsistencyError, match="not inside"):
-        family("A", 2, wreath=wreath_cyclic(bg.d8, 2))
+        family("A", 2)
+
+
+def test_members_share_the_wreath_product_while_one_is_kept(bg):
+    # drop what earlier tests left in reference cycles; below, only reference
+    # counts free the group
+    gc.collect()
+    a2 = family("A", 2)
+    held = weakref.ref(a2.ambient)
+    assert family("B", 2).ambient is held() is wreath_cyclic(bg.s4, 2).group
+    assert family("C", 2).ambient is held()
+    b2 = family("B", 2)
+    del a2
+    assert held() is b2.ambient
+    del b2
+    assert held() is None
+    fresh = family("A", 2).ambient
+    assert fresh.order == 1152 and wreath_cyclic(bg.s4, 2).group is fresh
+
+
+def test_a_kept_wreath_product_is_still_refused_above_the_cap(bg):
+    wr = wreath_cyclic(bg.s4, 3)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        wreath_cyclic(bg.s4, 3, cap=1000)
+    assert exc.value.cap == 1000 and exc.value.partial_count > 1000
+    assert wreath_cyclic(bg.s4, 3).group is wr.group
+    assert wreath_cyclic(bg.s4, 3) is not wr
 
 
 def test_enumeration_identity_of_subgroup():

@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
 from itertools import accumulate, combinations, permutations, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +396,17 @@ def test_conjugation_action_from_right_multiplications(kind, data):
     assert group._right is None          # the recorded arrays are dropped once used
     for g, act in zip(group.generators, action):
         assert [raw[j] for j in act] == [literal_conjugate(g.images, x) for x in raw]
+
+
+@pytest.mark.parametrize("kind",
+                         ["generated", "from_elements", "direct_product", "trivial"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_power_maps_match_permutation_arithmetic(kind, data):
+    group = data.draw(groups_built_by(kind, 7))
+    classes = group.classes()
+    for c, row in zip(classes.classes, classes.powers):
+        assert len(row) == c.rep.order()
+        assert row == tuple(classes.class_of[(c.rep ** t).images] for t in range(len(row)))
+        assert row[-1] == classes.class_of[c.rep.inverse().images]
+    assert group.exponent() == lcm(*(x.order() for x in group.elements))
