@@ -5,9 +5,14 @@ of class-multiplication matrices over a prime field F_p with p == 1 mod the
 group exponent and p^2 > 4|G|, lifted to exact cyclotomic values by Fourier
 inversion over the roots of unity of F_p.  A class matrix is never built
 whole: only its rows at the pivots of a subspace still to be split, each from
-the class-sum structure constants.  A simple eigenvalue's line is read off
-one Krylov sequence of the identity class vector's component in the subspace
-(:func:`_split_space`), so only a repeated eigenvalue costs a nullspace.
+the class-sum structure constants counted in one chain of maps over a class.
+A simple eigenvalue's line is read off one Krylov sequence of the identity
+class vector's component in the subspace (:func:`_split_space`), so only a
+repeated eigenvalue costs a nullspace, whose basis is kept as the
+eigenspace's: it is the identity at its pivots, all that the action of a
+class matrix on the subspace needs, so no second elimination is made.  The
+lift is a function of a character's degree and its residues at the powers
+of a class, and runs once per distinct such input.
 Everything is verified against exact row orthogonality before a table is
 returned; for a square table the column relation and the degree-square sum
 follow from it (see :meth:`CharacterTable.validate`).
@@ -48,10 +53,11 @@ other table.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from math import isqrt, lcm, prod
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 
 from . import modlin
 from .cyclo import Cyclotomic, reduce_vector
@@ -398,9 +404,9 @@ def dixon_character_table(group, prime=None):
     # Split F_p^s into the common eigenspaces of the class matrices, taking the
     # matrices in canonical class order until every subspace is a line.  Of
     # each matrix only the rows at the pivots of an unsplit subspace are read.
-    # A subspace is (basis, pivots, start): its basis in rref, the pivot
-    # columns, and the component in it of e_0, the identity class vector, from
-    # which _split_space reads off the eigenlines.
+    # A subspace is (basis, pivots, start): a basis that is the identity at the
+    # pivot columns, those columns, and the component in it of e_0, the
+    # identity class vector, from which _split_space reads off the eigenlines.
     identity = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
     spaces = [(identity, list(range(s)), [1] + [0] * (s - 1))]
     for i in range(1, s):
@@ -414,19 +420,25 @@ def dixon_character_table(group, prime=None):
             if dim == 1:
                 next_spaces.append(space)
                 continue
-            for j in pivots:
-                if j not in rows:
-                    rows[j] = _class_matrix_row(group, i, j)
-            pivot_rows = [rows[j] for j in pivots]
             # the subspace is invariant and b_l is 1 at pivots[l] and 0 at the
             # other pivots, so m b_l = sum_r act[r][l] b_r with
-            # act[r][l] = m[pivots[r]] . b_l
-            act = [list(col) for col in
-                   zip(*(modlin.matvec_mod(pivot_rows, b, p) for b in basis))]
+            # act[r][l] = m[pivots[r]] . b_l: the entry of m at
+            # (pivots[r], pivots[l]) plus a dot product over the other columns,
+            # of which the first, identity space has none
+            pivot_set = set(pivots)
+            others = [k for k in range(s) if k not in pivot_set]
+            tails = [[b[k] for k in others] for b in basis]
+            act = []
+            for j in pivots:
+                row = rows.get(j)
+                if row is None:
+                    row = rows[j] = _class_matrix_row(group, i, j)
+                head = [row[k] for k in others]
+                act.append([(row[col] + sum(map(mul, head, tail))) % p
+                            for col, tail in zip(pivots, tails)])
             lam = act[0][0]
             if act == [[lam if r == t else 0 for t in range(dim)] for r in range(dim)]:
-                # the class acts as the scalar lam: the subspace stays whole,
-                # and its basis is already in rref
+                # the class acts as the scalar lam: the subspace stays whole
                 next_spaces.append(space)
                 continue
             next_spaces.extend(_split_space(space, act, p))
@@ -448,9 +460,11 @@ def dixon_character_table(group, prime=None):
         inverse_dft[m] = [[m_inv * pow(w, l * t, p) % p for t in range(m)]
                           for l in range(m)]
 
+    # the lift, its checks included, is a function of the degree and the
+    # residues at the m power classes, so each distinct input is lifted once;
     # each lifted form (an int, or m and the multiplicities) is made into a
     # Cyclotomic once, and every entry of one value shares one object
-    lifted, shared = {}, {}
+    lift, lifted, shared = {}, {}, {}
     characters = []
     for basis, _, _ in spaces:
         v = basis[0]
@@ -470,25 +484,29 @@ def dixon_character_table(group, prime=None):
         u = [deg * v[k] * size_inv[k] % p for k in range(s)]
         values = []
         for row in cs.powers:
-            m = len(row)
-            vals_t = [u[c] for c in row]
-            coeffs = {}
-            for l, dft_row in enumerate(inverse_dft[m]):
-                c_l = sum(map(mul, dft_row, vals_t)) % p
-                if c_l:
-                    if c_l > deg:
-                        raise InternalConsistencyError(
-                            "eigenvalue multiplicity exceeded the character degree")
-                    coeffs[l] = c_l
-            if sum(coeffs.values()) != deg:
-                raise InternalConsistencyError(
-                    "eigenvalue multiplicities do not sum to the character degree")
-            c = _integer([coeffs.get(l, 0) for l in range(m)], m)
-            key = (m, tuple(coeffs.items())) if c is None else c
-            value = lifted.get(key)
+            vals_t = tuple([u[c] for c in row])
+            value = lift.get((deg, vals_t))
             if value is None:
-                value = Cyclotomic._make(m, coeffs) if c is None else Cyclotomic.from_rational(c)
-                value = lifted[key] = shared.setdefault(value, value)
+                m = len(row)
+                coeffs = {}
+                for l, dft_row in enumerate(inverse_dft[m]):
+                    c_l = sum(map(mul, dft_row, vals_t)) % p
+                    if c_l:
+                        if c_l > deg:
+                            raise InternalConsistencyError(
+                                "eigenvalue multiplicity exceeded the character degree")
+                        coeffs[l] = c_l
+                if sum(coeffs.values()) != deg:
+                    raise InternalConsistencyError(
+                        "eigenvalue multiplicities do not sum to the character degree")
+                c = _integer([coeffs.get(l, 0) for l in range(m)], m)
+                key = (m, tuple(coeffs.items())) if c is None else c
+                value = lifted.get(key)
+                if value is None:
+                    value = (Cyclotomic._make(m, coeffs) if c is None
+                             else Cyclotomic.from_rational(c))
+                    value = lifted[key] = shared.setdefault(value, value)
+                lift[deg, vals_t] = value
             values.append(value)
         characters.append(tuple(values))
 
@@ -504,7 +522,14 @@ def _split_space(space, act, p):
     and ``act`` the matrix in that basis.  Returns one such triple per
     eigenvalue, ascending: a simple eigenvalue's line (with pivots and start
     None, as a line is never split again), or a repeated eigenvalue's
-    eigenspace in rref carrying its own component of e_0.
+    eigenspace carrying its own component of e_0.  That eigenspace's basis is
+    its nullspace basis in ``act``'s coordinates, taken over the columns in
+    reverse so that it is in rref there, mapped into the ambient space: it is
+    the identity at its pivots, the parent's pivots at the vectors' first
+    nonzero coordinates, which is all the action formula needs, so no second
+    elimination is made.  As the first subspace is the identity, every basis
+    is then in rref, so the pivots, and the class-matrix rows read at them,
+    are the leftmost ones.
 
     Why e_0: write w_chi for the common eigenvector with entry
     |C_k| chi(z_k)/chi(1) at class k.  Column orthogonality gives
@@ -545,14 +570,19 @@ def _split_space(space, act, p):
             out.append(([image], None, None))
             split_total += 1
             continue
-        shifted = [row[:] for row in act]
-        for t in range(len(act)):
-            shifted[t][t] = (shifted[t][t] - lam) % p
-        ambient = [[sum(map(mul, coords, col)) % p for col in basis_cols]
-                   for coords in modlin.nullspace_mod(shifted, p)]
-        red, piv = modlin.rref_mod(ambient, p)
-        out.append((red, piv, image))
-        split_total += len(red)
+        # nullspace_mod's vectors are 1 at their free variables, their last
+        # nonzero entries, and 0 at each other's: taken of act - lam I with
+        # its columns reversed and read forwards, they are the rref
+        n = len(act)
+        flipped = [row[::-1] for row in act]
+        for t, row in enumerate(flipped):
+            row[n - 1 - t] = (row[n - 1 - t] - lam) % p
+        null = [coords[::-1] for coords in reversed(modlin.nullspace_mod(flipped, p))]
+        out.append(([[sum(map(mul, coords, col)) % p for col in basis_cols]
+                     for coords in null],
+                    [pivots[next(t for t, x in enumerate(coords) if x)] for coords in null],
+                    image))
+        split_total += len(null)
     if split_total != len(basis):
         raise InternalConsistencyError("class-matrix eigenspace splitting lost dimensions")
     return out
@@ -562,22 +592,23 @@ def _class_matrix_row(group, i, j):
     """Row j of the matrix of class sum i: entry k is #{x in C_i : x^-1 z_k in C_j}.
 
     Both this and |C_j| #{x in C_i : x z_j in C_k} / |C_k| count the x in C_i
-    and y in C_j with x y in C_k, so one pass over C_i gives the whole row.
+    and y in C_j with x y in C_k, so one pass over C_i gives the whole row:
+    the class labels of the products x z_j, counted by one chain of maps.
     """
     cs = group.classes()
-    raw = group.raw_elements
-    index, labels = group._index, cs.labels
     zj = cs.classes[j].rep.images
-    counts = [0] * len(cs)
-    for idx in cs.classes[i].members:
-        counts[labels[index[tuple(map(raw[idx].__getitem__, zj))]]] += 1
+    # x z_j is (x[z_j[0]], x[z_j[1]], ...), and itemgetter of a single point
+    # would return a bare value
+    compose = itemgetter(*zj) if len(zj) > 1 else tuple
+    counts = Counter(map(cs.labels.__getitem__, map(group._index.__getitem__, map(
+        compose, map(group.raw_elements.__getitem__, cs.classes[i].members)))))
     size_j = cs.classes[j].size
     row = []
-    for count, c in zip(counts, cs.classes):
-        a, rem = divmod(size_j * count, c.size)
+    for k, c in enumerate(cs.classes):
+        a, rem = divmod(size_j * counts[k], c.size)
         if rem:
             raise InternalConsistencyError(
-                f"class matrix {i} row {j}: {size_j * count} not divisible by {c.size}")
+                f"class matrix {i} row {j}: {size_j * counts[k]} not divisible by {c.size}")
         row.append(a)
     return row
 

@@ -121,7 +121,10 @@ def rref_mod(rows, p):
 
 
 def nullspace_mod(m, p):
-    """Basis of the right nullspace of m over F_p, free variables ascending."""
+    """Basis of the right nullspace of m over F_p, one vector per free
+    variable, free variables ascending.  Each vector is 1 at its free
+    variable, which is its last nonzero entry, and 0 at the other free
+    variables."""
     n = len(m[0]) if m else 0
     red, pivots = rref_mod(m, p)
     pivot_set = set(pivots)

@@ -340,6 +340,19 @@ def test_dixon_table_does_not_depend_on_the_root_of_unity(monkeypatch, gens):
         assert json.dumps(table_to_obj(table), sort_keys=True) == text
 
 
+@pytest.mark.parametrize("name", ["S4", "D8", "S4 wr C2"])
+def test_dixon_lift_rejects_a_root_of_unity_of_too_small_an_order(monkeypatch, bg, name):
+    # z_e^2 has order e/2 for even e, so the inverse Fourier transform reads
+    # multiplicities that cannot be a character's
+    root = modlin.root_of_unity
+    monkeypatch.setattr(modlin, "root_of_unity", lambda e, p: pow(root(e, p), 2, p))
+    group = {"S4": bg.s4, "D8": bg.d8}.get(name) or wreath_cyclic(bg.s4, 2).group
+    assert group.exponent() % 2 == 0
+    with pytest.raises(InternalConsistencyError,
+                       match="do not sum to the character degree"):
+        dixon_character_table(group)
+
+
 def test_value_conductors_divide_element_orders(s4_table, d8_table):
     f21 = PermGroup.generated(parse_generators("(1,2,3,4,5,6,7);(2,3,5)(4,7,6)"))
     for table in (s4_table, d8_table, dixon_character_table(f21)):
@@ -403,6 +416,19 @@ def test_class_matrix_rows_match_the_literal_count(kind, data):
                 == literal_class_matrix(group, i))
 
 
+def test_class_matrix_row_rejects_a_count_that_is_no_structure_constant(monkeypatch):
+    group = PermGroup.generated(parse_generators("(1,2);(1,2,3)"))
+    cs = group.classes()
+    assert [c.size for c in cs.classes] == [1, 2, 3]
+    # label one transposition as a 3-cycle
+    labels = list(cs.labels)
+    labels[labels.index(2)] = 1
+    monkeypatch.setattr(cs, "labels", labels)
+    with pytest.raises(InternalConsistencyError,
+                       match="class matrix 2 row 1: 4 not divisible by 3"):
+        chartab._class_matrix_row(group, 2, 1)
+
+
 def test_dixon_reads_only_the_pivot_rows(monkeypatch, bg):
     requests = Counter()
     build_row = chartab._class_matrix_row
@@ -458,11 +484,85 @@ def test_dixon_keeps_scalar_subspaces_whole(monkeypatch, bg):
     assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
 
 
+def partitions(n, largest=None):
+    """The partitions of n into parts at most ``largest``, as descending tuples."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(k,) + rest for k in range(min(n, largest), 0, -1)
+            for rest in partitions(n - k, k)]
+
+
+def murnaghan_nakayama(beta, lengths):
+    """chi at a cycle type, for the partition with beta-numbers ``beta``:
+    a rim hook of length r is a beta-number b moved to a free b - r, signed by
+    the beta-numbers it passes; independent oracle for the symmetric groups."""
+    if not lengths:
+        return 1
+    r, rest = lengths[0], lengths[1:]
+    return sum((-1) ** sum(1 for c in beta if b - r < c < b)
+               * murnaghan_nakayama(beta - {b} | {b - r}, rest)
+               for b in beta if b >= r and b - r not in beta)
+
+
+def symmetric_group_rows(group):
+    """Every row of the character table of S_n, over the group's classes, by
+    the Murnaghan-Nakayama rule."""
+    n = group.degree
+    types = []
+    for c in group.classes().classes:
+        cycles = [len(cyc) for cyc in c.rep.cycles()]
+        types.append(tuple(cycles) + (1,) * (n - sum(cycles)))
+    return sorted(
+        tuple(murnaghan_nakayama(frozenset(part + len(lam) - 1 - i
+                                           for i, part in enumerate(lam)), t)
+              for t in types)
+        for lam in partitions(n))
+
+
+@pytest.mark.parametrize("name, entries, inputs", [("S8", 484, 281), ("S4 wr C2", 400, 124)])
+def test_dixon_lifts_each_distinct_input_once(monkeypatch, bg, name, entries, inputs):
+    lifts = []
+    integer = chartab._integer
+
+    def counted(vec, e):
+        lifts.append(e)
+        return integer(vec, e)
+
+    monkeypatch.setattr(chartab, "_integer", counted)
+    group = (PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6,7,8)"))
+             if name == "S8" else wreath_cyclic(bg.s4, 2).group)
+    table = dixon_character_table(group)
+    # a lift's input is chi(1) and the residues mod p of chi at the powers
+    # z^0, ..., z^(m-1) of a class representative z of order m, reduced
+    # through zeta_e -> z_e as Dixon reduces them
+    e = group.exponent()
+    p = smallest_dixon_prime(e, group.order)
+    z_e = modlin.root_of_unity(e, p)
+
+    def residue(v):
+        w = pow(z_e, e // v.conductor, p)
+        return sum(c.numerator * pow(c.denominator, -1, p) * pow(w, k, p)
+                   for k, c in v.coeffs.items()) % p
+
+    powers = group.classes().powers
+    distinct = {(chi.degree(), tuple(residue(chi.values[c]) for c in row))
+                for chi in table.irreducibles for row in powers}
+    assert len(table.irreducibles) * len(powers) == entries
+    assert len(lifts) == len(distinct) == inputs
+    if name == "S8":
+        assert sorted(tuple(v.as_integer() for v in chi.values)
+                      for chi in table.irreducibles) == symmetric_group_rows(group)
+    else:
+        golden = (Path(__file__).parent / "golden" / "table_a2.json").read_text()
+        assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
+
+
 @pytest.mark.parametrize("name, repeated", [("S8", 3), ("S4 wr C2", 9)])
 def test_dixon_takes_a_nullspace_only_for_a_repeated_eigenvalue(monkeypatch, bg,
                                                                name, repeated):
     calls = Counter()
-    roots_mod, nullspace_mod = modlin.roots_mod, modlin.nullspace_mod
+    roots_mod, nullspace_mod, rref_mod = modlin.roots_mod, modlin.nullspace_mod, modlin.rref_mod
 
     def counted_roots(poly, p):
         roots = roots_mod(poly, p)
@@ -473,12 +573,20 @@ def test_dixon_takes_a_nullspace_only_for_a_repeated_eigenvalue(monkeypatch, bg,
         calls["nullspace"] += 1
         return nullspace_mod(m, p)
 
+    def counted_rref(rows, p):
+        calls["rref"] += 1
+        return rref_mod(rows, p)
+
     monkeypatch.setattr(modlin, "roots_mod", counted_roots)
     monkeypatch.setattr(modlin, "nullspace_mod", counted_nullspace)
+    monkeypatch.setattr(modlin, "rref_mod", counted_rref)
     group = (PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6,7,8)"))
              if name == "S8" else wreath_cyclic(bg.s4, 2).group)
     dixon_character_table(group)
     assert calls["nullspace"] == calls["repeated"] == repeated
+    # the only elimination is nullspace_mod's own: a repeated eigenvalue's
+    # eigenspace is kept as its nullspace basis, with no second rref
+    assert calls["rref"] == calls["nullspace"]
 
 
 IDENTITY_PLANE = ([[1, 0], [0, 1]], [0, 1])
@@ -493,6 +601,25 @@ def test_split_space_gives_lines_and_repeated_eigenspaces():
     assert spaces[0] == ([[1, 0, 0], [0, 0, 1]], [0, 2], [10, 0, 10])
     # 5 is simple: its line, times 5 - 2
     assert spaces[1] == ([[0, 3, 0]], None, None)
+
+
+def test_split_space_maps_a_repeated_eigenspace_through_a_parent_basis():
+    p = 13
+    # a parent basis that is the identity at its pivots 0, 1, 3 but not at 2
+    basis = [[1, 0, 2, 0], [0, 1, 5, 0], [0, 0, 7, 1]]
+    # in that basis, (1, 4, 0) and (0, 0, 1) span the 2-eigenspace and
+    # (0, 1, 0) the 5-eigenline; the start is their sum, (1, 5, 1)
+    act = [[2, 0, 0], [1, 5, 0], [0, 0, 2]]
+    start = [sum(c * b[k] for c, b in zip([1, 5, 1], basis)) % p for k in range(4)]
+    spaces = chartab._split_space((basis, [0, 1, 3], start), act, p)
+    plane, pivots, part = spaces[0]
+    # b_0 + 4 b_1 and b_2: the identity at their own pivots 0 and 3
+    assert (plane, pivots) == ([[1, 4, 9, 0], [0, 0, 7, 1]], [0, 3])
+    assert [[v[k] for k in pivots] for v in plane] == [[1, 0], [0, 1]]
+    # the start's part in the plane, b_0 + 4 b_1 + b_2, times 2 - 5
+    assert part == [10, 1, 4, 10]
+    # the line: b_1 times 5 - 2
+    assert spaces[1] == ([[0, 3, 2, 0]], None, None)
 
 
 @pytest.mark.parametrize("start, message", [

@@ -1,6 +1,7 @@
 import random
 import time
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,22 @@ def test_nullspace():
         got = [sum(r * x for r, x in zip(row, v)) % p for row in a]
         assert got == [0, 0, 0]
 
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_nullspace_vectors_are_one_at_their_last_nonzero_entry(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                           min_size=1, max_size=6))
+    basis = nullspace_mod(m, p)
+    assert len(basis) == n - len(rref_mod(m, p)[1])
+    lasts = [max(t for t, x in enumerate(v) if x) for v in basis]
+    assert lasts == sorted(set(lasts))
+    for v, last in zip(basis, lasts):
+        assert all(sum(map(mul, row, v)) % p == 0 for row in m)
+        # 1 at its own last nonzero entry, 0 at every other vector's
+        assert [v[t] for t in lasts] == [int(t == last) for t in lasts]
 
 def test_rref_shapes():
     p = 13
