@@ -2,9 +2,10 @@
 
 Each case is one CLI invocation; its standard output must equal the stored
 file exactly.  They pin the reports (witnesses, core flags, tables) that a
-refactor must keep byte-identical.  To capture a new case, run the CLI with
-the same arguments and redirect standard output into
-``tests/golden/<name>.json``.
+refactor must keep byte-identical.  Every case is pinned as ``--format json``
+and the cases in ``PLAIN`` also as text and CSV.  To capture a new case, run
+the CLI with the same arguments and redirect standard output into
+``tests/golden/<name>.json`` (``.txt``, ``.csv``).
 """
 
 from pathlib import Path
@@ -40,9 +41,23 @@ CASES = {
     "lemma_a3": ["lemma", "--n", "3"],
 }
 
+# the cases also pinned in the text and CSV formats
+PLAIN = ("depth_s4_d8", "depth_a2", "table_s4", "family_a2_verify", "lemma_a2")
+SUFFIX = {"json": "json", "text": "txt", "csv": "csv"}
+
+
+def check_golden(name, fmt, capsys):
+    assert main(CASES[name] + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.{SUFFIX[fmt]}").read_text()
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_json(name, capsys):
-    assert main(CASES[name] + ["--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    check_golden(name, "json", capsys)
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv"))
+@pytest.mark.parametrize("name", PLAIN)
+def test_golden_text_and_csv(name, fmt, capsys):
+    check_golden(name, fmt, capsys)
