@@ -673,9 +673,8 @@ def induce_character_bruteforce(psi, emb):
             for i, v in enumerate(x):
                 xinv[v] = i
             conj = tuple(map(x.__getitem__, map(g.__getitem__, xinv)))
-            idx = h_class_of.get(conj)
-            if idx is not None:
-                acc = acc + psi.values[idx]
+            if conj in sub:
+                acc = acc + psi.values[h_class_of(conj)]
         values.append(acc * Fraction(1, sub.order))
     return ClassFunction(ambient, values)
 
@@ -757,7 +756,7 @@ def direct_product_table(factor_tables, group):
         size_check = 1
         for offset, fdeg, table in factors:
             comp = c.rep.window(offset, fdeg)
-            fidx = table.classes.class_of[comp.images]
+            fidx = table.classes.class_of(comp.images)
             key.append(fidx)
             size_check *= table.classes.classes[fidx].size
         if size_check != c.size:
@@ -816,13 +815,13 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
             if any(not (target <= w[j * d + t] < target + d) for t in range(d)):
                 raise InternalConsistencyError("wreath element does not shift blocks uniformly")
         if s == 0:
-            comps = tuple(base_class_of[tuple(v - j * d for v in w[j * d:(j + 1) * d])]
+            comps = tuple(base_class_of(tuple(v - j * d for v in w[j * d:(j + 1) * d]))
                           for j in range(n))
             decoded.append((0, comps))
         else:
             # the block-0 window of w^n is the cycle product of the components
             cycle_prod = (c.rep ** n).images[:d]
-            decoded.append((s, base_class_of[tuple(cycle_prod)]))
+            decoded.append((s, base_class_of(tuple(cycle_prod))))
 
     own = base_table.irreducibles[0]._packed
     e = lcm(own.e, n)

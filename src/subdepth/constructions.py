@@ -47,7 +47,6 @@ MARKERS = {
     "g2": parse_cycle_notation("(1,3)(2,4)", 4),
     "g3": parse_cycle_notation("(1,2)(3,4)", 4),
     "g4": parse_cycle_notation("(1,4)(2,3)", 4),
-    "g4p": parse_cycle_notation("(1,3)", 4),
 }
 
 
@@ -89,7 +88,7 @@ def klein_labels(v4_table):
             out["nu1"] = i
             continue
         for name in ("g2", "g3", "g4"):
-            k = cs.class_of[MARKERS[name].images]
+            k = cs.class_of(MARKERS[name].images)
             if chi.values[k].as_integer() == 1:
                 out["nu" + name[1]] = i
     if sorted(out) != ["nu1", "nu2", "nu3", "nu4"]:
@@ -104,7 +103,7 @@ def sym4_labels(s4_table):
     degree-3 characters with value +1/-1 at the transposition class.
     """
     cs = s4_table.classes
-    transposition = cs.class_of[parse_cycle_notation("(1,3)", 4).images]
+    transposition = cs.class_of(parse_cycle_notation("(1,3)", 4).images)
     out = {}
     for i, chi in enumerate(s4_table.irreducibles):
         d = chi.degree()

@@ -229,7 +229,7 @@ def core_depth_bound(ambient, sub):
     elements is alone in its ambient conjugacy class."""
     m, witnesses, core = min_core_conjugates(ambient, sub)
     cs = ambient.classes()
-    central = all(cs.classes[cs.class_of[x]].size == 1 for x in core.raw_elements)
+    central = all(cs.classes[cs.class_of(x)].size == 1 for x in core.raw_elements)
     bound = 2 * m - 1 if central else 2 * m
     return CoreBound(bound, m, central, tuple(witnesses))
 

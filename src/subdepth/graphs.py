@@ -45,15 +45,6 @@ class Graph:
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
-    def has_edge(self, u, v):
-        return frozenset((u, v)) in self.edges
-
-    def to_obj(self):
-        return {
-            "vertices": [list(v) if isinstance(v, tuple) else v for v in self.vertices],
-            "edges": sorted(sorted(tuple(e)) for e in self.edges),
-        }
-
 
 def cartesian_product(a, b):
     """Cartesian product: vertices are concatenated label tuples; an edge moves

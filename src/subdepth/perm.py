@@ -16,10 +16,10 @@ Conjugacy classes and cores work on element indices (positions in that list):
 each group derives, once, the conjugation action of its generators as one index
 list per generator from the right multiplications its search recorded, without
 hashing image tuples; classes are orbits under it, stored as one class label
-per element index, so looking up the class of an image tuple goes through the
-group's own index dict and builds no second one; the conjugates of a subgroup
-are Python-int bitsets over the ambient indices, so their intersections are
-``&`` operations.
+per element index, and :meth:`ClassSet.class_of` finds the class of an image
+tuple through the group's own index dict, building no second one; the
+conjugates of a subgroup are Python-int bitsets over the ambient indices, so
+their intersections are ``&`` operations.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def parse_cycle_notation(text, degree):
     while i < len(s):
         if s[i] != "(":
             raise CycleParseError(f"expected '(' at position {i} in {text!r}")
-        j = s.index(")", i + 1) if ")" in s[i + 1:] else -1
+        j = s.find(")", i + 1)
         if j < 0:
             raise CycleParseError(f"unbalanced parenthesis in {text!r}")
         body = s[i + 1:j]
@@ -219,25 +219,6 @@ def parse_generators(text, degree=None):
     return [parse_cycle_notation(chunk, degree) for chunk in chunks]
 
 
-class _ClassLookup:
-    """Raw image tuple -> class index through the group's own index dict and
-    the class label of each element index: ``[key]`` raises KeyError and
-    ``.get(key)`` returns None for a tuple outside the group."""
-
-    __slots__ = ("_index", "_labels")
-
-    def __init__(self, index, labels):
-        self._index = index
-        self._labels = labels
-
-    def __getitem__(self, key):
-        return self._labels[self._index[key]]
-
-    def get(self, key, default=None):
-        i = self._index.get(key)
-        return default if i is None else self._labels[i]
-
-
 @dataclass(frozen=True)
 class ConjugacyClass:
     rep: Permutation          # lexicographically smallest member
@@ -247,12 +228,20 @@ class ConjugacyClass:
 
 class ClassSet:
     """Conjugacy classes in canonical order: ascending size, ties broken by
-    the lexicographically smallest member.  The identity class is always first."""
+    the lexicographically smallest member.  The identity class is always first.
+
+    :meth:`class_of` is the one lookup from an image tuple to its class: the
+    group's own index dict gives the element index, and ``labels`` its class.
+    """
 
     def __init__(self, classes, labels, index):
         self.classes = classes
         self.labels = labels      # element index -> class index
-        self.class_of = _ClassLookup(index, labels)   # raw image tuple -> class index
+        self._index = index       # the group's own dict: image tuple -> element index
+
+    def class_of(self, images):
+        """The class index of an image tuple; KeyError for one outside the group."""
+        return self.labels[self._index[images]]
 
     def __len__(self):
         return len(self.classes)
@@ -269,7 +258,7 @@ class ClassSet:
             z = acc = c.rep.images
             row = [0]
             while acc != identity:
-                row.append(self.class_of[acc])
+                row.append(self.class_of(acc))
                 acc = tuple(map(acc.__getitem__, z))
             out.append(tuple(row))
         return tuple(out)
@@ -291,7 +280,6 @@ class PermGroup:
         self._raw = raw_elements                  # list of image tuples
         self._index = {x: i for i, x in enumerate(raw_elements)}
         self.generators = tuple(generators)
-        self._elements = None
         self._classes = None
         self._action = None
         self._right = None                        # set by generated(); see _conjugation_action
@@ -373,18 +361,9 @@ class PermGroup:
     def order(self):
         return len(self._raw)
 
-    def __len__(self):
-        return len(self._raw)
-
     def __contains__(self, perm):
         key = perm.images if isinstance(perm, Permutation) else tuple(perm)
         return key in self._index
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = tuple(Permutation(x) for x in self._raw)
-        return self._elements
 
     @property
     def raw_elements(self):
@@ -516,6 +495,9 @@ def centralizer(group, x):
 
 
 def _require_subgroup(ambient, sub):
+    if sub.degree != ambient.degree:
+        raise NotASubgroupError("the second group is not a subgroup of the first: it acts "
+                                f"on {sub.degree} points, the first on {ambient.degree}")
     if not ambient.contains_group(sub):
         raise NotASubgroupError("the second group is not a subgroup of the first")
 
@@ -623,10 +605,6 @@ class SubgroupEmbedding:
     sub: PermGroup
     fusion: tuple  # sub class index -> ambient class index
 
-    @property
-    def index(self):
-        return self.ambient.order // self.sub.order
-
     @cached_property
     def induction_weights(self):
         """``(buckets, bound)``: for each ambient class g, the pair
@@ -649,5 +627,5 @@ def class_fusion(ambient, sub):
     """Compute the :class:`SubgroupEmbedding` of ``sub`` in ``ambient``."""
     _require_subgroup(ambient, sub)
     acs = ambient.classes()
-    fusion = tuple(acs.class_of[c.rep.images] for c in sub.classes().classes)
+    fusion = tuple(acs.class_of(c.rep.images) for c in sub.classes().classes)
     return SubgroupEmbedding(ambient, sub, fusion)

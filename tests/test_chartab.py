@@ -58,7 +58,7 @@ S4_RESTRICTIONS = {
 
 def classic_value(table, labels, name, class_rep_text):
     from subdepth.perm import parse_cycle_notation
-    k = table.classes.class_of[parse_cycle_notation(class_rep_text, table.group.degree).images]
+    k = table.classes.class_of(parse_cycle_notation(class_rep_text, table.group.degree).images)
     return table.irreducibles[labels[name]].values[k].as_integer()
 
 
@@ -152,7 +152,7 @@ def test_induction(s4_table, v4_table, bg):
     for nu_name in ("nu1", "nu2", "nu3", "nu4"):
         psi = v4_table.irreducibles[nu_labels[nu_name]]
         ind = induce_character(psi, emb)
-        assert ind.degree() == emb.index * psi.degree()
+        assert ind.degree() == emb.ambient.order // emb.sub.order * psi.degree()
         mults = decompose(ind, s4_table)
         k = ["nu1", "nu2", "nu3", "nu4"].index(nu_name)
         expected = tuple(S4_RESTRICTIONS[chi][k] for chi in
@@ -202,8 +202,8 @@ def test_direct_product_table(bg, v4_table, s4_table):
     # class whose representative has components a and b
     labels = table.product_labels
     assert sorted(labels) == [(i, j) for i in range(4) for j in range(5)]
-    pairing = [(v4_table.classes.class_of[c.rep.window(0, 4).images],
-                s4_table.classes.class_of[c.rep.window(4, 4).images])
+    pairing = [(v4_table.classes.class_of(c.rep.window(0, 4).images),
+                s4_table.classes.class_of(c.rep.window(4, 4).images))
                for c in table.classes.classes]
     for (i, j), pos in labels.items():
         nu, chi = v4_table.irreducibles[i].values, s4_table.irreducibles[j].values
@@ -392,7 +392,7 @@ def literal_class_matrix(group, i):
     for idx in classes.classes[i].members:
         x_inv = Permutation(group.raw_elements[idx]).inverse()
         for k, z in enumerate(reps):
-            a[classes.class_of[(x_inv * z).images]][k] += 1
+            a[classes.class_of((x_inv * z).images)][k] += 1
     return a
 
 

@@ -339,6 +339,18 @@ def test_subgroup_resolved_at_group_degree(capsys):
     assert (obj["ambient_order"], obj["subgroup_order"], obj["depth"]) == (120, 1, 1)
 
 
+@pytest.mark.parametrize("argv, degrees", [
+    (["--group", "C:step=2", "--subgroup", "C:step=1"], (4, 8)),
+    # a named group keeps its own degree whatever --degree says
+    (["--group", "S4", "--subgroup", "(1,2)", "--degree", "5"], (5, 4)),
+])
+def test_subgroup_on_another_degree_names_both_degrees(capsys, argv, degrees):
+    code, out, err = run_cli(capsys, "depth", *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the second group is not a subgroup of the first: "
+                   f"it acts on {degrees[0]} points, the first on {degrees[1]}\n")
+
+
 @pytest.mark.parametrize("degree", ["-3", "0"])
 def test_degree_below_one_rejected(capsys, degree):
     for argv in (["table", "--group", "trivial"],

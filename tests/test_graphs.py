@@ -14,7 +14,7 @@ def test_factor_graphs():
     for a in triangle.vertices:
         for b in triangle.vertices:
             if a != b:
-                assert triangle.has_edge(a, b)
+                assert frozenset((a, b)) in triangle.edges
 
 
 def test_graph_invariants():
@@ -72,16 +72,6 @@ def test_distance_additivity():
             for v in g.vertices:
                 assert bfs_distance(g, u, v) == sum(
                     bfs_distance(factors[k], u[k], v[k]) for k in range(n))
-
-
-def test_graph_json_export():
-    g2 = expected_overlap_graph(2)
-    obj = g2.to_obj()
-    assert sorted(obj["vertices"]) == [[4, 1], [4, 2], [4, 3], [5, 1], [5, 2], [5, 3]]
-    assert len(obj["edges"]) == 9
-    assert obj["edges"] == sorted(obj["edges"])  # deterministic ordering
-    import json
-    assert json.dumps(obj) == json.dumps(expected_overlap_graph(2).to_obj())
 
 
 @st.composite

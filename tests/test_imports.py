@@ -1,7 +1,8 @@
 """Every name a package module imports is read in that module, every name in
-its ``__all__`` exists in it, and every module-level function is read
-somewhere in the package, the demos or the benchmark (a few public reference
-helpers that only the tests read excepted).
+its ``__all__`` exists in it, and every module-level function and every
+public method or property of a class is read somewhere in the package, the
+demos or the benchmark (a few public references that only the tests read
+excepted).
 
 The only unread imports allowed are the names the traced benchmark wraps on a module
 (``SPANS`` and ``COUNTED`` in ``perfbench/tracer.py``): the module binds them
@@ -72,21 +73,55 @@ REFERENCE_HELPERS = {
 }
 
 
+def attributes_read(tree):
+    """Every attribute name read in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def names_read(tree):
     """Every name read in the tree, as an ``ast.Name`` or an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+    yield from attributes_read(tree)
+
+
+SOURCES = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+           if p.name != "__init__.py"]
 
 
 def test_every_module_level_function_is_read_somewhere():
     # reads inside a function's own body (a recursive call) do not count
-    sources = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
-               if p.name != "__init__.py"]
-    read = Counter(name for p in sources for name in names_read(ast.parse(p.read_text())))
+    read = Counter(name for p in SOURCES for name in names_read(ast.parse(p.read_text())))
     unread = [node.name for path in MODULES for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.FunctionDef)
               and read[node.name] == Counter(names_read(node))[node.name]]
     assert sorted(unread) == sorted(REFERENCE_HELPERS)
+
+
+# Public methods and properties that the package does not read itself but the
+# tests use as references, each with the reason it is kept.
+REFERENCE_MEMBERS = {
+    "Cyclotomic.conjugate": "the complex conjugate that inner products are tested against",
+}
+
+
+def test_every_class_member_is_read_somewhere():
+    """Every public method or property of a package class is read as an
+    attribute somewhere in the package, the demos or the benchmark, reads
+    inside its own body excepted.
+
+    The scan matches by name alone, so a member that shares its name with one
+    read elsewhere passes unseen: ``Permutation.order``, the tests' reference
+    for ``ClassSet.powers``, is kept though only the tests call it, because
+    ``PermGroup.order`` is read everywhere.
+    """
+    read = Counter(name for p in SOURCES for name in attributes_read(ast.parse(p.read_text())))
+    unread = [f"{cls.name}.{node.name}" for path in MODULES
+              for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and read[node.name] == Counter(attributes_read(node))[node.name]]
+    assert sorted(unread) == sorted(REFERENCE_MEMBERS)
