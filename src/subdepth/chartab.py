@@ -462,9 +462,9 @@ def dixon_character_table(group, prime=None):
 
     # the lift, its checks included, is a function of the degree and the
     # residues at the m power classes, so each distinct input is lifted once;
-    # each lifted form (an int, or m and the multiplicities) is made into a
-    # Cyclotomic once, and every entry of one value shares one object
-    lift, lifted, shared = {}, {}, {}
+    # every entry of one value shares one object, looked up by the int itself
+    # for a rational integer, so that a repeated int makes no new value
+    lift, shared = {}, {}
     characters = []
     for basis, _, _ in spaces:
         v = basis[0]
@@ -500,12 +500,10 @@ def dixon_character_table(group, prime=None):
                     raise InternalConsistencyError(
                         "eigenvalue multiplicities do not sum to the character degree")
                 c = _integer([coeffs.get(l, 0) for l in range(m)], m)
-                key = (m, tuple(coeffs.items())) if c is None else c
-                value = lifted.get(key)
+                key = Cyclotomic._make(m, coeffs) if c is None else c
+                value = shared.get(key)
                 if value is None:
-                    value = (Cyclotomic._make(m, coeffs) if c is None
-                             else Cyclotomic.from_rational(c))
-                    value = lifted[key] = shared.setdefault(value, value)
+                    value = shared[key] = key if c is None else Cyclotomic.from_rational(c)
                 lift[deg, vals_t] = value
             values.append(value)
         characters.append(tuple(values))

@@ -13,7 +13,8 @@ semicolon-separated cycle-notation generator lists such as
 "(1,2);(1,2,3,4)" (add --degree when it cannot be inferred).  Family
 specifiers (``A:n=2``, ``B:n=3``, ``C:step=2``) are accepted too: in the
 --group position they denote the ambient group of that member, in the
---subgroup position its subgroup.
+--subgroup position its subgroup.  A named group other than trivial, and a
+family member, act on their own degree; a --degree that differs is refused.
 
 Output is deterministic: identical invocations produce byte-identical
 output for every format.  Exit codes: 0 success, 1 verification failure or
@@ -84,6 +85,14 @@ def _resolve_group(spec, role, degree, cap):
     return PermGroup.generated(gens, cap=cap)
 
 
+def _check_degree(spec, group, degree):
+    """Refuse a given ``--degree`` that a named group or family member,
+    built at its own degree, does not act on."""
+    if degree is not None and group.degree != degree:
+        raise ValueError(f"{spec.strip()} acts on {group.degree} points, "
+                         f"not on the --degree {degree}")
+
+
 def _emit(obj, fmt, text_lines, csv_rows):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -97,6 +106,7 @@ def _emit(obj, fmt, text_lines, csv_rows):
 
 def _cmd_table(args, cap):
     group = _resolve_group(args.group, "group", args.degree, cap)
+    _check_degree(args.group, group, args.degree)
     if args.prime is not None:
         table = dixon_character_table(group, prime=args.prime)
     else:
@@ -118,11 +128,14 @@ def _cmd_table(args, cap):
 def _cmd_depth(args, cap):
     fam_spec = _parse_family_spec(args.group.strip())
     if fam_spec is not None and fam_spec == _parse_family_spec(args.subgroup.strip()):
-        report = family(*fam_spec, cap=cap).report()  # one member for both roles
+        fam = family(*fam_spec, cap=cap)  # one member for both roles
+        _check_degree(args.group, fam.ambient, args.degree)
+        report = fam.report()
     else:
         group = _resolve_group(args.group, "group", args.degree, cap)
-        degree = group.degree if args.degree is None else args.degree
-        sub = _resolve_group(args.subgroup, "subgroup", degree, cap)
+        _check_degree(args.group, group, args.degree)
+        sub = _resolve_group(args.subgroup, "subgroup", group.degree, cap)
+        _check_degree(args.subgroup, sub, args.degree)
         report = ordinary_depth(group, sub)
     obj = report.to_obj()
     text = [

@@ -2,15 +2,16 @@
 
 A value is stored as a coefficient map over the power basis
 ``{zeta_e^k : 0 <= k < phi(e)}`` of the *smallest* cyclotomic field that
-contains it: coefficients are reduced modulo the e-th cyclotomic polynomial
-and the conductor e is minimised afterwards (rationals end up at conductor 1).
+contains it: the conductor e is minimised (rationals end up at conductor 1)
+and the coefficients are reduced modulo the e-th cyclotomic polynomial.
 The representation is therefore canonical and equality is literal coefficient
 equality.  Coefficients are `fractions.Fraction`; there is no floating point
 anywhere.
 
-Conductors stay tiny in this package (they divide element orders of the
-groups we handle), so the linear algebra behind conductor minimisation is
-done naively over Q.
+The least conductor is found by dropping one prime of e at a time, each
+drop tested on an explicit basis of Q(zeta_e) over Q(zeta_(e/q)) (see
+:func:`_descend`); no linear system is solved.  Reduction mod the
+cyclotomic polynomial is still a dense division over the e exponents.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ def cyclotomic_polynomial(e):
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _phi(e):
-    return len(cyclotomic_polynomial(e)) - 1
-
-
 def reduce_vector(vec, e):
     """The coefficients below degree phi(e) of ``sum vec[k] zeta_e^k``, for
     ``vec`` dense over the exponents [0, e): the vector reduced mod the e-th
@@ -78,81 +74,58 @@ def reduce_vector(vec, e):
     return tuple(vec[:deg])
 
 
-def _reduce_mod_cyclotomic(coeffs, e):
-    """Reduce {exponent: Fraction} with exponents in [0, e) modulo Phi_e.
+def _descend(vec, e):
+    """The least conductor d of ``sum vec[k] zeta_e^k`` (``vec`` dense over
+    [0, e)) and the value's coefficients over ``zeta_d^j``, j < phi(d).
 
-    Returns a dict with exponents < phi(e) and no zero coefficients.
+    Drop one prime q of e at a time.  Let d = e/q and zeta_d = zeta_e^q, the
+    embedding that :meth:`Cyclotomic._lifted` uses.
+
+    * q | d: zeta_e^(qj+i) = zeta_d^j zeta_e^i, and 1, ..., zeta_e^(q-1) is
+      a basis of Q(zeta_e) over Q(zeta_d) (the degree is phi(e)/phi(d) = q).
+      With B_i the part of ``vec`` at exponents k = i (mod q), read over
+      zeta_d, the value is sum_i B_i zeta_e^i, so it lies in Q(zeta_d) iff
+      B_1, ..., B_(q-1) vanish mod Phi_d, and it is then B_0.
+    * q does not divide d: take qu + dv = 1, so that zeta_e^k =
+      zeta_d^(ku) zeta_q^(kv) with zeta_q = zeta_e^d.  Q(zeta_e) has degree
+      q - 1 over Q(zeta_d), spanned by 1, zeta_q, ..., zeta_q^(q-1) whose
+      only relation is that they sum to 0.  With A_i the part at kv = i
+      (mod q), the value is sum_i A_i zeta_q^i = sum_(i>0) (A_i - A_0)
+      zeta_q^i over the basis zeta_q, ..., zeta_q^(q-1), so it lies in
+      Q(zeta_d) iff A_1 = ... = A_(q-1) mod Phi_d, and it is then
+      A_0 - A_(q-1).  At q = 2 the test is empty: a conductor 2 (mod 4) is
+      never the least.
+
+    The conductors n | e with the value in Q(zeta_n) are closed under gcd,
+    since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), and under
+    multiples; so the least one divides every other, each drop that the
+    test allows keeps it, and a prime refused once is refused at every
+    smaller conductor.  One pass over the primes thus ends at the least
+    conductor.
     """
-    deg = _phi(e)
-    if all(k < deg for k in coeffs):
-        return {k: c for k, c in coeffs.items() if c}
-    dense = [0] * e
-    for k, c in coeffs.items():
-        dense[k] += c
-    return {k: c for k, c in enumerate(reduce_vector(dense, e)) if c}
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(e, d):
-    """Reduced basis vectors of Q(zeta_d) inside the power basis of Q(zeta_e)."""
-    step = e // d
-    vecs = []
-    for j in range(_phi(d)):
-        red = _reduce_mod_cyclotomic({(j * step) % e: Fraction(1)}, e)
-        vecs.append(tuple(red.get(k, Fraction(0)) for k in range(_phi(e))))
-    return tuple(vecs)
-
-
-def _express_in_subfield(coeffs, e, d):
-    """Solve for coefficients over the zeta_d power basis, or None if outside."""
-    cols = _subfield_basis(e, d)
-    n_rows = _phi(e)
-    n_cols = len(cols)
-    # Gaussian elimination on the augmented system [cols | target].
-    rows = [[cols[j][i] for j in range(n_cols)] + [coeffs.get(i, Fraction(0))]
-            for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    # Inconsistent iff a zeroed row has nonzero rhs.
-    for i in range(r, n_rows):
-        if rows[i][n_cols]:
-            return None
-    sol = {}
-    for idx, c in enumerate(pivots):
-        v = rows[idx][n_cols]
-        if v:
-            sol[c] = v
-    return sol
-
-
-def _minimise_conductor(coeffs, e):
-    """Push a reduced coefficient map down to its minimal conductor."""
-    if not coeffs:
-        return 1, {}
-    if set(coeffs) == {0}:
-        return 1, dict(coeffs)
-    for d in _divisors(e)[:-1]:
-        if _phi(d) < 2:
-            continue  # subfield is Q, already ruled out above
-        sol = _express_in_subfield(coeffs, e, d)
-        if sol is not None:
-            return d, sol
-    return e, dict(coeffs)
+    for q in _divisors(e)[1:]:
+        if len(_divisors(q)) != 2:
+            continue  # not a prime
+        while e % q == 0:
+            d = e // q
+            if d % q == 0:
+                parts = [vec[i::q] for i in range(q)]
+                if any(any(reduce_vector(part, d)) for part in parts[1:]):
+                    break
+                vec = parts[0]
+            else:
+                v = pow(d, -1, q)
+                u = (1 - d * v) // q
+                parts = [[0] * d for _ in range(q)]
+                for k, c in enumerate(vec):
+                    if c:
+                        parts[k * v % q][k * u % d] += c
+                last = reduce_vector(parts[-1], d)
+                if any(reduce_vector(part, d) != last for part in parts[1:-1]):
+                    break
+                vec = [a - b for a, b in zip(parts[0], parts[-1])]
+            e = d
+    return e, {k: c for k, c in enumerate(reduce_vector(vec, e)) if c}
 
 
 class Cyclotomic:
@@ -171,19 +144,15 @@ class Cyclotomic:
 
     @staticmethod
     def _make(e, raw):
-        """Normalise {exponent: Fraction-like} over zeta_e into canonical form."""
+        """Normalise {exponent: Fraction-like} over zeta_e into canonical form:
+        the value at its least conductor, reduced mod that conductor's
+        cyclotomic polynomial (see :func:`_descend`)."""
         if e < 1:
             raise ValueError("conductor must be a positive integer")
-        folded = {}
+        vec = [0] * e
         for k, c in raw.items():
-            c = Fraction(c)
-            if c:
-                k %= e
-                folded[k] = folded.get(k, Fraction(0)) + c
-        folded = {k: c for k, c in folded.items() if c}
-        reduced = _reduce_mod_cyclotomic(folded, e)
-        cond, coeffs = _minimise_conductor(reduced, e)
-        return Cyclotomic(cond, coeffs, _normalized=True)
+            vec[k % e] += Fraction(c)
+        return Cyclotomic(*_descend(vec, e), _normalized=True)
 
     @staticmethod
     def from_rational(q):

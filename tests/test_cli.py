@@ -339,16 +339,44 @@ def test_subgroup_resolved_at_group_degree(capsys):
     assert (obj["ambient_order"], obj["subgroup_order"], obj["depth"]) == (120, 1, 1)
 
 
-@pytest.mark.parametrize("argv, degrees", [
-    (["--group", "C:step=2", "--subgroup", "C:step=1"], (4, 8)),
-    # a named group keeps its own degree whatever --degree says
-    (["--group", "S4", "--subgroup", "(1,2)", "--degree", "5"], (5, 4)),
+@pytest.mark.parametrize("argv, message", [
+    (["--group", "C:step=2", "--subgroup", "C:step=1"],
+     "the second group is not a subgroup of the first: it acts on 4 points, the first on 8"),
+    # a named group keeps its own degree, and a --degree that differs is refused
+    (["--group", "S4", "--subgroup", "(1,2)", "--degree", "5"],
+     "S4 acts on 4 points, not on the --degree 5"),
 ])
-def test_subgroup_on_another_degree_names_both_degrees(capsys, argv, degrees):
+def test_subgroup_on_another_degree_names_both_degrees(capsys, argv, message):
     code, out, err = run_cli(capsys, "depth", *argv)
     assert code == 2 and out == ""
-    assert err == ("error: the second group is not a subgroup of the first: "
-                   f"it acts on {degrees[0]} points, the first on {degrees[1]}\n")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--group", "S4", "--degree", "5"], "S4 acts on 4 points, not on the --degree 5"),
+    (["table", "--group", "A:n=2", "--degree", "3"],
+     "A:n=2 acts on 8 points, not on the --degree 3"),
+    (["depth", "--group", "(1,2);(1,2,3,4,5)", "--subgroup", "S4", "--degree", "5"],
+     "S4 acts on 4 points, not on the --degree 5"),
+    (["depth", "--group", "A:n=2", "--subgroup", "A:n=2", "--degree", "3"],
+     "A:n=2 acts on 8 points, not on the --degree 3"),
+    (["depth", "--group", "B:n=2", "--subgroup", "V4", "--degree", "8"],
+     "V4 acts on 4 points, not on the --degree 8"),
+])
+def test_given_degree_must_be_the_named_groups(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_given_degree_equal_to_the_named_groups_is_accepted(capsys):
+    assert run_cli(capsys, "table", "--group", "S4", "--degree", "4") == run_cli(
+        capsys, "table", "--group", "S4")
+    assert run_cli(capsys, "depth", "--group", "A:n=2", "--subgroup", "A:n=2",
+                   "--degree", "8", "--format", "json") == run_cli(
+        capsys, "depth", "--group", "A:n=2", "--subgroup", "A:n=2", "--format", "json")
+    code, out, _ = run_cli(capsys, "table", "--group", "trivial", "--degree", "3")
+    assert code == 0 and out.startswith("group of order 1 on 3 points")
 
 
 @pytest.mark.parametrize("degree", ["-3", "0"])

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdepth.cyclo import Cyclotomic, zeta
+from subdepth.cyclo import Cyclotomic, cyclotomic_polynomial, reduce_vector, zeta
 
 
 def test_zeta_basics():
@@ -64,6 +65,17 @@ def test_conductor_is_minimal():
     assert (zeta(9, 3)).conductor == 3
     v = zeta(8) + zeta(8, 7)  # sqrt(2), genuinely conductor 8
     assert v.conductor == 8
+    # a prime q that divides e/q: sqrt(-3) written over zeta_9, and zeta_5
+    # over zeta_20 (20 -> 10 here, then 10 -> 5 by the other branch)
+    v = Cyclotomic._make(9, {3: 1, 6: -1})
+    assert v == zeta(3) - zeta(3, 2) and v.conductor == 3
+    assert Cyclotomic._make(20, {4: 1}) == zeta(5)
+    # a prime q that does not divide e/q: zeta_3 plus zeta_15 times the
+    # vanishing sum of the fifth roots of unity, and sqrt(2) over zeta_24
+    v = Cyclotomic._make(15, {5: 1, 1: 1, 4: 1, 7: 1, 10: 1, 13: 1})
+    assert v == zeta(3) and v.conductor == 3
+    v = Cyclotomic._make(24, {3: 1, 21: 1})
+    assert v == zeta(8) + zeta(8, 7) and v.conductor == 8
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -71,7 +83,7 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def cyclotomics(draw):
-    e = draw(st.sampled_from([1, 3, 4, 8, 12]))
+    e = draw(st.sampled_from([1, 3, 4, 8, 9, 12, 15, 20, 21, 24]))
     n_terms = draw(st.integers(0, 3))
     coeffs = {}
     for _ in range(n_terms):
@@ -111,3 +123,57 @@ def test_serialization_shapes():
     assert Cyclotomic.from_rational(3).to_obj() == "3"
     obj = zeta(3).to_obj()
     assert obj == {"conductor": 3, "coeffs": [[1, "1"]]}
+
+
+def _galois(vec, k, e):
+    """sigma_k, the field map zeta_e -> zeta_e^k, on a dense vector."""
+    out = [0] * e
+    for j, c in enumerate(vec):
+        out[j * k % e] += c
+    return out
+
+
+@st.composite
+def subfield_vectors(draw):
+    """A dense vector over the exponents of zeta_e, e <= 60: an element of a
+    random subfield Q(zeta_d), plus multiples of the vanishing sums
+    zeta_e^a (1 + zeta_q + ... + zeta_q^(q-1)) for primes q | e, plus, now
+    and then, a term of the whole field."""
+    e = draw(st.integers(1, 60))
+    d = draw(st.sampled_from([d for d in range(1, e + 1) if e % d == 0]))
+    vec = [Fraction(0)] * e
+    for _ in range(draw(st.integers(0, 4))):
+        vec[draw(st.integers(0, d - 1)) * (e // d)] += draw(small_rationals)
+    primes = [q for q in range(2, e + 1) if e % q == 0 and all(q % r for r in range(2, q))]
+    for _ in range(draw(st.integers(0, 3)) if primes else 0):
+        q, a, c = draw(st.sampled_from(primes)), draw(st.integers(0, e - 1)), draw(small_rationals)
+        for j in range(q):
+            vec[(a + j * (e // q)) % e] += c
+    if draw(st.booleans()) and draw(st.booleans()):
+        vec[draw(st.integers(0, e - 1))] += draw(small_rationals)
+    return e, vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(subfield_vectors())
+def test_least_conductor_against_the_galois_group(case):
+    e, vec = case
+    v = Cyclotomic._make(e, dict(enumerate(vec)))
+    d = v.conductor
+    assert e % d == 0
+    # the value lifted back to zeta_e is the input
+    lifted = [Fraction(0)] * e
+    for k, c in v.coeffs.items():
+        lifted[k * (e // d)] = c
+    assert reduce_vector(lifted, e) == reduce_vector(vec, e)
+    # over the power basis of Q(zeta_d), with no zero coefficient
+    assert all(0 <= k < len(cyclotomic_polynomial(d)) - 1 and c for k, c in v.coeffs.items())
+    # Q(zeta_n) is the field that the sigma_k with k = 1 (mod n) fix, so d
+    # is the least divisor n of e for which each of them fixes the value
+    target = reduce_vector(vec, e)
+
+    def fixed(n):
+        return all(reduce_vector(_galois(vec, k, e), e) == target
+                   for k in range(1, e + 1, n) if gcd(k, e) == 1)
+
+    assert d == next(n for n in range(1, e + 1) if e % n == 0 and fixed(n))
