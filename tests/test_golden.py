@@ -16,6 +16,9 @@ from subdepth.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+PSL2_13 = "(1,2,3,4,5,6,7,8,9,10,11,12,13);(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"
+BOREL_13 = "(1,2,3,4,5,6,7,8,9,10,11,12,13);(2,5,4,13,10,11)(3,9,7,12,6,8)"
+
 CASES = {
     "depth_s4_v4": ["depth", "--group", "S4", "--subgroup", "V4"],
     "depth_s4_d8": ["depth", "--group", "S4", "--subgroup", "D8"],
@@ -39,6 +42,10 @@ CASES = {
                      "--subgroup", "(2,3,5)(4,7,6)", "--degree", "7"],
     "lemma_a2": ["lemma", "--n", "2"],
     "lemma_a3": ["lemma", "--n", "3"],
+    # PSL(2,13) on the projective line and its Borel subgroup: values of
+    # conductors 13 and 7
+    "table_psl2_13": ["table", "--group", PSL2_13],
+    "depth_psl2_13_borel": ["depth", "--group", PSL2_13, "--subgroup", BOREL_13],
 }
 
 # the cases also pinned in the text and CSV formats
