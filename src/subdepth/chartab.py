@@ -22,12 +22,15 @@ decomposition, induction) runs on one integer kernel: values at zeta_e are
 packed into single ints by Kronecker substitution (:func:`_pack`), a sum over
 classes is one int dot product, and a result is read back as an int, or
 unpacked and reduced mod the e-th cyclotomic polynomial on ints only when it
-is not one.  A table packs its rows once, when it is validated.  A rational
-packing is its values at every e and B, so restriction and induction of
-rational characters carry theirs on to every later sum.  Products of
-values run on the same packings: a product of packed ints is the packed
-product, so the outer-product tables and the wreath oracle multiply ints and
-normalise each distinct result to a Cyclotomic once.
+is not one.  The packing lives on the table: validation keeps the rows'
+packed conjugates with e, B and the largest value 1-norm N as its kernel,
+which decomposition reads and whose e and N set the packings of the product
+tables and the wreath oracle.  A class function carries nothing packed but
+its values as ints when all are rational integers (c packs to c at every e
+and B, and is its own conjugate): rational rows hand them on to their
+restrictions and integral inductions, and so to every later sum.  A product
+of packed ints is the packed product, so the outer-product tables and the
+wreath oracle multiply ints and normalise each distinct result once.
 
 Each distinct value is made once where values are made: the Dixon lift,
 induction, the product tables and the JSON import each keep a dict local to
@@ -77,18 +80,19 @@ class ClassFunction:
     """A function on a group constant on its conjugacy classes.
 
     ``values`` holds one exact cyclotomic per class, in the group's canonical
-    class order.  An irreducible of a table also carries the table's packing
-    of its values (see :func:`_pack`).  A rational packing is its values at
-    every e and B, so a restriction or induction of a rational character
-    carries its own, with the exact largest |value| as its norm.
+    class order.  When every value is a rational integer, a table row, its
+    restrictions and its inductions also carry ``_ints``: the values as ints
+    and their largest |value|.  A rational c packs to c at every e and B
+    (:func:`_pack`), so every sum reads those ints as they are.  Nothing else
+    packed is kept on a class function.
     """
 
-    __slots__ = ("group", "values", "_packed")
+    __slots__ = ("group", "values", "_ints")
 
     def __init__(self, group, values):
         self.group = group
         self.values = tuple(values)
-        self._packed = None
+        self._ints = None
         if len(self.values) != len(group.classes()):
             raise ValueError("need exactly one value per conjugacy class")
 
@@ -117,23 +121,11 @@ class ClassFunction:
         return f"ClassFunction[{vals}]"
 
 
-class _Packing:
-    """Packed values and conjugates at (e, B), with a bound on the values'
-    1-norms: a table row's at its table's e, B and norm, or a rational
-    restriction's or induction's at e = 1 and its own largest |value|."""
-
-    __slots__ = ("e", "bits", "norm", "values", "conj")
-
-    def __init__(self, e, bits, norm, values, conj):
-        self.e, self.bits, self.norm, self.values, self.conj = e, bits, norm, values, conj
-
-
 def _measure(f):
-    """``(e, d, n)`` for a class function (:func:`_measure_values`).  A table
-    row answers with its table's e and norm, and a carried rational packing
-    with its exact n."""
-    if f._packed is not None:
-        return f._packed.e, 1, f._packed.norm
+    """``(e, d, n)`` for a class function (:func:`_measure_values`).  Carried
+    ints answer with e = d = 1 and their largest |value|."""
+    if f._ints is not None:
+        return 1, 1, f._ints[1]
     return _measure_values(f.values)
 
 
@@ -152,15 +144,6 @@ def _bits(bound):
     """The smallest B with every coefficient of absolute value at most
     ``bound`` below 2^(B-1), so balanced base-2^B digits read it back."""
     return bound.bit_length() + 1
-
-
-def _fit(e, bits, *functions):
-    """B for packing at e: a table row's own B when it is at least ``bits``."""
-    for f in functions:
-        own = f._packed
-        if own is not None and own.e == e and own.bits >= bits:
-            return own.bits
-    return bits
 
 
 def _pack(values, e, bits, scale=1):
@@ -197,12 +180,10 @@ def _pack(values, e, bits, scale=1):
 
 
 def _packing(f, e, bits, scale=1):
-    """f packed at (e, B): its own packing when that is rational or matches,
-    else new.  A rational value c packs to c at every e and B, and is its own
-    conjugate."""
-    own = f._packed
-    if own is not None and (own.e == 1 or (own.e == e and own.bits == bits)):
-        return own.values, own.conj
+    """f packed at (e, B), with its conjugate: its carried ints, which are
+    both at every e and B, else :func:`_pack`."""
+    if f._ints is not None:
+        return f._ints[0], f._ints[0]
     return _pack(f.values, e, bits, scale)
 
 
@@ -254,7 +235,7 @@ def inner_product(f, h):
     e_f, d_f, n_f = _measure(f)
     e_h, d_h, n_h = _measure(h)
     e = lcm(e_f, e_h)
-    bits = _fit(e, _bits(group.order * n_f * n_h), f, h)
+    bits = _bits(group.order * n_f * n_h)
     a = map(mul, group.classes().sizes(), _packing(f, e, bits, d_f)[0])
     total = sum(map(mul, a, _packing(h, e, bits, d_h)[1]))
     return _from_packed(total, e, bits, group.order * d_f * d_h)
@@ -265,11 +246,13 @@ class CharacterTable:
 
     Validation packs the rows at e = lcm of the table's conductors, with B
     wide enough for a partner of 1-norm up to |G| * N (N the table's largest
-    value 1-norm), and leaves each row its packing.
+    value 1-norm), and keeps ``_kernel = (e, B, N, conjugates)``: the packed
+    conjugate of every row.  It is the only packing of the rows; a row whose
+    values are all rational integers also carries them as its ints.
     """
 
     __slots__ = ("group", "classes", "irreducibles", "product_labels", "_factors",
-                 "__weakref__")
+                 "_kernel", "__weakref__")
 
     def __init__(self, group, irreducibles, product_labels=None):
         self.group = group
@@ -309,8 +292,6 @@ class CharacterTable:
         if len(rows) != s:
             raise TableConsistencyError(
                 f"table is not square: {len(rows)} characters, {s} classes")
-        for chi in rows:
-            chi._packed = None
         values = [v for chi in rows for v in chi.values]
         e, d, norm = _measure_values(values)
         if d != 1:
@@ -321,18 +302,19 @@ class CharacterTable:
         order = self.group.order
         bits = _bits(order * norm * order * norm)
         a_all, b_all = _pack(values, e, bits)
-        packs = [(a_all[i:i + s], b_all[i:i + s]) for i in range(0, s * s, s)]
+        conj = [b_all[i:i + s] for i in range(0, s * s, s)]
         sizes = self.classes.sizes()
-        for i, (a, _) in enumerate(packs):
-            wa = list(map(mul, sizes, a))
+        for i, chi in enumerate(rows):
+            wa = list(map(mul, sizes, a_all[i * s:(i + 1) * s]))
             for j in range(i, s):
-                total = sum(map(mul, wa, packs[j][1]))
+                total = sum(map(mul, wa, conj[j]))
                 if _rational(total, e, bits) != (order if i == j else 0):
                     raise TableConsistencyError(
                         f"row orthogonality failed at characters {i}, {j}: "
                         f"{_from_packed(total, e, bits, 1)!r}/{order}")
-        for chi, (a, b) in zip(rows, packs):
-            chi._packed = _Packing(e, bits, norm, a, b)
+            if all(v.conductor == 1 for v in chi.values):  # its own conjugate
+                chi._ints = conj[i], max(map(abs, conj[i]))
+        self._kernel = e, bits, norm, conj
 
     def __eq__(self, other):
         """Same group, class representatives and values, entry for entry.
@@ -618,15 +600,14 @@ def _class_matrix_row(group, i, j):
 def restrict_character(chi, emb):
     """Restrict a class function on the ambient group along a subgroup embedding.
 
-    A rational packing of ``chi`` is carried on, gathered through the fusion.
+    Carried ints of ``chi`` are carried on, gathered through the fusion.
     """
     if chi.group is not emb.ambient:
         raise GroupMismatchError("class function does not live on the embedding's ambient group")
     f = ClassFunction(emb.sub, [chi.values[a] for a in emb.fusion])
-    own = chi._packed
-    if own is not None and own.e == 1:
-        ints = [own.values[a] for a in emb.fusion]
-        f._packed = _Packing(1, own.bits, max(map(abs, ints)), ints, ints)
+    if chi._ints is not None:
+        ints = [chi._ints[0][a] for a in emb.fusion]
+        f._ints = ints, max(map(abs, ints))
     return f
 
 
@@ -640,21 +621,22 @@ def induce_character(psi, emb):
     are the embedding's own, built once per embedding
     (:attr:`subdepth.perm.SubgroupEmbedding.induction_weights`), so every
     induction along it only reads them.  Each value is one weighted sum of
-    psi's packed values (its own packing when that is rational or wide
-    enough), and each distinct sum is normalised to a Cyclotomic once
-    (:func:`_unpack_rows`).  When psi packs at e = 1 with no denominator, the
-    sums are the values, and the induced function carries them as its packing.
+    psi's packed values (its carried ints, if any), with B from the weight sum
+    and psi's norm, and each distinct sum is normalised to a Cyclotomic once
+    (:func:`_unpack_rows`).  When psi's values are rational with no
+    denominator, the sums are the values, and the induced function carries
+    them as its ints.
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
     buckets, weight_sum = emb.induction_weights
     e, d, n = _measure(psi)
-    bits = _fit(e, _bits(weight_sum * n), psi)
+    bits = _bits(weight_sum * n)
     packed = _packing(psi, e, bits, d)[0]
     totals = [sum(map(mul, w, map(packed.__getitem__, classes))) for w, classes in buckets]
     f = ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
-    if e == 1 and d == 1:
-        f._packed = _Packing(1, bits, max(map(abs, totals)), totals, totals)
+    if e == d == 1:
+        f._ints = totals, max(map(abs, totals))
     return f
 
 
@@ -680,8 +662,9 @@ def induce_character_bruteforce(psi, emb):
 def decompose(f, table):
     """Multiplicities of each irreducible in a character.
 
-    f is packed once; the table's rows are read from its own packing unless f
-    needs a larger e or B, which repacks them for this call only.  Raises
+    f is packed once; the rows' conjugates are read from the table's kernel
+    unless f's conductor does not divide the kernel's e or f needs a larger
+    B, which repacks them for this call only.  Raises
     :class:`NotACharacterError` when any inner product fails to be a
     nonnegative integer - exactness is the point, nothing is rounded.
     """
@@ -690,14 +673,15 @@ def decompose(f, table):
     if rows[0].group is not group:
         raise GroupMismatchError("class functions live on different groups")
     e_f, d, n_f = _measure(f)
-    own = rows[0]._packed
-    e = lcm(e_f, own.e)
-    bits = _fit(e, _bits(group.order * n_f * own.norm), rows[0])
+    e_t, bits_t, norm, conj = table._kernel
+    e, bits = lcm(e_f, e_t), max(bits_t, _bits(group.order * n_f * norm))
     a = list(map(mul, group.classes().sizes(), _packing(f, e, bits, d)[0]))
+    if (e, bits) != (e_t, bits_t):
+        conj = [_packing(chi, e, bits)[1] for chi in rows]
     scale = group.order * d
     mults = []
-    for chi in rows:
-        q = _rational(sum(map(mul, a, _packing(chi, e, bits)[1])), e, bits)
+    for b in conj:
+        q = _rational(sum(map(mul, a, b)), e, bits)
         if q is None or q < 0 or q % scale:
             q = None if q is None else Fraction(q, scale)
             raise NotACharacterError(
@@ -734,8 +718,8 @@ def direct_product_table(factor_tables, group):
     The resulting table records ``product_labels``: a map from factor
     irreducible index tuples to the row index in canonical order.
 
-    Each factor row is packed once at e = lcm of the factors' e, with B from
-    the product of the factors' norms (:func:`_pack`).  A value of the product
+    Each factor row is packed once at e = lcm of the factors' kernel e, with B
+    from the product of their norms (:func:`_packing`).  A value of the product
     is then the int product of the factor packings at the paired classes: the
     polynomial product, whose coefficients are at most that product of norms.
     """
@@ -761,8 +745,8 @@ def direct_product_table(factor_tables, group):
             raise InternalConsistencyError("product class sizes do not multiply up")
         pairing.append(tuple(key))
 
-    e = lcm(*(t.irreducibles[0]._packed.e for t in factor_tables))
-    bits = _bits(prod(t.irreducibles[0]._packed.norm for t in factor_tables))
+    e = lcm(*(t._kernel[0] for t in factor_tables))
+    bits = _bits(prod(t._kernel[2] for t in factor_tables))
     # the packed rows of the product, in the order of iter_product over the factors
     rows = [[1] * len(pairing)]
     for table, column in zip(factor_tables, zip(*pairing)):
@@ -821,9 +805,9 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
             cycle_prod = (c.rep ** n).images[:d]
             decoded.append((s, base_class_of(tuple(cycle_prod))))
 
-    own = base_table.irreducibles[0]._packed
-    e = lcm(own.e, n)
-    bits = _bits(n * own.norm ** n)
+    base_e, _, norm, _ = base_table._kernel
+    e = lcm(base_e, n)
+    bits = _bits(n * norm ** n)
     packed = [_packing(chi, e, bits)[0] for chi in base_table.irreducibles]
     rows = []
     for tup in iter_product(range(len(packed)), repeat=n):

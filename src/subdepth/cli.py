@@ -14,7 +14,8 @@ semicolon-separated cycle-notation generator lists such as
 specifiers (``A:n=2``, ``B:n=3``, ``C:step=2``) are accepted too: in the
 --group position they denote the ambient group of that member, in the
 --subgroup position its subgroup.  A named group other than trivial, and a
-family member, act on their own degree; a --degree that differs is refused.
+family member, act on their own degree, read from the spec; a --degree that
+differs is refused before any group is built.
 
 Output is deterministic: identical invocations produce byte-identical
 output for every format.  Exit codes: 0 success, 1 verification failure or
@@ -85,12 +86,27 @@ def _resolve_group(spec, role, degree, cap):
     return PermGroup.generated(gens, cap=cap)
 
 
-def _check_degree(spec, group, degree):
-    """Refuse a given ``--degree`` that a named group or family member,
-    built at its own degree, does not act on."""
-    if degree is not None and group.degree != degree:
-        raise ValueError(f"{spec.strip()} acts on {group.degree} points, "
-                         f"not on the --degree {degree}")
+def _check_degree(spec, degree):
+    """Refuse, from the spec's text alone, a given ``--degree`` that a named
+    group or family member does not act on: 4 points for S4, V4, D8 and S3,
+    4n for A:n and B:n, 4 * 2^(k-1) for C:step=k (written so when k exceeds
+    the degree's bit length, as it is then larger).  Trivial and cycle
+    notation take the degree, and family refuses an index below 1."""
+    if degree is None:
+        return
+    name = spec.strip()
+    fam_spec = _parse_family_spec(name)
+    if fam_spec is None:
+        own = 4 if name.upper() in BASE_GENERATORS else degree
+    elif fam_spec[1] < 1:
+        return
+    elif fam_spec[0] != "C":
+        own = 4 * fam_spec[1]
+    else:
+        k = fam_spec[1]
+        own = 4 << (k - 1) if k <= degree.bit_length() else f"4 * 2^{k - 1}"
+    if own != degree:
+        raise ValueError(f"{name} acts on {own} points, not on the --degree {degree}")
 
 
 def _emit(obj, fmt, text_lines, csv_rows):
@@ -105,8 +121,8 @@ def _emit(obj, fmt, text_lines, csv_rows):
 
 
 def _cmd_table(args, cap):
+    _check_degree(args.group, args.degree)
     group = _resolve_group(args.group, "group", args.degree, cap)
-    _check_degree(args.group, group, args.degree)
     if args.prime is not None:
         table = dixon_character_table(group, prime=args.prime)
     else:
@@ -126,16 +142,14 @@ def _cmd_table(args, cap):
 
 
 def _cmd_depth(args, cap):
+    _check_degree(args.group, args.degree)
+    _check_degree(args.subgroup, args.degree)
     fam_spec = _parse_family_spec(args.group.strip())
     if fam_spec is not None and fam_spec == _parse_family_spec(args.subgroup.strip()):
-        fam = family(*fam_spec, cap=cap)  # one member for both roles
-        _check_degree(args.group, fam.ambient, args.degree)
-        report = fam.report()
+        report = family(*fam_spec, cap=cap).report()  # one member for both roles
     else:
         group = _resolve_group(args.group, "group", args.degree, cap)
-        _check_degree(args.group, group, args.degree)
         sub = _resolve_group(args.subgroup, "subgroup", group.degree, cap)
-        _check_degree(args.subgroup, sub, args.degree)
         report = ordinary_depth(group, sub)
     obj = report.to_obj()
     text = [

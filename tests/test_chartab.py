@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
@@ -738,8 +739,8 @@ def test_inner_product_matches_definition(name, data, bg, s4_table, f21_table):
 def row_capacity(table):
     """The largest 1-norm of a class function whose scalar products with the
     rows fit the bits the table packed them at."""
-    own = table.irreducibles[0]._packed
-    return ((1 << (own.bits - 1)) - 1) // (table.group.order * own.norm)
+    _, bits, norm, _ = table._kernel
+    return ((1 << (bits - 1)) - 1) // (table.group.order * norm)
 
 
 def near_capacity(data, table, conductors):
@@ -760,13 +761,15 @@ def near_capacity(data, table, conductors):
 @given(data=st.data())
 def test_packed_kernel_near_the_row_capacity(name, data, s4_table, f21_table):
     table = s4_table if name == "S4" else f21_table
-    own = table.irreducibles[0]._packed
-    # rational rows (S4) are reused at every e and B; irrational rows (F21)
-    # for conductors dividing the table's e, and any other conductor repacks them
+    kernel = table._kernel
+    before = deepcopy(kernel)
+    # rational rows (S4) are their ints at every e and B; irrational rows
+    # (F21) are read from the kernel for conductors dividing its e, and any
+    # other conductor repacks them
     fitting = st.just(1) if name == "S4" else st.sampled_from([1, 3, 7])
     f = near_capacity(data, table, data.draw(st.sampled_from([fitting, st.integers(1, 12)])))
     e, _, n = chartab._measure(f)
-    reused = own.e == 1 or (own.e % e == 0 and n <= row_capacity(table))
+    reused = kernel[0] == 1 or (kernel[0] % e == 0 and n <= row_capacity(table))
     event("rows reused" if reused else "rows repacked")
 
     packs = []
@@ -776,9 +779,11 @@ def test_packed_kernel_near_the_row_capacity(name, data, s4_table, f21_table):
             mults = decompose(f, table)
         except NotACharacterError:
             mults = None
-    # f is packed once; the rows again only when f is beyond their capacity
+    # f is packed once; the rows again only when f is beyond their capacity,
+    # and then for this call only: the table's kernel is left as it was
     assert packs[0][0] == f.values
     assert (len(packs) == 1) == reused
+    assert table._kernel is kernel and kernel == before
     literal = [literal_inner_product(f, chi) for chi in table.irreducibles]
     if all(q.as_integer() is not None and q.as_integer() >= 0 for q in literal):
         assert mults == tuple(q.as_integer() for q in literal)
@@ -1090,7 +1095,7 @@ def test_warm_depth_pack_budget(monkeypatch):
     fam = family("B", 2)
     # held here, as a group holds its table weakly
     tables = character_table(fam.ambient), character_table(fam.subgroup)
-    assert all(table.irreducibles[0]._packed.e == 1 for table in tables)
+    assert all(table._kernel[0] == 1 for table in tables)
     packs, measures = [], []
     monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
     monkeypatch.setattr(chartab, "_measure_values",
@@ -1106,12 +1111,14 @@ def test_warm_depth_pack_budget_on_an_irrational_pair(monkeypatch, f21_table):
     group = f21_table.group
     sub = PermGroup.generated(parse_generators(F21_C3, degree=7))
     sub_table = character_table(sub)
-    assert f21_table.irreducibles[0]._packed.e == 21
+    assert f21_table._kernel[0] == 21
     packs = []
     monkeypatch.setattr(chartab, "_pack", counting(packs, chartab._pack))
     ordinary_depth(group, sub)
-    # one pack per decomposed character: s restrictions and r inductions;
-    # induction reads each irreducible of H from its table's packing
+    # the trivial characters of both groups carry their ints and pack
+    # nothing; each other restriction is packed to be decomposed, and each
+    # other irreducible of H to be induced and its induction to be
+    # decomposed: (s - 1) + 2 (r - 1), which is r + s at r = 3, s = 5
     r, s = len(sub_table.irreducibles), len(f21_table.irreducibles)
     assert len(packs) <= r + s
 
@@ -1142,46 +1149,50 @@ def carried_pairs(bg, s4_table, f21_table):
     return pairs
 
 
-def assert_carried_packing_is_the_values(f):
-    """A carried packing is rational, measures like the values and equals
-    their packing at every e and B."""
-    own = f._packed
-    assert own.e == 1
-    assert chartab._measure(f) == chartab._measure_values(f.values)
+def assert_carried_ints_are_the_values(f):
+    """Carried ints are the values, measure like them with their exact
+    largest |value|, and equal their packing at every e and B."""
+    ints, norm = f._ints
+    assert ints == [v.as_integer() for v in f.values]
+    assert chartab._measure(f) == chartab._measure_values(f.values) == (1, 1, norm)
     for e in (1, 3, 7):
-        for bits in (own.bits, 2 * own.bits + 1):
-            assert (own.values, own.conj) == chartab._pack(f.values, e, bits)
+        for bits in (chartab._bits(norm), 2 * chartab._bits(norm) + 1):
+            assert (ints, ints) == chartab._pack(f.values, e, bits)
             assert chartab._packing(f, e, bits) == chartab._pack(f.values, e, bits)
+
+
+def rational(f):
+    return all(v.conductor == 1 for v in f.values)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_restriction_and_induction_carry_rational_packings(data, carried_pairs):
+def test_restriction_and_induction_carry_rational_ints(data, carried_pairs):
     name = data.draw(st.sampled_from(sorted(carried_pairs)))
     table, sub_table, emb = carried_pairs[name]
     chi = data.draw(st.sampled_from(table.irreducibles))
     psi = data.draw(st.sampled_from(sub_table.irreducibles))
     res, ind = restrict_character(chi, emb), induce_character(psi, emb)
     # a multiple of a restriction, with or without denominators, is measured
-    # from its values, and its induction carries a packing when it is integral
+    # from its values, and its induction carries ints when it is integral
     q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
     scaled = ClassFunction(emb.sub, [q * v for v in res.values])
     e, d, _ = chartab._measure_values(scaled.values)
     ind_scaled = induce_character(scaled, emb)
-    assert (ind_scaled._packed is not None) == (e == d == 1)
+    assert (ind_scaled._ints is not None) == (e == d == 1)
     functions = [res, ind, induce_character(res, emb), restrict_character(ind, emb),
                  ind_scaled]
-    carried = [f for f in functions if f._packed is not None]
-    event(f"{len(carried)} of 5 carry a packing")
-    if name.startswith("F21"):
-        # the rows of irrational tables carry none, whatever their values
-        assert res._packed is None and ind._packed is None
-    if table.irreducibles[0]._packed.e == 1:
-        assert res in carried
-    if sub_table.irreducibles[0]._packed.e == 1:
-        assert all(f._packed is not None for f in functions[:4])
+    carried = [f for f in functions if f._ints is not None]
+    event(f"{len(carried)} of 5 carry ints")
+    # a row carries ints exactly when its values are rational, in a rational
+    # table or not, and hands them on to its restrictions and inductions
+    for row in table.irreducibles + sub_table.irreducibles:
+        assert (row._ints is not None) == rational(row)
+    # an induction carries ints whenever its input's values are integral
+    assert [f._ints is not None for f in functions[:4]] == [
+        rational(chi), rational(psi), rational(res), rational(psi)]
     for f in carried:
-        assert_carried_packing_is_the_values(f)
+        assert_carried_ints_are_the_values(f)
     # every later sum reads the carried ints: Frobenius reciprocity, and the
     # decompositions on both sides
     lhs, rhs = inner_product(ind, chi), inner_product(psi, res)

@@ -369,6 +369,26 @@ def test_given_degree_must_be_the_named_groups(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--group", "B:n=3", "--degree", "5"],
+     "B:n=3 acts on 12 points, not on the --degree 5"),
+    (["table", "--group", "C:step=3", "--degree", "8"],
+     "C:step=3 acts on 16 points, not on the --degree 8"),
+    (["table", "--group", "C:step=99999999999", "--degree", "8"],
+     "C:step=99999999999 acts on 4 * 2^99999999998 points, not on the --degree 8"),
+    # the group spec is checked before the subgroup spec
+    (["depth", "--group", "A:n=3", "--subgroup", "B:n=2", "--degree", "8"],
+     "A:n=3 acts on 12 points, not on the --degree 8"),
+])
+def test_given_degree_is_refused_before_any_member_is_built(capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family member was built")
+    monkeypatch.setattr(cli, "family", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_given_degree_equal_to_the_named_groups_is_accepted(capsys):
     assert run_cli(capsys, "table", "--group", "S4", "--degree", "4") == run_cli(
         capsys, "table", "--group", "S4")

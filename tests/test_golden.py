@@ -68,3 +68,11 @@ def test_golden_json(name, capsys):
 @pytest.mark.parametrize("name", PLAIN)
 def test_golden_text_and_csv(name, fmt, capsys):
     check_golden(name, fmt, capsys)
+
+
+def test_every_golden_file_is_pinned():
+    """A file in ``tests/golden`` that no case reads would go stale unseen."""
+    pinned = {f"{name}.json" for name in CASES}
+    pinned |= {f"{name}.{suffix}" for name in PLAIN for suffix in ("txt", "csv")}
+    pinned.add("reproduce_details.json")  # read by tests/test_acceptance.py
+    assert {p.name for p in GOLDEN.iterdir()} - pinned == set()
