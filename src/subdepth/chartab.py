@@ -82,7 +82,8 @@ class ClassFunction:
     ``values`` holds one exact cyclotomic per class, in the group's canonical
     class order.  When every value is a rational integer, a table row, its
     restrictions and its inductions also carry ``_ints``: the values as ints
-    and their largest |value|.  A rational c packs to c at every e and B
+    and a bound on their |values|, the table's N for a row and the exact
+    largest |value| otherwise.  A rational c packs to c at every e and B
     (:func:`_pack`), so every sum reads those ints as they are.  Nothing else
     packed is kept on a class function.
     """
@@ -123,7 +124,7 @@ class ClassFunction:
 
 def _measure(f):
     """``(e, d, n)`` for a class function (:func:`_measure_values`).  Carried
-    ints answer with e = d = 1 and their largest |value|."""
+    ints answer with e = d = 1 and their bound."""
     if f._ints is not None:
         return 1, 1, f._ints[1]
     return _measure_values(f.values)
@@ -312,8 +313,8 @@ class CharacterTable:
                     raise TableConsistencyError(
                         f"row orthogonality failed at characters {i}, {j}: "
                         f"{_from_packed(total, e, bits, 1)!r}/{order}")
-            if all(v.conductor == 1 for v in chi.values):  # its own conjugate
-                chi._ints = conj[i], max(map(abs, conj[i]))
+            if e == 1 or all(v.conductor == 1 for v in chi.values):  # its own conjugate
+                chi._ints = conj[i], norm
         self._kernel = e, bits, norm, conj
 
     def __eq__(self, other):

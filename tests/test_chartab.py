@@ -1184,10 +1184,13 @@ def test_restriction_and_induction_carry_rational_ints(data, carried_pairs):
                  ind_scaled]
     carried = [f for f in functions if f._ints is not None]
     event(f"{len(carried)} of 5 carry ints")
-    # a row carries ints exactly when its values are rational, in a rational
-    # table or not, and hands them on to its restrictions and inductions
-    for row in table.irreducibles + sub_table.irreducibles:
-        assert (row._ints is not None) == rational(row)
+    # a row carries ints, bounded by its table's N, exactly when its values
+    # are rational, in a rational table or not, and hands them on to its
+    # restrictions and inductions
+    for t in (table, sub_table):
+        for row in t.irreducibles:
+            assert (row._ints is not None) == rational(row)
+            assert row._ints is None or row._ints[1] == t._kernel[2]
     # an induction carries ints whenever its input's values are integral
     assert [f._ints is not None for f in functions[:4]] == [
         rational(chi), rational(psi), rational(res), rational(psi)]
