@@ -663,11 +663,11 @@ def induce_character_bruteforce(psi, emb):
 def decompose(f, table):
     """Multiplicities of each irreducible in a character.
 
-    f is packed once; the rows' conjugates are read from the table's kernel
-    unless f's conductor does not divide the kernel's e or f needs a larger
-    B, which repacks them for this call only.  Raises
-    :class:`NotACharacterError` when any inner product fails to be a
-    nonnegative integer - exactness is the point, nothing is rounded.
+    f is packed once and the rows' conjugates read from the table's kernel,
+    or repacked for this call only when f's conductor does not divide its e
+    or f needs a larger B.  Raises :class:`NotACharacterError` when any inner
+    product fails to be a nonnegative integer - exactness is the point,
+    nothing is rounded.
     """
     group = f.group
     rows = table.irreducibles

@@ -87,11 +87,10 @@ def _resolve_group(spec, role, degree, cap):
 
 
 def _check_degree(spec, degree):
-    """Refuse, from the spec's text alone, a given ``--degree`` that a named
-    group or family member does not act on: 4 points for S4, V4, D8 and S3,
-    4n for A:n and B:n, 4 * 2^(k-1) for C:step=k (written so when k exceeds
-    the degree's bit length, as it is then larger).  Trivial and cycle
-    notation take the degree, and family refuses an index below 1."""
+    """Refuse, from the spec's text alone, a --degree that a named group or
+    family member does not act on: 4 for S4, V4, D8 and S3, 4n for A:n and
+    B:n, 4 * 2^(k-1) for C:step=k (unexpanded past the degree's bit length).
+    Trivial, cycle notation and an index below 1 (family's to refuse) pass."""
     if degree is None:
         return
     name = spec.strip()
