@@ -28,19 +28,23 @@ which decomposition reads and whose e and N set the packings of the product
 tables and the wreath oracle.  A class function carries nothing packed but
 its values as ints when all are rational integers (c packs to c at every e
 and B, and is its own conjugate): rational rows hand them on to their
-restrictions and integral inductions, and so to every later sum.  A product
-of packed ints is the packed product, so the outer-product tables and the
-wreath oracle multiply ints and normalise each distinct result once.
+restrictions and integral inductions, and so to every later sum.  A class
+function made from ints makes its values when they are first read, so a
+restriction or induction that is only summed, decomposed or compared makes
+none.  A product of packed ints is the packed product, so the outer-product
+tables and the wreath oracle multiply ints and normalise each distinct
+result once.
 
 Each distinct value is made once where values are made: the Dixon lift,
-induction, the product tables and the JSON import each keep a dict local to
-the call, so the entries of a table or class function share value objects,
-and the kernel measures and packs each shared object once per call.  Packed
-sums are keyed on their vector reduced mod the e-th cyclotomic polynomial,
-since a sum is not reduced when it is formed.  The boundaries read each
-shared object once in the same way: the JSON export converts each distinct
-value object once, and table equality compares each distinct pair of
-objects at the same position once.
+induction with irrational or non-integral values, the first read of a
+function made from ints, the product tables and the JSON import each keep a
+dict local to the call, so the entries of a table or class function share
+value objects, and the kernel measures and packs each shared object once
+per call.  Packed sums are keyed on their vector reduced mod the e-th
+cyclotomic polynomial, since a sum is not reduced when it is formed.  The
+boundaries read each shared object once in the same way: the JSON export
+converts each distinct value object once, and table equality compares each
+distinct pair of objects at the same position once.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -86,26 +90,56 @@ class ClassFunction:
     largest |value| otherwise.  A rational c packs to c at every e and B
     (:func:`_pack`), so every sum reads those ints as they are.  Nothing else
     packed is kept on a class function.
+
+    A class function made from ints (:meth:`_of_ints`: a restriction or
+    integral induction of one that carries them) makes its values when they
+    are first read: one Cyclotomic per distinct int, shared by the entries
+    with that int, kept for every later read.  Its degree and equality with
+    another such function read the ints, so a function that is only summed,
+    decomposed or compared never makes its values.
     """
 
-    __slots__ = ("group", "values", "_ints")
+    __slots__ = ("group", "_values", "_ints")
 
     def __init__(self, group, values):
         self.group = group
-        self.values = tuple(values)
+        self._values = tuple(values)
         self._ints = None
-        if len(self.values) != len(group.classes()):
+        if len(self._values) != len(group.classes()):
             raise ValueError("need exactly one value per conjugacy class")
 
+    @classmethod
+    def _of_ints(cls, group, ints, bound):
+        """The function with these values, one int per class, carried with
+        ``bound`` on their |values|; its values are made when first read."""
+        f = cls.__new__(cls)
+        f.group = group
+        f._values = None
+        f._ints = ints, bound
+        return f
+
+    @property
+    def values(self):
+        if self._values is None:
+            ints = self._ints[0]
+            made = {c: Cyclotomic.from_rational(c) for c in set(ints)}
+            self._values = tuple(map(made.__getitem__, ints))
+        return self._values
+
     def degree(self):
+        if self._ints is not None:
+            return self._ints[0][0]
         d = self.values[0].as_integer()
         if d is None:
             raise ValueError("class function has a non-integral value at the identity")
         return d
 
     def __eq__(self, other):
-        return (isinstance(other, ClassFunction) and self.group is other.group
-                and self.values == other.values)
+        if not (isinstance(other, ClassFunction) and self.group is other.group):
+            return False
+        if self._ints is not None and other._ints is not None:
+            return self._ints[0] == other._ints[0]
+        return self.values == other.values
 
     def __hash__(self):
         return hash(self.values)
@@ -266,11 +300,19 @@ class CharacterTable:
     def degrees(self):
         return [chi.degree() for chi in self.irreducibles]
 
-    def index_of(self, values):
-        """Locate an irreducible by its exact value tuple."""
-        values = tuple(values)
-        for i, chi in enumerate(self.irreducibles):
-            if chi.values == values:
+    def index_of(self, f):
+        """Locate an irreducible equal to the class function f.  When f
+        carries ints, only rows that carry them can match (a row without
+        them has an irrational value), and their ints are compared as lists;
+        otherwise the values are."""
+        if f._ints is not None:
+            ints = f._ints[0]
+            matches = (chi._ints is not None and chi._ints[0] == ints
+                       for chi in self.irreducibles)
+        else:
+            matches = (chi.values == f.values for chi in self.irreducibles)
+        for i, match in enumerate(matches):
+            if match:
                 return i
         raise KeyError("no irreducible character with those values")
 
@@ -601,15 +643,16 @@ def _class_matrix_row(group, i, j):
 def restrict_character(chi, emb):
     """Restrict a class function on the ambient group along a subgroup embedding.
 
-    Carried ints of ``chi`` are carried on, gathered through the fusion.
+    Carried ints of ``chi`` are gathered through the fusion and carried on,
+    and the restriction makes its values from them when they are first read
+    (:meth:`ClassFunction._of_ints`); otherwise its values are gathered.
     """
     if chi.group is not emb.ambient:
         raise GroupMismatchError("class function does not live on the embedding's ambient group")
-    f = ClassFunction(emb.sub, [chi.values[a] for a in emb.fusion])
     if chi._ints is not None:
-        ints = [chi._ints[0][a] for a in emb.fusion]
-        f._ints = ints, max(map(abs, ints))
-    return f
+        ints = list(map(chi._ints[0].__getitem__, emb.fusion))
+        return ClassFunction._of_ints(emb.sub, ints, max(map(abs, ints)))
+    return ClassFunction(emb.sub, map(chi.values.__getitem__, emb.fusion))
 
 
 def induce_character(psi, emb):
@@ -623,10 +666,11 @@ def induce_character(psi, emb):
     (:attr:`subdepth.perm.SubgroupEmbedding.induction_weights`), so every
     induction along it only reads them.  Each value is one weighted sum of
     psi's packed values (its carried ints, if any), with B from the weight sum
-    and psi's norm, and each distinct sum is normalised to a Cyclotomic once
-    (:func:`_unpack_rows`).  When psi's values are rational with no
-    denominator, the sums are the values, and the induced function carries
-    them as its ints.
+    and psi's norm.  When psi's values are rational with no denominator, the
+    sums are the values: the induced function carries them as its ints and
+    makes its values from them when they are first read
+    (:meth:`ClassFunction._of_ints`).  Otherwise each distinct sum is
+    normalised to a Cyclotomic once (:func:`_unpack_rows`).
     """
     if psi.group is not emb.sub:
         raise GroupMismatchError("class function does not live on the embedding's subgroup")
@@ -635,10 +679,9 @@ def induce_character(psi, emb):
     bits = _bits(weight_sum * n)
     packed = _packing(psi, e, bits, d)[0]
     totals = [sum(map(mul, w, map(packed.__getitem__, classes))) for w, classes in buckets]
-    f = ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
     if e == d == 1:
-        f._ints = totals, max(map(abs, totals))
-    return f
+        return ClassFunction._of_ints(emb.ambient, totals, max(map(abs, totals)))
+    return ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
 
 
 def induce_character_bruteforce(psi, emb):

@@ -1106,6 +1106,35 @@ def test_warm_depth_pack_budget(monkeypatch):
     assert (len(packs), len(measures)) == (0, 0)
 
 
+def test_warm_value_budget(monkeypatch):
+    from subdepth.constructions import family
+    b2, a2 = family("B", 2), family("A", 2)
+    # held here, as a group holds its table weakly
+    b_amb, b_sub, a_amb, a_sub = tables = [
+        character_table(g) for fam in (b2, a2) for g in (fam.ambient, fam.subgroup)]
+    assert all(table._kernel[0] == 1 for table in tables)
+    b_emb, a_emb = b2.embedding_subgroup(), a2.embedding_subgroup()
+    expected = inclusion_matrix(b_amb, b_sub, b_emb).entries
+    rng = random.Random(2027)
+    samples = [(rng.choice(a_sub.irreducibles), rng.choice(a_amb.irreducibles))
+               for _ in range(100)]
+    made = []
+    monkeypatch.setattr(Cyclotomic, "from_rational",
+                        staticmethod(counting(made, Cyclotomic.from_rational)))
+    monkeypatch.setattr(Cyclotomic, "_make", staticmethod(counting(made, Cyclotomic._make)))
+    # every restriction and induction of a rational table carries ints and
+    # makes no value: not in the inclusion matrix, whose degrees read the
+    # ints too, nor on the two sides of Frobenius reciprocity
+    assert inclusion_matrix(b_amb, b_sub, b_emb).entries == expected
+    sides = [(induce_character(psi, a_emb), chi, psi, restrict_character(chi, a_emb))
+             for psi, chi in samples]
+    assert made == []
+    assert all(inner_product(ind, chi) == inner_product(psi, res)
+               for ind, chi, psi, res in sides)
+    # a scalar product is one value, made from its packed sum
+    assert len(made) == 2 * len(samples)
+
+
 def test_warm_depth_pack_budget_on_an_irrational_pair(monkeypatch, f21_table):
     from subdepth.depth import ordinary_depth
     group = f21_table.group
@@ -1149,16 +1178,39 @@ def carried_pairs(bg, s4_table, f21_table):
     return pairs
 
 
-def assert_carried_ints_are_the_values(f):
-    """Carried ints are the values, measure like them with their exact
-    largest |value|, and equal their packing at every e and B."""
+@pytest.fixture(scope="module")
+def literal_inductions():
+    """induce_character_bruteforce kept per embedding and values for the
+    module, as the literal sum takes about 0.1 s on S4 wr C2."""
+    made = {}
+
+    def induce(f, emb):
+        key = id(emb), f.values
+        if key not in made:
+            made[key] = induce_character_bruteforce(f, emb).values
+        return made[key]
+    return induce
+
+
+def assert_carried_ints_are_the_values(f, expected):
+    """A function made from carried ints has made no values before they are
+    read.  Once read, they are ``expected()``, the same tuple on a second
+    read, and one object for the entries with one int.  The ints measure
+    like the values with their exact largest |value|, and equal their
+    packing at every e and B."""
     ints, norm = f._ints
-    assert ints == [v.as_integer() for v in f.values]
-    assert chartab._measure(f) == chartab._measure_values(f.values) == (1, 1, norm)
+    assert f._values is None
+    values = f.values
+    assert values == tuple(expected())
+    assert f.values is values
+    shared = {}
+    assert all(shared.setdefault(c, v) is v for c, v in zip(ints, values))
+    assert ints == [v.as_integer() for v in values]
+    assert chartab._measure(f) == chartab._measure_values(values) == (1, 1, norm)
     for e in (1, 3, 7):
         for bits in (chartab._bits(norm), 2 * chartab._bits(norm) + 1):
-            assert (ints, ints) == chartab._pack(f.values, e, bits)
-            assert chartab._packing(f, e, bits) == chartab._pack(f.values, e, bits)
+            assert (ints, ints) == chartab._pack(values, e, bits)
+            assert chartab._packing(f, e, bits) == chartab._pack(values, e, bits)
 
 
 def rational(f):
@@ -1167,23 +1219,35 @@ def rational(f):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_restriction_and_induction_carry_rational_ints(data, carried_pairs):
+def test_restriction_and_induction_carry_rational_ints(data, carried_pairs, literal_inductions):
     name = data.draw(st.sampled_from(sorted(carried_pairs)))
     table, sub_table, emb = carried_pairs[name]
     chi = data.draw(st.sampled_from(table.irreducibles))
     psi = data.draw(st.sampled_from(sub_table.irreducibles))
     res, ind = restrict_character(chi, emb), induce_character(psi, emb)
+    res_ind, ind_res = induce_character(res, emb), restrict_character(ind, emb)
+    # checked in this order, so that no expectation reads a function's
+    # values before that function is checked: a restriction's values are
+    # the row's gathered through the fusion, an induction's the literal sum
+    checks = [(res, lambda: [chi.values[a] for a in emb.fusion]),
+              (ind, lambda: literal_inductions(psi, emb)),
+              (res_ind, lambda: literal_inductions(res, emb)),
+              (ind_res, lambda: [ind.values[a] for a in emb.fusion])]
+    for f, expected in checks:
+        if f._ints is not None:
+            assert_carried_ints_are_the_values(f, expected)
     # a multiple of a restriction, with or without denominators, is measured
-    # from its values, and its induction carries ints when it is integral
+    # from its values, and its induction carries ints when it is integral:
+    # q times the induction of the restriction
     q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
     scaled = ClassFunction(emb.sub, [q * v for v in res.values])
     e, d, _ = chartab._measure_values(scaled.values)
     ind_scaled = induce_character(scaled, emb)
     assert (ind_scaled._ints is not None) == (e == d == 1)
-    functions = [res, ind, induce_character(res, emb), restrict_character(ind, emb),
-                 ind_scaled]
-    carried = [f for f in functions if f._ints is not None]
-    event(f"{len(carried)} of 5 carry ints")
+    if ind_scaled._ints is not None:
+        assert_carried_ints_are_the_values(ind_scaled, lambda: [q * v for v in res_ind.values])
+    functions = [res, ind, res_ind, ind_res, ind_scaled]
+    event(f"{sum(f._ints is not None for f in functions)} of 5 carry ints")
     # a row carries ints, bounded by its table's N, exactly when its values
     # are rational, in a rational table or not, and hands them on to its
     # restrictions and inductions
@@ -1194,8 +1258,6 @@ def test_restriction_and_induction_carry_rational_ints(data, carried_pairs):
     # an induction carries ints whenever its input's values are integral
     assert [f._ints is not None for f in functions[:4]] == [
         rational(chi), rational(psi), rational(res), rational(psi)]
-    for f in carried:
-        assert_carried_ints_are_the_values(f)
     # every later sum reads the carried ints: Frobenius reciprocity, and the
     # decompositions on both sides
     lhs, rhs = inner_product(ind, chi), inner_product(psi, res)
@@ -1204,6 +1266,23 @@ def test_restriction_and_induction_carry_rational_ints(data, carried_pairs):
         literal_inner_product(res, phi).as_integer() for phi in sub_table.irreducibles)
     assert decompose(ind, table) == tuple(
         literal_inner_product(ind, phi).as_integer() for phi in table.irreducibles)
+
+
+def test_lookup_equality_and_degree_read_carried_ints(bg, s4_table, f21_table):
+    emb = class_fusion(bg.s4, bg.s4)
+    for i, chi in enumerate(s4_table.irreducibles):
+        res = restrict_character(chi, emb)
+        assert s4_table.index_of(res) == i
+        assert res == chi == restrict_character(chi, emb)
+        assert res.degree() == chi.degree()
+        assert res._values is None
+        # without ints, the values are compared
+        assert s4_table.index_of(ClassFunction(bg.s4, chi.values)) == i
+        assert ClassFunction(bg.s4, chi.values) == res
+    for i, chi in enumerate(f21_table.irreducibles):
+        assert f21_table.index_of(ClassFunction(f21_table.group, chi.values)) == i
+    with pytest.raises(KeyError):
+        s4_table.index_of(restrict_character(s4_table.irreducibles[3], emb) + s4_table.irreducibles[4])
 
 
 @pytest.mark.parametrize("c", [0, 5, -7])
