@@ -15,16 +15,18 @@ that determinism for bit-for-bit reproducible output.
 Conjugacy classes and cores work on element indices (positions in that list):
 each group derives, once, the conjugation action of its generators as one index
 list per generator from the right multiplications its search recorded, without
-hashing image tuples; classes are orbits under it, stored as one class label
-per element index, and :meth:`ClassSet.class_of` finds the class of an image
-tuple through the group's own index dict, building no second one; the
-conjugates of a subgroup are Python-int bitsets over the ambient indices, so
-their intersections are ``&`` operations.
+hashing image tuples.  Those records are plain lists whose entries are the index
+dict's own int objects, so no read or write of an entry makes a new int.
+Classes are orbits under the action, stored as one class label per element
+index, and :meth:`ClassSet.class_of` finds the class of an image tuple through
+the group's own index dict, building no second one; the conjugates of a
+subgroup are Python-int bitsets over the ambient indices, so their
+intersections are ``&`` operations.  Every group is the closure of its
+generators, so one group contains another when it holds the other's generators.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -303,10 +305,11 @@ class PermGroup:
         # second dict is built over the finished list
         group = cls(degree, [tuple(range(degree))], gens, _trusted=True)
         raw, index = group._raw, group._index
-        # right[j][i] is the index of x_i∘gens[j], recorded as the search runs;
+        # right[j][i] is the index of x_i∘gens[j], recorded as the search runs
+        # in a list of the index dict's own ints, so no entry is boxed anew;
         # x∘g is (x[g[0]], x[g[1]], ...), and itemgetter of a single point
         # would return a bare value
-        right = [array("i") for _ in gens]
+        right = [[] for _ in gens]
         steps = [(itemgetter(*g.images) if degree > 1 else tuple, r.append)
                  for g, r in zip(gens, right)]
         lookup = index.get
@@ -371,7 +374,8 @@ class PermGroup:
 
     def __eq__(self, other):
         """Same degree and elements: groups of one order are equal when one
-        contains the other, which its index dict answers (degrees included)."""
+        contains the other, which its index dict answers on the other's
+        generators (degrees included)."""
         return other is self or (isinstance(other, PermGroup) and self.order == other.order
                                  and self.contains_group(other))
 
@@ -385,8 +389,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
     def contains_group(self, sub):
+        """Whether ``sub`` is a subgroup of this group, decided on its generators.
+
+        Every group is the closure of its own generators (each constructor
+        goes through :meth:`generated`), and a group holding those generators
+        holds their closure, so generators inside prove the whole group inside.
+        """
         return (sub.degree == self.degree
-                and all(map(self._index.__contains__, sub._raw)))
+                and all(g.images in self._index for g in sub.generators))
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -414,8 +424,9 @@ def _conjugation_action(group):
     Λ_g[R_g[w]] to w.  Λ_g follows the search tree: the root maps to g⁻¹, and
     a child x∘s of x to (g⁻¹∘x)∘s, so Λ_g[child] = R_s[Λ_g[x]]; the search
     found a child exactly where R_s[x] is the next unused index.  The recorded
-    arrays are dropped once used.  The action's entries are the index dict's
-    own int objects, so lists built from them share those objects.
+    lists are dropped once used.  Every entry of R, Λ and the action is the
+    index dict's own int object, so walking them makes no new int and lists
+    built from them share those objects.
     """
     right = group._right
     group._right = None
@@ -423,7 +434,7 @@ def _conjugation_action(group):
     n = len(group._raw)
     lefts = []
     for g in group.generators:
-        left = array("i", [0]) * n
+        left = [0] * n
         left[0] = index[g.inverse().images]
         lefts.append(left)
     new = 1
@@ -440,7 +451,7 @@ def _conjugation_action(group):
         act = [0] * n
         for rw, w in zip(r, index.values()):
             act[left[rw]] = w
-        right[k] = lefts[k] = None    # each generator's arrays go once used
+        right[k] = lefts[k] = None    # each generator's lists go once used
         action.append(act)
     return action
 

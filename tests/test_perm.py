@@ -5,7 +5,7 @@ from itertools import accumulate, combinations, permutations, product
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subdepth import perm
@@ -339,6 +339,60 @@ def test_groups_are_equal_exactly_when_their_elements_are(kind, data):
     assert group != set(group.raw_elements)
 
 
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_containment_from_generators_matches_the_element_sets(kind, data):
+    # contains_group reads only the generators; compare it and == with the
+    # literal element sets, for groups inside, outside and of another degree
+    group = data.draw(groups_built_by(kind, 6))
+    degree, elements = group.degree, set(group.raw_elements)
+    inside = data.draw(st.lists(st.sampled_from(group.raw_elements).map(Permutation),
+                                min_size=1, max_size=3))
+    anywhere = data.draw(st.lists(st.permutations(range(degree)).map(Permutation),
+                                  min_size=1, max_size=3))
+    other_degree = data.draw(st.integers(1, 6).filter(lambda d: d != degree))
+    foreign = data.draw(st.lists(st.permutations(range(other_degree)).map(Permutation),
+                                 min_size=1, max_size=2))
+    for gens in (inside, anywhere, inside + anywhere, foreign):
+        other = PermGroup.generated(gens)
+        other_elements = set(other.raw_elements)
+        assert group.contains_group(other) == (other_elements <= elements)
+        assert other.contains_group(group) == (elements <= other_elements)
+        assert (group == other) == (other == group) == (elements == other_elements)
+
+
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_generator_outside_the_ambient_group_is_refused(kind, data):
+    group = data.draw(groups_built_by(kind, 6))
+    degree = group.degree
+    assume(group.order < prod(range(1, degree + 1)))
+    outside = data.draw(st.permutations(range(degree)).map(Permutation)
+                        .filter(lambda p: p not in group))
+    gens = data.draw(st.lists(st.sampled_from(group.raw_elements).map(Permutation),
+                              min_size=1, max_size=3))
+    gens.insert(data.draw(st.integers(0, len(gens))), outside)
+    sub = PermGroup.generated(gens)
+    for check in (class_fusion, is_normal, subgroup_core):
+        with pytest.raises(NotASubgroupError):
+            check(group, sub)
+
+
+def test_recorded_multiplications_are_the_index_dicts_own_ints():
+    # S6 has 720 elements, so most indices lie above the interpreter's cached
+    # small ints: an entry read back from a typed array would be a new int
+    group = PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6)"))
+    raw, index = group.raw_elements, group._index
+    assert group.order == 720
+    for g, right in zip(group.generators, group._right):
+        assert all(right[i] is index[tuple(map(x.__getitem__, g.images))]
+                   for i, x in enumerate(raw))
+    for act in group._conjugation():
+        assert all(j is index[raw[j]] for j in act)
+
+
 @settings(max_examples=60, deadline=None)
 @given(factors=st.lists(generated_groups(4), min_size=1, max_size=3))
 def test_direct_product_is_the_cartesian_product(factors):
@@ -407,7 +461,7 @@ def test_conjugation_action_from_right_multiplications(kind, data):
     group = data.draw(groups_built_by(kind, 7))
     raw = group.raw_elements
     action = group._conjugation()
-    assert group._right is None          # the recorded arrays are dropped once used
+    assert group._right is None          # the recorded lists are dropped once used
     for g, act in zip(group.generators, action):
         assert [raw[j] for j in act] == [literal_conjugate(g.images, x) for x in raw]
 
