@@ -24,7 +24,6 @@ member, base pair and lemma; the seed helpers read them from product groups.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iter_product
 
@@ -59,12 +58,14 @@ BASE_GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
 class BaseGroups:
-    s4: PermGroup
-    v4: PermGroup
-    d8: PermGroup
-    s3: PermGroup
+    __slots__ = ("s4", "v4", "d8", "s3")
+
+    def __init__(self, s4, v4, d8, s3):
+        self.s4 = s4
+        self.v4 = v4
+        self.d8 = d8
+        self.s3 = s3
 
 
 @cache
@@ -161,10 +162,12 @@ def direct_product(factors, cap=DEFAULT_CAP):
     return group
 
 
-@dataclass(frozen=True)
 class CyclicWreath:
-    group: PermGroup       # base wr C_n on base.degree * n points
-    shift: Permutation
+    __slots__ = ("group", "shift")
+
+    def __init__(self, group, shift):
+        self.group = group    # base wr C_n on base.degree * n points
+        self.shift = shift
 
 
 def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
@@ -197,22 +200,25 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
 # The three families
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FamilyInstance:
     """One member of a family: ambient group (shared, see ``wreath_cyclic``),
     subgroup, and the helpers (full base-block product, core, shift) used by
     the verification code.  The pair's depth report is computed on first use
     and kept, so every consumer reads the same matrix, tables and graph."""
 
-    series: str
-    n: int
-    ambient: PermGroup
-    subgroup: PermGroup
-    base_block: PermGroup          # the product of all block copies (K)
-    core: PermGroup                # Core_ambient(subgroup)
-    sigma: Permutation | None
-    expected_depth: int
-    _report: object = field(default=None, repr=False)
+    __slots__ = ("series", "n", "ambient", "subgroup", "base_block", "core", "sigma",
+                 "expected_depth", "_report")
+
+    def __init__(self, series, n, ambient, subgroup, base_block, core, sigma, expected_depth):
+        self.series = series
+        self.n = n
+        self.ambient = ambient
+        self.subgroup = subgroup
+        self.base_block = base_block    # the product of all block copies (K)
+        self.core = core                # Core_ambient(subgroup)
+        self.sigma = sigma              # a Permutation, or None
+        self.expected_depth = expected_depth
+        self._report = None
 
     def embedding_subgroup(self):
         return class_fusion(self.ambient, self.subgroup)
@@ -280,15 +286,17 @@ def family(series, n, cap=DEFAULT_CAP):
 # Distinguished characters of the family subgroups and base blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SeedCharacter:
     """An outer-product character of the base block with its faithful factor
     in the first slot and non-faithful factors elsewhere, tagged by the
     conventional label tuple."""
 
-    labels: tuple          # e.g. (4, 1, 3): chi4 x chi1 x chi3
-    row: int               # index in the base-block table
-    values: object         # the ClassFunction
+    __slots__ = ("labels", "row", "values")
+
+    def __init__(self, labels, row, values):
+        self.labels = labels    # e.g. (4, 1, 3): chi4 x chi1 x chi3
+        self.row = row          # index in the base-block table
+        self.values = values    # the ClassFunction
 
 
 def _faithful_split(s4_table):

@@ -26,7 +26,6 @@ mismatch raises instead of being smoothed over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import cycle, islice
 
 from .chartab import (character_table, decompose, induce_character,
@@ -45,14 +44,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class InclusionMatrix:
     """Induction/restriction multiplicities between Irr(H) (rows) and Irr(G) (columns)."""
 
-    ambient_table: object
-    sub_table: object
-    embedding: object
-    entries: tuple  # tuple of row tuples, nonnegative ints
+    __slots__ = ("ambient_table", "sub_table", "embedding", "entries")
+
+    def __init__(self, ambient_table, sub_table, embedding, entries):
+        self.ambient_table = ambient_table
+        self.sub_table = sub_table
+        self.embedding = embedding
+        self.entries = entries  # tuple of row tuples, nonnegative ints
 
     @property
     def shape(self):
@@ -207,12 +208,14 @@ def depth_one_check(emb):
     return True
 
 
-@dataclass(frozen=True)
 class CoreBound:
-    bound: int
-    conjugate_count: int
-    central: bool
-    witnesses: tuple  # conjugating elements
+    __slots__ = ("bound", "conjugate_count", "central", "witnesses")
+
+    def __init__(self, bound, conjugate_count, central, witnesses):
+        self.bound = bound
+        self.conjugate_count = conjugate_count
+        self.central = central
+        self.witnesses = witnesses  # conjugating elements
 
     def to_obj(self):
         return {
@@ -238,21 +241,26 @@ def core_depth_bound(ambient, sub):
 # The combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DepthReport:
-    depth: int
-    depth_one: bool
-    normal: bool
-    max_distance: int        # largest finite pairwise relation distance
-    odd_bound: int           # 2*max(1, max_distance) + 1
-    max_m_chi: int
-    even_bound: int          # 2*max(2, max_m_chi + 1)
-    matrix_n: int
-    matrix_witness: int
-    core: CoreBound
-    inclusion: InclusionMatrix
-    graph: Graph
-    m_values: tuple
+    __slots__ = ("depth", "depth_one", "normal", "max_distance", "odd_bound", "max_m_chi",
+                 "even_bound", "matrix_n", "matrix_witness", "core", "inclusion", "graph",
+                 "m_values")
+
+    def __init__(self, depth, depth_one, normal, max_distance, odd_bound, max_m_chi,
+                 even_bound, matrix_n, matrix_witness, core, inclusion, graph, m_values):
+        self.depth = depth
+        self.depth_one = depth_one
+        self.normal = normal
+        self.max_distance = max_distance  # largest finite pairwise relation distance
+        self.odd_bound = odd_bound        # 2*max(1, max_distance) + 1
+        self.max_m_chi = max_m_chi
+        self.even_bound = even_bound      # 2*max(2, max_m_chi + 1)
+        self.matrix_n = matrix_n
+        self.matrix_witness = matrix_witness
+        self.core = core                  # CoreBound
+        self.inclusion = inclusion        # InclusionMatrix
+        self.graph = graph                # the relation Graph
+        self.m_values = m_values
 
     def to_obj(self):
         return {

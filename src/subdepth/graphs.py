@@ -5,29 +5,37 @@ A distance is an int, or ``None`` for a pair with no path between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Graph", "cartesian_product", "bfs_distance", "distances_from"]
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Vertices are hashable labels; edges are unordered pairs, no loops."""
+    """Vertices are hashable labels; edges are unordered pairs, no loops.
+    Two graphs are equal, and hash equal, when their vertex tuples and edge
+    sets are; the adjacency cache takes no part."""
 
-    vertices: tuple
-    edges: frozenset  # of 2-element frozensets
-    _adj: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "_adj")
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+    def __init__(self, vertices, edges):
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        for e in self.edges:
+        for e in edges:
             pair = tuple(e)
             if len(pair) != 2:
                 raise ValueError(f"edge {e!r} is not a 2-element set (loops are not allowed)")
             if pair[0] not in vs or pair[1] not in vs:
                 raise ValueError(f"edge {e!r} references an unknown vertex")
+        self.vertices = vertices  # tuple
+        self.edges = edges        # frozenset of 2-element frozensets
+        self._adj = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @staticmethod
     def build(vertices, pairs):
@@ -42,7 +50,7 @@ class Graph:
                 adj[b].append(a)
             for v in adj:
                 adj[v].sort()
-            object.__setattr__(self, "_adj", adj)
+            self._adj = adj
         return self._adj
 
 

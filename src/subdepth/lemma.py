@@ -23,8 +23,6 @@ no inclusion matrix and no Dixon table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chartab import character_table, induce_character, inner_product
 # base_groups, inclusion_matrix and relation_graph are unused here but
 # perfbench/tracer.py wraps them on this module
@@ -38,16 +36,20 @@ __all__ = ["LemmaPart", "LemmaReport", "seed_factor_graphs",
            "expected_overlap_graph", "lemma_report"]
 
 
-@dataclass(frozen=True)
 class LemmaPart:
-    passed: bool
-    detail: str
+    __slots__ = ("passed", "detail")
+
+    def __init__(self, passed, detail):
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass(frozen=True)
 class LemmaReport:
-    n: int
-    parts: dict
+    __slots__ = ("n", "parts")
+
+    def __init__(self, n, parts):
+        self.n = n
+        self.parts = parts  # part name -> LemmaPart
 
     @property
     def passed(self):

@@ -27,7 +27,6 @@ generators, so one group contains another when it holds the other's generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from math import lcm
@@ -221,11 +220,13 @@ def parse_generators(text, degree=None):
     return [parse_cycle_notation(chunk, degree) for chunk in chunks]
 
 
-@dataclass(frozen=True)
 class ConjugacyClass:
-    rep: Permutation          # lexicographically smallest member
-    size: int
-    members: tuple            # indices into the group's raw element list
+    __slots__ = ("rep", "size", "members")
+
+    def __init__(self, rep, size, members):
+        self.rep = rep            # lexicographically smallest member
+        self.size = size
+        self.members = members    # indices into the group's raw element list
 
 
 class ClassSet:
@@ -604,17 +605,19 @@ def min_core_conjugates(ambient, sub):
     raise InternalConsistencyError("conjugate search failed to reach the core")  # unreachable
 
 
-@dataclass(frozen=True)
 class SubgroupEmbedding:
     """A subgroup together with the fusion map of its classes into the ambient ones.
 
     Induction along the embedding sums with integer weights that depend only
     on the embedding, so they are computed here, once, on first use
-    (:attr:`induction_weights`).
+    (:attr:`induction_weights`, kept in the instance ``__dict__``).
     """
-    ambient: PermGroup
-    sub: PermGroup
-    fusion: tuple  # sub class index -> ambient class index
+    __slots__ = ("ambient", "sub", "fusion", "__dict__")
+
+    def __init__(self, ambient, sub, fusion):
+        self.ambient = ambient
+        self.sub = sub
+        self.fusion = fusion  # sub class index -> ambient class index
 
     @cached_property
     def induction_weights(self):

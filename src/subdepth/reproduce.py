@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from .chartab import (character_table, induce_character, inner_product,
                       restrict_character, wreath_cyclic_table)
@@ -63,13 +62,15 @@ class AcceptanceContext:
         return out
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    description: str
-    passed: bool
-    detail: str
-    seconds: float
+    __slots__ = ("number", "description", "passed", "detail", "seconds")
+
+    def __init__(self, number, description, passed, detail, seconds):
+        self.number = number
+        self.description = description
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self):
         verdict = "PASS" if self.passed else "FAIL"

@@ -201,8 +201,8 @@ def test_m_chi(v4_in_s4, s4_table):
     assert m_chi(v4_in_s4, g, chi["chi4"]) == 0
     with pytest.raises(ValueError):
         # a zero column cannot come from a real table; fabricate one
-        from dataclasses import replace
-        fake = replace(v4_in_s4, entries=tuple(tuple(0 for _ in r) for r in v4_in_s4.entries))
+        fake = InclusionMatrix(v4_in_s4.ambient_table, v4_in_s4.sub_table, v4_in_s4.embedding,
+                               tuple(tuple(0 for _ in r) for r in v4_in_s4.entries))
         m_chi(fake, g, 0)
 
 

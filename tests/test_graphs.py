@@ -18,10 +18,12 @@ def test_factor_graphs():
 
 
 def test_graph_invariants():
-    with pytest.raises(ValueError):
-        Graph.build([1, 2], [(1, 1)])  # loop
-    with pytest.raises(ValueError):
-        Graph.build([1, 2], [(1, 3)])  # unknown vertex
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.build([1, 2, 1], [(1, 2)])
+    with pytest.raises(ValueError, match="loops"):
+        Graph.build([1, 2], [(1, 1)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Graph.build([1, 2], [(1, 3)])
 
 
 def test_product_counts():
@@ -72,6 +74,22 @@ def test_distance_additivity():
             for v in g.vertices:
                 assert bfs_distance(g, u, v) == sum(
                     bfs_distance(factors[k], u[k], v[k]) for k in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_equality_and_hash_ignore_pair_order_and_adjacency(data):
+    pairs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
+    shuffled = data.draw(st.permutations(pairs))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    a = Graph.build(range(5), pairs)
+    b = Graph.build(range(5), [(q, p) if f else (p, q) for (p, q), f in zip(shuffled, flips)])
+    for g in (a, b):
+        if data.draw(st.booleans()):
+            g.adjacency()
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    fewer = Graph.build(range(5), shuffled[1:])
+    assert a != fewer and b != fewer
 
 
 @st.composite

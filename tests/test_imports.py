@@ -8,10 +8,16 @@ The only unread imports allowed are the names the traced benchmark wraps on a mo
 (``SPANS`` and ``COUNTED`` in ``perfbench/tracer.py``): the module binds them
 so that the wrapper can replace them where their callers look them up.
 ``__init__.py`` re-exports, so it is not checked.
+
+A fresh interpreter that imports the package and its CLI loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -125,3 +131,26 @@ def test_every_class_member_is_read_somewhere():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and read[node.name] == Counter(attributes_read(node))[node.name]]
     assert sorted(unread) == sorted(REFERENCE_MEMBERS)
+
+
+# After each import, the start-up modules the child has loaded that it should not.
+STARTUP_PROBE = """
+import sys
+unwanted = ("dataclasses", "inspect")
+import subdepth
+print(*[m for m in unwanted if m in sys.modules], sep=",")
+import subdepth.cli
+print(*[m for m in unwanted if m in sys.modules], sep=",")
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every process pays for what ``import subdepth.cli`` loads: ``dataclasses``
+    pulls in ``inspect`` and generates its classes' methods at import time.
+    ``-S`` keeps site hooks from loading either before the package does."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["", ""]
