@@ -46,6 +46,10 @@ CASES = {
     # conductors 13 and 7
     "table_psl2_13": ["table", "--group", PSL2_13],
     "depth_psl2_13_borel": ["depth", "--group", PSL2_13, "--subgroup", BOREL_13],
+    # S4 > S3 moved onto the points 297-300: a group on more than 256 points
+    "table_s4_at_300": ["table", "--group", "(297,298);(297,298,299,300)", "--degree", "300"],
+    "depth_s4_s3_at_300": ["depth", "--group", "(297,298);(297,298,299,300)",
+                           "--subgroup", "(297,298);(297,298,299)", "--degree", "300"],
 }
 
 # the cases also pinned in the text and CSV formats
