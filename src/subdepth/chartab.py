@@ -62,15 +62,15 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 from math import isqrt, lcm, prod
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 
 from . import modlin
 from .cyclo import Cyclotomic, reduce_vector
 from .errors import (CycleParseError, GroupMismatchError, InternalConsistencyError,
                      NotACharacterError, TableConsistencyError)
-from .perm import parse_cycle_notation
+from .perm import _left_product, parse_cycle_notation
 
 __all__ = [
     "ClassFunction", "CharacterTable", "inner_product", "restrict_character",
@@ -615,16 +615,15 @@ def _class_matrix_row(group, i, j):
     """Row j of the matrix of class sum i: entry k is #{x in C_i : x^-1 z_k in C_j}.
 
     Both this and |C_j| #{x in C_i : x z_j in C_k} / |C_k| count the x in C_i
-    and y in C_j with x y in C_k, so one pass over C_i gives the whole row:
-    the class labels of the products x z_j, counted by one chain of maps.
+    and y in C_j with x y in C_k, so one pass over C_i gives the whole row.
+    z_j x is conjugate to x z_j (by z_j), so its class is the same: the row is
+    the class labels of the left products z_j x, made on the element keys
+    (:func:`subdepth.perm._left_product`) and counted by one chain of maps.
     """
     cs = group.classes()
-    zj = cs.classes[j].rep.images
-    # x z_j is (x[z_j[0]], x[z_j[1]], ...), and itemgetter of a single point
-    # would return a bare value
-    compose = itemgetter(*zj) if len(zj) > 1 else tuple
+    times, t = _left_product(cs.classes[j].rep.images)
     counts = Counter(map(cs.labels.__getitem__, map(group._index.__getitem__, map(
-        compose, map(group.raw_elements.__getitem__, cs.classes[i].members)))))
+        times, map(group.raw_elements.__getitem__, cs.classes[i].members), repeat(t)))))
     size_j = cs.classes[j].size
     row = []
     for k, c in enumerate(cs.classes):

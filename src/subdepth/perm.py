@@ -5,18 +5,26 @@ convention ``a.conjugated_by(s) == s * a * s.inverse()`` relabels the moved
 points of ``a`` along ``s``; conjugating a group acting on one block of points
 by a block shift therefore yields the copy acting on the shifted block.
 
-Every group is enumerated by one breadth-first closure over right
+Every group is enumerated by one breadth-first closure over left
 multiplication by its generator list (:meth:`PermGroup.generated`), which makes
 the element order a deterministic function of the generator list; explicit
 element sets and direct products are closures of generators picked from them.
 Everything downstream - conjugacy classes, cores, character tables - relies on
 that determinism for bit-for-bit reproducible output.
 
+A group stores each element as a key (:func:`_key`): the ``bytes`` of its image
+tuple on at most 256 points, the image tuple itself above.  A bytes key caches
+its hash, is a third of a tuple's size and is not tracked by the cyclic garbage
+collector; the left product s∘x of a bytes key is ``x.translate`` through one
+256-byte table of s, and of a tuple key ``itemgetter(*x)(s)``
+(:func:`_left_product`).  Every lookup that takes an image tuple turns it into
+a key first, so :class:`Permutation` keeps its image tuple.
+
 Conjugacy classes and cores work on element indices (positions in that list):
 each group derives, once, the conjugation action of its generators as one index
-list per generator from the right multiplications its search recorded, without
-hashing image tuples.  Those records are plain lists whose entries are the index
-dict's own int objects, so no read or write of an entry makes a new int.
+list per generator from the left multiplications its search recorded, without
+hashing keys.  Those records are plain lists whose entries are the index dict's
+own int objects, so no read or write of an entry makes a new int.
 Classes are orbits under the action, stored as one class label per element
 index, and :meth:`ClassSet.class_of` finds the class of an image tuple through
 the group's own index dict, building no second one; the conjugates of a
@@ -220,6 +228,25 @@ def parse_generators(text, degree=None):
     return [parse_cycle_notation(chunk, degree) for chunk in chunks]
 
 
+def _key(images):
+    """An element's key in its group's index dict: the ``bytes`` of its image
+    tuple on at most 256 points, the tuple itself above."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def _left_product(images):
+    """``(times, t)`` with ``times(x, t)`` the key of s∘x for the key x of any
+    element x, where s has these images: ``x.translate(t)`` with t the 256-byte
+    table of s on bytes keys, ``itemgetter(*x)(s)`` on tuple keys."""
+    if len(images) <= 256:
+        return bytes.translate, bytes(images) + bytes(range(len(images), 256))
+    return _tuple_left_product, tuple(images)
+
+
+def _tuple_left_product(x, s):
+    return itemgetter(*x)(s)
+
+
 class ConjugacyClass:
     __slots__ = ("rep", "size", "members")
 
@@ -240,11 +267,11 @@ class ClassSet:
     def __init__(self, classes, labels, index):
         self.classes = classes
         self.labels = labels      # element index -> class index
-        self._index = index       # the group's own dict: image tuple -> element index
+        self._index = index       # the group's own dict: element key -> element index
 
     def class_of(self, images):
         """The class index of an image tuple; KeyError for one outside the group."""
-        return self.labels[self._index[images]]
+        return self.labels[self._index[_key(images)]]
 
     def __len__(self):
         return len(self.classes)
@@ -255,14 +282,17 @@ class ClassSet:
     @cached_property
     def powers(self):
         """Per class with representative z of order m, the classes of z^0, ...,
-        z^(m-1), walked on image tuples; ``row[-1]`` is the class of z^-1."""
-        identity, out = self.classes[0].rep.images, []
+        z^(m-1), walked on element keys by left multiplication, z^(k+1) = z∘z^k
+        (:func:`_left_product`); ``row[-1]`` is the class of z^-1."""
+        labels, index = self.labels, self._index
+        identity, out = _key(self.classes[0].rep.images), []
         for c in self.classes:
-            z = acc = c.rep.images
+            times, t = _left_product(c.rep.images)
+            acc = _key(c.rep.images)
             row = [0]
             while acc != identity:
-                row.append(self.class_of(acc))
-                acc = tuple(map(acc.__getitem__, z))
+                row.append(labels[index[acc]])
+                acc = times(acc, t)
             out.append(tuple(row))
         return tuple(out)
 
@@ -280,12 +310,12 @@ class PermGroup:
         if not _trusted:
             raise TypeError("use PermGroup.generated / PermGroup.from_elements")
         self.degree = degree
-        self._raw = raw_elements                  # list of image tuples
+        self._raw = raw_elements                  # list of element keys (see _key)
         self._index = {x: i for i, x in enumerate(raw_elements)}
         self.generators = tuple(generators)
         self._classes = None
         self._action = None
-        self._right = None                        # set by generated(); see _conjugation_action
+        self._left = None                         # set by generated(); see _conjugation_action
         self._char_table = None
         self._wreaths = {}                        # copies -> weakref of self wr C_copies
         self.product_structure = None             # set by direct products
@@ -304,20 +334,19 @@ class PermGroup:
             raise ValueError("generators must share a degree")
         # the search fills the group's own element list and index dict, so no
         # second dict is built over the finished list
-        group = cls(degree, [tuple(range(degree))], gens, _trusted=True)
+        group = cls(degree, [_key(range(degree))], gens, _trusted=True)
         raw, index = group._raw, group._index
-        # right[j][i] is the index of x_i∘gens[j], recorded as the search runs
-        # in a list of the index dict's own ints, so no entry is boxed anew;
-        # x∘g is (x[g[0]], x[g[1]], ...), and itemgetter of a single point
-        # would return a bare value
-        right = [[] for _ in gens]
-        steps = [(itemgetter(*g.images) if degree > 1 else tuple, r.append)
-                 for g, r in zip(gens, right)]
+        # left[j][i] is the index of gens[j]∘x_i, recorded as the search runs
+        # in a list of the index dict's own ints, so no entry is boxed anew
+        left = [[] for _ in gens]
+        tables = [_left_product(g.images) for g in gens]
+        times = tables[0][0]
+        steps = [(t, r.append) for (_, t), r in zip(tables, left)]
         lookup = index.get
         size = 1
         for x in raw:                    # raw grows while it is walked
-            for compose, record in steps:
-                y = compose(x)
+            for t, record in steps:
+                y = times(x, t)
                 i = lookup(y)
                 if i is None:
                     if size >= cap:
@@ -326,7 +355,7 @@ class PermGroup:
                     size += 1
                     raw.append(y)
                 record(i)
-        group._right = right
+        group._left = left
         return group
 
     @classmethod
@@ -339,9 +368,9 @@ class PermGroup:
         the last list.  A closure that outgrows the set proves it is not
         closed (ValueError), so no closure larger than the set is enumerated.
         """
-        raw = sorted({e.images if isinstance(e, Permutation) else tuple(e)
+        raw = sorted({_key(e.images if isinstance(e, Permutation) else e)
                       for e in elements})
-        if not raw or raw[0] != tuple(range(degree)):
+        if not raw or raw[0] != _key(range(degree)):
             raise ValueError("element set must contain the identity")
         group = cls.trivial(degree)
         gens = []
@@ -366,11 +395,12 @@ class PermGroup:
         return len(self._raw)
 
     def __contains__(self, perm):
-        key = perm.images if isinstance(perm, Permutation) else tuple(perm)
-        return key in self._index
+        return _key(perm.images if isinstance(perm, Permutation) else perm) in self._index
 
     @property
     def raw_elements(self):
+        """The elements in enumeration order, as keys (:func:`_key`): ``bytes``
+        on at most 256 points, image tuples above."""
         return self._raw
 
     def __eq__(self, other):
@@ -397,7 +427,7 @@ class PermGroup:
         holds their closure, so generators inside prove the whole group inside.
         """
         return (sub.degree == self.degree
-                and all(g.images in self._index for g in sub.generators))
+                and all(_key(g.images) in self._index for g in sub.generators))
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -419,41 +449,36 @@ class PermGroup:
 def _conjugation_action(group):
     """g·x·g⁻¹ for each generator g, on element indices, without hashing.
 
-    With R_s (x ↦ x∘s) recorded by the breadth-first search of
-    :meth:`PermGroup.generated` and Λ_g the left multiplication x ↦ g⁻¹∘x,
-    g·x·g⁻¹ = x_w exactly when x = Λ_g[R_g[w]], so the action sends
-    Λ_g[R_g[w]] to w.  Λ_g follows the search tree: the root maps to g⁻¹, and
-    a child x∘s of x to (g⁻¹∘x)∘s, so Λ_g[child] = R_s[Λ_g[x]]; the search
-    found a child exactly where R_s[x] is the next unused index.  The recorded
-    lists are dropped once used.  Every entry of R, Λ and the action is the
-    index dict's own int object, so walking them makes no new int and lists
-    built from them share those objects.
+    With L_s (x ↦ s∘x) recorded by the breadth-first search of
+    :meth:`PermGroup.generated` and P_g the right multiplication x ↦ x∘g⁻¹,
+    the action is g·x·g⁻¹ = L_g[P_g[x]].  P_g follows the search tree: the
+    root maps to g⁻¹, and a child s∘x of x to s∘(x∘g⁻¹), so
+    P_g[child] = L_s[P_g[x]]; the search found a child exactly where L_s[x] is
+    the next unused index.  The recorded lists are dropped once used.  Every
+    entry of L, P and the action is the index dict's own int object, so walking
+    them makes no new int and lists built from them share those objects.
     """
-    right = group._right
-    group._right = None
+    left = group._left
+    group._left = None
     index = group._index
     n = len(group._raw)
-    lefts = []
+    rights = []
     for g in group.generators:
-        left = [0] * n
-        left[0] = index[g.inverse().images]
-        lefts.append(left)
+        right = [0] * n
+        right[0] = index[_key(g.inverse().images)]
+        rights.append(right)
     new = 1
     for x in range(n):
-        for r in right:
-            child = r[x]
+        for ls in left:
+            child = ls[x]
             if child == new:
-                for left in lefts:
-                    left[child] = r[left[x]]
+                for right in rights:
+                    right[child] = ls[right[x]]
                 new += 1
     action = []
-    for k in range(len(lefts)):
-        r, left = right[k], lefts[k]
-        act = [0] * n
-        for rw, w in zip(r, index.values()):
-            act[left[rw]] = w
-        right[k] = lefts[k] = None    # each generator's lists go once used
-        action.append(act)
+    for k, right in enumerate(rights):
+        action.append(list(map(left[k].__getitem__, right)))
+        left[k] = rights[k] = None    # each generator's lists go once used
     return action
 
 
@@ -525,7 +550,7 @@ def is_normal(ambient, sub):
             si = s.images
             # g s g^-1
             conj = tuple(map(gi.__getitem__, map(si.__getitem__, ginv)))
-            if conj not in sub_index:
+            if _key(conj) not in sub_index:
                 return False
     return True
 

@@ -162,12 +162,18 @@ def test_s8_in_s9_report_is_byte_identical():
         "29bb5019562a3e5690c3bdf5ec8864ea2064925d26a6a98b17da2f29aee83821"
 
 
-# Two golden invocations (see test_golden.py): a pair with irrational
-# characters, and a family member with its verification.
+# Golden invocations (see test_golden.py): a pair with irrational characters,
+# a family member with its verification, S7 > S6 and a pair on 300 points.
+# Elements on at most 256 points are bytes keys, whose hashes depend on the
+# seed, so no iteration over a set or dict keyed on them may reach a report.
 HASH_SEED_CASES = {
     "depth_f21_c3": ["depth", "--group", "(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
                      "--subgroup", "(2,3,5)(4,7,6)", "--degree", "7"],
     "family_c2_verify": ["family", "--series", "C", "--n", "2", "--verify"],
+    "depth_s7_s6": ["depth", "--group", "(1,2);(1,2,3,4,5,6,7)",
+                    "--subgroup", "(1,2);(1,2,3,4,5,6)", "--degree", "7"],
+    "depth_s4_s3_at_300": ["depth", "--group", "(297,298);(297,298,299,300)",
+                           "--subgroup", "(297,298);(297,298,299)", "--degree", "300"],
 }
 
 

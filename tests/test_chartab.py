@@ -417,6 +417,26 @@ def test_class_matrix_rows_match_the_literal_count(kind, data):
                 == literal_class_matrix(group, i))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_matrix_rows_match_the_count_of_right_products(data):
+    # the rows count the classes of the left products z_j∘x; counted here on
+    # image tuples from the other side, x∘z_j = (x[z_j[0]], x[z_j[1]], ...),
+    # which is conjugate to z_j∘x by z_j
+    degree = data.draw(st.integers(1, 6))
+    group = PermGroup.generated(data.draw(st.lists(
+        st.permutations(range(degree)).map(Permutation), min_size=1, max_size=3)))
+    classes = group.classes().classes
+    class_of = group.classes().class_of
+    for i, ci in enumerate(classes):
+        xs = [tuple(group.raw_elements[m]) for m in ci.members]
+        for j, cj in enumerate(classes):
+            counts = Counter(class_of(tuple(x[v] for v in cj.rep.images)) for x in xs)
+            row = chartab._class_matrix_row(group, i, j)
+            assert [a * ck.size for a, ck in zip(row, classes)] \
+                == [cj.size * counts[k] for k in range(len(classes))]
+
+
 def test_class_matrix_row_rejects_a_count_that_is_no_structure_constant(monkeypatch):
     group = PermGroup.generated(parse_generators("(1,2);(1,2,3)"))
     cs = group.classes()

@@ -82,10 +82,10 @@ def test_family_a2():
     assert fam.ambient.contains_group(fam.subgroup)
     assert fam.base_block.contains_group(fam.subgroup)
     # the core is the intersection of the shift-conjugates of the subgroup
-    h = set(fam.subgroup.raw_elements)
+    h = set(map(tuple, fam.subgroup.raw_elements))
     conj = {(fam.sigma * Permutation(x) * fam.sigma.inverse()).images
             for x in fam.subgroup.raw_elements}
-    assert h & conj == set(fam.core.raw_elements)
+    assert h & conj == set(map(tuple, fam.core.raw_elements))
 
 
 def test_family_b2():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from subdepth import perm
 from subdepth.chartab import character_table, table_to_obj
 from subdepth.constructions import family, klein_labels, sym4_labels
-from subdepth.depth import (InclusionMatrix, alternating_power, core_depth_bound,
+from subdepth.depth import (DepthReport, InclusionMatrix, alternating_power, core_depth_bound,
                             depth_one_check, inclusion_matrix, m_chi, matrix_depth,
                             ordinary_depth, relation_graph)
 from subdepth.graphs import bfs_distance, distances_from
@@ -368,6 +368,42 @@ def test_outputs_do_not_depend_on_the_generator_order(data):
     # them in the order of their images, so they do not differ either
     sub = PermGroup.generated(gens[:1])
     assert report_json(group, sub) == report_json(other, sub)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_outputs_agree_on_the_top_points_of_degree_256_and_257(data):
+    # a pair on at most 5 points moved onto the last points of degree 256,
+    # where elements are bytes keys, and of degree 257, where they are tuples
+    degree = data.draw(st.integers(1, 5))
+    gens = data.draw(st.lists(st.permutations(range(degree)).map(perm.Permutation),
+                              min_size=1, max_size=3))
+    small = PermGroup.generated(gens)
+    sub_gens = data.draw(st.lists(st.sampled_from(small.raw_elements).map(perm.Permutation),
+                                  min_size=1, max_size=2))
+    moved = []
+    for big, key in ((256, bytes), (257, tuple)):
+        offset = big - degree
+        group, sub = (PermGroup.generated([p.shifted(offset, big) for p in perms])
+                      for perms in (gens, sub_gens))
+        assert all(type(x) is key for x in group.raw_elements)
+        classes = group.classes().classes
+        assert [c.size for c in classes] == small.classes().sizes()
+        assert [c.rep.window(offset, degree) for c in classes] \
+            == [c.rep for c in small.classes().classes]
+        report = ordinary_depth(group, sub)
+        witnesses = [w.window(offset, degree) for w in report.core.witnesses]
+        moved.append((group, report, witnesses))
+    (group_b, report_b, witnesses_b), (group_t, report_t, witnesses_t) = moved
+    assert ([chi.values for chi in character_table(group_b).irreducibles]
+            == [chi.values for chi in character_table(group_t).irreducibles])
+    for name in DepthReport.__slots__:
+        if name not in ("core", "inclusion"):
+            assert getattr(report_b, name) == getattr(report_t, name), name
+    assert report_b.inclusion.entries == report_t.inclusion.entries
+    core_b, core_t = report_b.core, report_t.core
+    assert (core_b.bound, core_b.conjugate_count, core_b.central, witnesses_b) \
+        == (core_t.bound, core_t.conjugate_count, core_t.central, witnesses_t)
 
 
 def test_wreath_outputs_do_not_depend_on_the_generator_order():

@@ -203,7 +203,7 @@ def test_core_examples():
     for g in s4.raw_elements:
         conjugates.add(frozenset(literal_conjugate(g, h) for h in d8.raw_elements))
     inter = set.intersection(*map(set, conjugates))
-    assert inter == set(core.raw_elements)
+    assert inter == set(map(tuple, core.raw_elements))
     # core is normal, contained in the subgroup, and stable under more intersection
     assert is_normal(s4, core)
     assert d8.contains_group(core)
@@ -224,7 +224,7 @@ def test_min_core_conjugates():
     assert m == 2 and core == subgroup_core(s4, d8)
     # witnesses verifiably intersect to the core
     sets = [frozenset(literal_conjugate(w.images, h) for h in d8.raw_elements) for w in wit]
-    assert set.intersection(*map(set, sets)) == set(core.raw_elements)
+    assert set.intersection(*map(set, sets)) == set(map(tuple, core.raw_elements))
 
 
 def test_class_fusion():
@@ -283,7 +283,7 @@ def literal_conjugates(group, sub):
     """The distinct sets g·H·g⁻¹, one g per left coset gH (they share the set)."""
     out = set()
     covered = set()
-    for g in group.raw_elements:
+    for g in map(tuple, group.raw_elements):
         if g not in covered:
             out.add(frozenset(literal_conjugate(g, h) for h in sub.raw_elements))
             covered.update(tuple(map(g.__getitem__, h)) for h in sub.raw_elements)
@@ -385,9 +385,10 @@ def test_recorded_multiplications_are_the_index_dicts_own_ints():
     # small ints: an entry read back from a typed array would be a new int
     group = PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6)"))
     raw, index = group.raw_elements, group._index
-    assert group.order == 720
-    for g, right in zip(group.generators, group._right):
-        assert all(right[i] is index[tuple(map(x.__getitem__, g.images))]
+    assert group.order == 720 and all(type(x) is bytes for x in raw)
+    # left[i] is the index of g∘x_i, whose images are (g[x[0]], g[x[1]], ...)
+    for g, left in zip(group.generators, group._left):
+        assert all(left[i] is index[bytes(map(g.images.__getitem__, x))]
                    for i, x in enumerate(raw))
     for act in group._conjugation():
         assert all(j is index[raw[j]] for j in act)
@@ -401,7 +402,7 @@ def test_direct_product_is_the_cartesian_product(factors):
     literal = {sum((tuple(off + v for v in x) for off, x in zip(offsets, combo)), ())
                for combo in product(*(f.raw_elements for f in factors))}
     group = direct_product(factors)
-    assert set(group.raw_elements) == literal
+    assert set(map(tuple, group.raw_elements)) == literal
     assert group.order == prod(f.order for f in factors)
 
 
@@ -413,7 +414,7 @@ def test_direct_product_is_the_cartesian_product(factors):
 @given(data=st.data())
 def test_classes_and_cores_match_brute_force(kind, data):
     group, sub = data.draw(groups_with_subgroups(kind))
-    raw = group.raw_elements
+    raw = list(map(tuple, group.raw_elements))
 
     orbits = set()
     for x in raw:
@@ -438,10 +439,10 @@ def test_classes_and_cores_match_brute_force(kind, data):
 
     conjugates = literal_conjugates(group, sub)
     core = frozenset.intersection(*conjugates)
-    assert set(subgroup_core(group, sub).raw_elements) == core
+    assert set(map(tuple, subgroup_core(group, sub).raw_elements)) == core
 
     m, witnesses, found_core = min_core_conjugates(group, sub)
-    assert set(found_core.raw_elements) == core and len(witnesses) == m
+    assert set(map(tuple, found_core.raw_elements)) == core and len(witnesses) == m
     assert witnesses[0].is_identity
     chosen = [frozenset(literal_conjugate(w.images, h) for h in sub.raw_elements)
               for w in witnesses]
@@ -455,13 +456,13 @@ def test_classes_and_cores_match_brute_force(kind, data):
                          ["generated", "from_elements", "direct_product", "trivial"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_conjugation_action_from_right_multiplications(kind, data):
-    # every group derives the action from the right multiplications its
+def test_conjugation_action_from_left_multiplications(kind, data):
+    # every group derives the action from the left multiplications its
     # search recorded; each entry must be the literal g·x·g⁻¹
     group = data.draw(groups_built_by(kind, 7))
-    raw = group.raw_elements
+    raw = list(map(tuple, group.raw_elements))
     action = group._conjugation()
-    assert group._right is None          # the recorded lists are dropped once used
+    assert group._left is None           # the recorded lists are dropped once used
     for g, act in zip(group.generators, action):
         assert [raw[j] for j in act] == [literal_conjugate(g.images, x) for x in raw]
 
