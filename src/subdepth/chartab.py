@@ -74,7 +74,7 @@ from .perm import _left_product, parse_cycle_notation
 
 __all__ = [
     "ClassFunction", "CharacterTable", "inner_product", "restrict_character",
-    "induce_character", "induce_character_bruteforce", "decompose",
+    "induce_character", "decompose",
     "dixon_character_table", "direct_product_table", "wreath_cyclic_table",
     "character_table", "table_to_obj", "table_from_obj",
 ]
@@ -681,25 +681,6 @@ def induce_character(psi, emb):
     if e == d == 1:
         return ClassFunction._of_ints(emb.ambient, totals, max(map(abs, totals)))
     return ClassFunction(emb.ambient, _unpack_rows([totals], e, bits, d)[0])
-
-
-def induce_character_bruteforce(psi, emb):
-    """Literal induction sum over all ambient elements; test oracle only."""
-    ambient, sub = emb.ambient, emb.sub
-    h_class_of = sub.classes().class_of
-    values = []
-    for gc in ambient.classes().classes:
-        g = gc.rep.images
-        acc = Cyclotomic.from_rational(0)
-        for x in ambient.raw_elements:
-            xinv = [0] * len(x)
-            for i, v in enumerate(x):
-                xinv[v] = i
-            conj = tuple(map(x.__getitem__, map(g.__getitem__, xinv)))
-            if conj in sub:
-                acc = acc + psi.values[h_class_of(conj)]
-        values.append(acc * Fraction(1, sub.order))
-    return ClassFunction(ambient, values)
 
 
 def decompose(f, table):

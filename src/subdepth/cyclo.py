@@ -246,13 +246,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        """Complex conjugation, the field map zeta_e -> zeta_e^(-1)."""
-        if self.conductor == 1:
-            return self
-        e = self.conductor
-        return Cyclotomic._make(e, {(-k) % e: c for k, c in self.coeffs.items()})
-
     # -- ordering, hashing, formatting ----------------------------------------
 
     def sort_key(self):

@@ -26,7 +26,7 @@ mismatch raises instead of being smoothed over.
 
 from __future__ import annotations
 
-from itertools import cycle, islice
+from itertools import cycle
 
 from .chartab import (character_table, decompose, induce_character,
                       restrict_character)
@@ -38,7 +38,7 @@ from .graphs import Graph, bfs_distance, distances_from  # noqa: F401
 from .perm import class_fusion, is_normal, min_core_conjugates, subgroup_core  # noqa: F401
 
 __all__ = [
-    "InclusionMatrix", "inclusion_matrix", "alternating_power", "matrix_depth",
+    "InclusionMatrix", "inclusion_matrix", "matrix_depth",
     "relation_graph", "m_chi", "depth_one_check", "core_depth_bound",
     "CoreBound", "ordinary_depth", "DepthReport",
 ]
@@ -130,12 +130,6 @@ def _alternating_powers(matrix):
                         out[c] += x * v
             nxt.append(out)
         power = nxt
-
-
-def alternating_power(matrix, n):
-    """The n-th alternating power: M^1 = M, M^(2l) = M^(2l-1) M^T,
-    M^(2l+1) = M^(2l) M; M^0 is the identity on the row index set."""
-    return next(islice(_alternating_powers(matrix), n, None))
 
 
 def _dominated_by_multiple(p, q):

@@ -31,6 +31,12 @@ the group's own index dict, building no second one; the conjugates of a
 subgroup are Python-int bitsets over the ambient indices, so their
 intersections are ``&`` operations.  Every group is the closure of its
 generators, so one group contains another when it holds the other's generators.
+The conjugate search uses that too: each conjugate keeps the indices of its
+generators, and a step's image is recognised as a conjugate already found when
+that conjugate's bitset holds the mapped generators, so only a new conjugate
+has all its elements mapped (past ``_SCAN_LIMIT`` conjugates found, a step's
+bitset is built and looked up instead).  Only the subgroup's own index list is
+kept past its step, to read the core off in one pass over its binary digits.
 """
 
 from __future__ import annotations
@@ -48,8 +54,7 @@ DEFAULT_CAP = 10**6
 __all__ = [
     "DEFAULT_CAP", "Permutation", "PermGroup", "ClassSet", "ConjugacyClass",
     "SubgroupEmbedding", "parse_cycle_notation", "parse_generators", "largest_point",
-    "centralizer", "is_normal", "subgroup_core", "min_core_conjugates",
-    "class_fusion",
+    "is_normal", "subgroup_core", "min_core_conjugates", "class_fusion",
 ]
 
 
@@ -519,18 +524,6 @@ def _conjugacy_classes(group):
     return ClassSet(tuple(classes), list(map(remap.__getitem__, labels)), group._index)
 
 
-def centralizer(group, x):
-    """The subgroup of all elements commuting with ``x`` (which must lie in the group)."""
-    if x not in group:
-        raise NotASubgroupError(f"{x!r} is not an element of the group")
-    xi = x.images if isinstance(x, Permutation) else tuple(x)
-    hits = []
-    for z in group._raw:
-        if tuple(map(z.__getitem__, xi)) == tuple(map(xi.__getitem__, z)):
-            hits.append(z)
-    return PermGroup.from_elements(group.degree, hits)
-
-
 def _require_subgroup(ambient, sub):
     if sub.degree != ambient.degree:
         raise NotASubgroupError("the second group is not a subgroup of the first: it acts "
@@ -564,6 +557,20 @@ def _bitset(indices):
     return int(digits[::-1], 2)
 
 
+def _set_bits(bits, indices):
+    """The indices whose bit is set in ``bits``, in the order given, read from
+    one string of its binary digits, least significant first, instead of one
+    shift of ``bits`` per index."""
+    digits = bin(bits)[:1:-1]
+    size = len(digits)
+    return [i for i in indices if i < size and digits[i] == "1"]
+
+
+# Past this many conjugates, testing a step's mapped generators against each
+# of them costs more than building the step's bitset and looking it up.
+_SCAN_LIMIT = 16
+
+
 def _conjugates_and_core(ambient, sub):
     """All distinct ambient-conjugates of ``sub`` and the core they intersect in.
 
@@ -575,30 +582,52 @@ def _conjugates_and_core(ambient, sub):
     conjugating ``sub`` onto ``conjugates[k]`` (the identity first);
     ``core_bits`` is the intersection of all of them and ``core`` the same set
     as a group, checked to be normal.
+
+    Each conjugate K keeps the indices of its generators (the conjugates of
+    ``sub``'s own).  A step g maps those few indices first: gKg⁻¹ is a found
+    conjugate K′ exactly when K′'s bitset holds every mapped generator, as the
+    two have one order and a group holding a group's generators holds the
+    group.  Only a new conjugate has its full index list mapped and its bitset
+    built.  That scan grows with the conjugates found, so once there are more
+    than ``_SCAN_LIMIT`` of them a step builds its bitset and looks it up
+    instead.  A conjugate's index list is dropped once every generator has
+    acted on it; ``sub``'s own list stays, and the core is read off it in one
+    pass (:func:`_set_bits`).
     """
     _require_subgroup(ambient, sub)
     index = ambient._index
-    members = [list(map(index.__getitem__, sub._raw))]  # index lists, parallel to conjugates
+    # per conjugate, the indices of its generators and of all its elements
+    gens = [[index[_key(g.images)] for g in sub.generators]]
+    members = [list(map(index.__getitem__, sub._raw))]
     conjugates = [_bitset(members[0])]
     witnesses = [tuple(range(ambient.degree))]
     seen = set(conjugates)
     # sorted, so that the witnesses do not depend on the generators' order
     steps = sorted(zip((g.images for g in ambient.generators), ambient._conjugation()),
                    key=itemgetter(0))
-    for current, w in zip(members, witnesses):    # members grows while it is walked
+    for k, w in enumerate(witnesses):             # witnesses grows while it is walked
+        current = members[k]
         for g, act in steps:
+            mapped = list(map(act.__getitem__, gens[k]))
+            if (len(conjugates) <= _SCAN_LIMIT
+                    and any(all(bits >> i & 1 for i in mapped) for bits in conjugates)):
+                continue
             image = list(map(act.__getitem__, current))
             bits = _bitset(image)
-            if bits not in seen:
-                seen.add(bits)
-                members.append(image)
-                conjugates.append(bits)
-                # conjugating by g after w conjugates by g∘w
-                witnesses.append(tuple(map(g.__getitem__, w)))
+            if bits in seen:
+                continue
+            seen.add(bits)
+            gens.append(mapped)
+            members.append(image)
+            conjugates.append(bits)
+            # conjugating by g after w conjugates by g∘w
+            witnesses.append(tuple(map(g.__getitem__, w)))
+        if k:
+            members[k] = None                     # only sub's own list is read again
     core_bits = reduce(and_, conjugates)
     raw = ambient._raw
     core = PermGroup.from_elements(ambient.degree,
-                                   [raw[i] for i in members[0] if core_bits >> i & 1])
+                                   map(raw.__getitem__, _set_bits(core_bits, members[0])))
     if not is_normal(ambient, core):
         raise InternalConsistencyError("core computation produced a non-normal subgroup")
     return conjugates, witnesses, core_bits, core

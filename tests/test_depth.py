@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from subdepth import perm
 from subdepth.chartab import character_table, table_to_obj
 from subdepth.constructions import family, klein_labels, sym4_labels
-from subdepth.depth import (DepthReport, InclusionMatrix, alternating_power, core_depth_bound,
+from subdepth.depth import (DepthReport, InclusionMatrix, core_depth_bound,
                             depth_one_check, inclusion_matrix, m_chi, matrix_depth,
                             ordinary_depth, relation_graph)
 from subdepth.graphs import bfs_distance, distances_from
 from subdepth.perm import PermGroup, class_fusion, parse_generators
+
+from reference import alternating_power, centralizer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -212,7 +214,6 @@ def test_depth_one(bg):
     assert depth_one_check(class_fusion(bg.s4, triv))
     assert not depth_one_check(class_fusion(bg.s4, bg.v4))
     # oracle: literally compare |H * C_G(x)| with |G| over all x in H
-    from subdepth.perm import centralizer
     for sub in (bg.v4, bg.d8, bg.s3, triv):
         expected = all(
             len({(h * c).images for h in map(perm.Permutation, sub.raw_elements)

@@ -72,9 +72,6 @@ def test_every_exported_name_exists(path):
 # Public helpers that the package does not call itself but the tests use as
 # references, each with the reason it is kept.
 REFERENCE_HELPERS = {
-    "induce_character_bruteforce": "the literal induction sum that induction is tested against",
-    "alternating_power": "the n-th inclusion-matrix power, pinned on V4 < S4 at n = 0..3",
-    "centralizer": "the literal centralizer behind the depth-one and class-size oracles",
     "zeta": "the root of unity the cyclotomic and table tests build values from",
 }
 
@@ -108,10 +105,9 @@ def test_every_module_level_function_is_read_somewhere():
 
 
 # Public methods and properties that the package does not read itself but the
-# tests use as references, each with the reason it is kept.
-REFERENCE_MEMBERS = {
-    "Cyclotomic.conjugate": "the complex conjugate that inner products are tested against",
-}
+# tests use as references, each with the reason it is kept; the literal
+# references only the tests read live in tests/reference.py.
+REFERENCE_MEMBERS = {}
 
 
 def test_every_class_member_is_read_somewhere():

@@ -12,9 +12,11 @@ from subdepth import perm
 from subdepth.constructions import direct_product
 from subdepth.errors import (CycleParseError, EnumerationCapExceeded,
                              NotASubgroupError)
-from subdepth.perm import (PermGroup, Permutation, centralizer, class_fusion,
+from subdepth.perm import (PermGroup, Permutation, class_fusion,
                            is_normal, min_core_conjugates, parse_cycle_notation,
                            parse_generators, subgroup_core)
+
+from reference import centralizer
 
 
 def S4():
@@ -450,6 +452,78 @@ def test_classes_and_cores_match_brute_force(kind, data):
     if m > 1:
         assert all(frozenset.intersection(*combo) != core
                    for combo in combinations(conjugates, m - 1))
+
+
+def checked_conjugates(group, sub):
+    """Run the conjugate search and check it against the literal conjugates:
+    each found once, each witness conjugating ``sub`` onto its conjugate, the
+    core their intersection.  Returns the number of bitsets the search built
+    and the number of conjugates."""
+    built = []
+    bitset = perm._bitset
+
+    def counting(indices):
+        built.append(len(indices))
+        return bitset(indices)
+
+    perm._bitset = counting
+    try:
+        conjugates, witnesses, core_bits, core = perm._conjugates_and_core(group, sub)
+    finally:
+        perm._bitset = bitset
+    raw = list(map(tuple, group.raw_elements))
+    found = [frozenset(x for i, x in enumerate(raw) if bits >> i & 1) for bits in conjugates]
+    assert len(found) == len(set(found)) and set(found) == literal_conjugates(group, sub)
+    assert witnesses[0] == raw[0]
+    for w, conjugate in zip(witnesses, found, strict=True):
+        assert frozenset(literal_conjugate(w, h) for h in sub.raw_elements) == conjugate
+    meet = frozenset.intersection(*found)
+    assert core_bits == sum(1 << i for i, x in enumerate(raw) if x in meet)
+    assert set(map(tuple, core.raw_elements)) == meet
+    return len(built), len(conjugates)
+
+
+@pytest.mark.parametrize("kind", ["generated", "from_elements", "direct_product"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_conjugate_is_found_once_with_its_witness(kind, data):
+    # the subgroup's generator list may repeat an element or hold the identity,
+    # so a step's mapped generators repeat too
+    group, sub = data.draw(groups_with_subgroups(kind))
+    gens = list(sub.generators)
+    if data.draw(st.booleans()):
+        gens.append(data.draw(st.sampled_from(gens)))
+    if data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(group.degree))
+    built, count = checked_conjugates(group, PermGroup.generated(gens))
+    # up to the scan limit a repeat is recognised from its generators alone,
+    # so only the conjugates themselves are built as bitsets
+    if count <= perm._SCAN_LIMIT:
+        assert built == count
+
+
+@pytest.mark.parametrize("sub_gens, count", [
+    ("(1,2);(1,2,3,4,5)", 6),                       # point stabilisers
+    ("(1,2)(3,4)", 45),                             # past the scan limit
+    ("(1,2,3)(4,5,6);(1,4)(2,6)(3,5)", 20),         # a transitive S3
+])
+def test_conjugates_of_subgroups_of_s6(sub_gens, count):
+    group = PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6)"))
+    built, found = checked_conjugates(group, PermGroup.generated(parse_generators(sub_gens, 6)))
+    assert found == count and (built == count) == (count <= perm._SCAN_LIMIT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 3 * 10**5), min_size=1, max_size=40),
+       st.lists(st.integers(0, 3 * 10**5), max_size=80), st.randoms(use_true_random=False))
+def test_set_bits_reads_what_a_shift_per_index_reads(positions, others, rnd):
+    # sparse ints whose bits reach past 10^5, probed at set bits, at clear
+    # bits below and above the highest one, in a shuffled order
+    bits = sum(1 << i for i in positions)
+    indices = sorted(positions) + others + [max(positions) + 1, 0]
+    rnd.shuffle(indices)
+    assert perm._set_bits(bits, indices) == [i for i in indices if bits >> i & 1]
+    assert perm._set_bits(bits, sorted(positions)) == sorted(positions)
 
 
 @pytest.mark.parametrize("kind",
