@@ -33,10 +33,11 @@ intersections are ``&`` operations.  Every group is the closure of its
 generators, so one group contains another when it holds the other's generators.
 The conjugate search uses that too: each conjugate keeps the indices of its
 generators, and a step's image is recognised as a conjugate already found when
-that conjugate's bitset holds the mapped generators, so only a new conjugate
-has all its elements mapped (past ``_SCAN_LIMIT`` conjugates found, a step's
-bitset is built and looked up instead).  Only the subgroup's own index list is
-kept past its step, to read the core off in one pass over its binary digits.
+that conjugate holds the mapped generators, so only a new conjugate has all its
+elements mapped.  Every found conjugate is tested at once: the search keeps
+their bitsets as bytes and reads, per mapped generator, one byte of each as a
+single int.  Only the subgroup's own index list is kept past its step, to read
+the core off in one pass over its binary digits.
 """
 
 from __future__ import annotations
@@ -566,11 +567,6 @@ def _set_bits(bits, indices):
     return [i for i in indices if i < size and digits[i] == "1"]
 
 
-# Past this many conjugates, testing a step's mapped generators against each
-# of them costs more than building the step's bitset and looking it up.
-_SCAN_LIMIT = 16
-
-
 def _conjugates_and_core(ambient, sub):
     """All distinct ambient-conjugates of ``sub`` and the core they intersect in.
 
@@ -585,23 +581,28 @@ def _conjugates_and_core(ambient, sub):
 
     Each conjugate K keeps the indices of its generators (the conjugates of
     ``sub``'s own).  A step g maps those few indices first: gKg⁻¹ is a found
-    conjugate K′ exactly when K′'s bitset holds every mapped generator, as the
-    two have one order and a group holding a group's generators holds the
-    group.  Only a new conjugate has its full index list mapped and its bitset
-    built.  That scan grows with the conjugates found, so once there are more
-    than ``_SCAN_LIMIT`` of them a step builds its bitset and looks it up
-    instead.  A conjugate's index list is dropped once every generator has
-    acted on it; ``sub``'s own list stays, and the core is read off it in one
-    pass (:func:`_set_bits`).
+    conjugate K′ exactly when K′ holds every mapped generator, as the two have
+    one order and a group holding a group's generators holds the group.  Only
+    a new conjugate has its full index list mapped and its bitset built.
+    While the search runs, each bitset is kept as its little-endian bytes, so
+    bit i is bit ``i & 7`` of byte ``i >> 3``; byte ``i >> 3`` of every
+    conjugate, gathered into one ``bytes``, read as an int and shifted right by
+    ``i & 7``, has bit 8j set exactly when conjugate j holds index i.  ANDing
+    that over the mapped generators tests all found conjugates at once, with
+    no Python step per conjugate and no shift of a conjugate's bitset.  A
+    conjugate's index list is dropped once every generator has acted on it;
+    ``sub``'s own list stays, and the core is read off it in one pass over
+    one string of the core's binary digits (:func:`_set_bits`).
     """
     _require_subgroup(ambient, sub)
     index = ambient._index
+    size = (ambient.order + 7) // 8
     # per conjugate, the indices of its generators and of all its elements
     gens = [[index[_key(g.images)] for g in sub.generators]]
     members = [list(map(index.__getitem__, sub._raw))]
-    conjugates = [_bitset(members[0])]
+    rows = [_bitset(members[0]).to_bytes(size, "little")]
+    ones = 1                                      # bit 8j set for each row j
     witnesses = [tuple(range(ambient.degree))]
-    seen = set(conjugates)
     # sorted, so that the witnesses do not depend on the generators' order
     steps = sorted(zip((g.images for g in ambient.generators), ambient._conjugation()),
                    key=itemgetter(0))
@@ -609,21 +610,26 @@ def _conjugates_and_core(ambient, sub):
         current = members[k]
         for g, act in steps:
             mapped = list(map(act.__getitem__, gens[k]))
-            if (len(conjugates) <= _SCAN_LIMIT
-                    and any(all(bits >> i & 1 for i in mapped) for bits in conjugates)):
+            held = ones
+            for i in mapped:
+                held &= int.from_bytes(bytes(map(itemgetter(i >> 3), rows)), "little") >> (i & 7)
+            if held:
                 continue
+            if len(rows) * sub.order >= ambient.order:
+                # at most [G:H] conjugates: a repeat went unrecognised
+                raise InternalConsistencyError("conjugate search outgrew the subgroup's index")
             image = list(map(act.__getitem__, current))
-            bits = _bitset(image)
-            if bits in seen:
-                continue
-            seen.add(bits)
             gens.append(mapped)
             members.append(image)
-            conjugates.append(bits)
+            rows.append(_bitset(image).to_bytes(size, "little"))
+            ones = ones << 8 | 1
             # conjugating by g after w conjugates by g∘w
             witnesses.append(tuple(map(g.__getitem__, w)))
         if k:
             members[k] = None                     # only sub's own list is read again
+    conjugates = rows                             # each row becomes its int in place,
+    for k, row in enumerate(rows):                # so the two are never all held at once
+        rows[k] = int.from_bytes(row, "little")
     core_bits = reduce(and_, conjugates)
     raw = ambient._raw
     core = PermGroup.from_elements(ambient.degree,

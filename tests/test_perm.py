@@ -496,21 +496,20 @@ def test_each_conjugate_is_found_once_with_its_witness(kind, data):
     if data.draw(st.booleans()):
         gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(group.degree))
     built, count = checked_conjugates(group, PermGroup.generated(gens))
-    # up to the scan limit a repeat is recognised from its generators alone,
-    # so only the conjugates themselves are built as bitsets
-    if count <= perm._SCAN_LIMIT:
-        assert built == count
+    # a repeat is recognised from its generators alone, so only the
+    # conjugates themselves are built as bitsets
+    assert built == count
 
 
 @pytest.mark.parametrize("sub_gens, count", [
     ("(1,2);(1,2,3,4,5)", 6),                       # point stabilisers
-    ("(1,2)(3,4)", 45),                             # past the scan limit
+    ("(1,2)(3,4)", 45),                             # more than any workload op has
     ("(1,2,3)(4,5,6);(1,4)(2,6)(3,5)", 20),         # a transitive S3
 ])
 def test_conjugates_of_subgroups_of_s6(sub_gens, count):
     group = PermGroup.generated(parse_generators("(1,2);(1,2,3,4,5,6)"))
     built, found = checked_conjugates(group, PermGroup.generated(parse_generators(sub_gens, 6)))
-    assert found == count and (built == count) == (count <= perm._SCAN_LIMIT)
+    assert found == count and built == count
 
 
 @settings(max_examples=200, deadline=None)
