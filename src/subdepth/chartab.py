@@ -42,9 +42,9 @@ dict local to the call, so the entries of a table or class function share
 value objects, and the kernel measures and packs each shared object once
 per call.  Packed sums are keyed on their vector reduced mod the e-th
 cyclotomic polynomial, since a sum is not reduced when it is formed.  The
-boundaries read each shared object once in the same way: the JSON export
-converts each distinct value object once, and table equality compares each
-distinct pair of objects at the same position once.
+JSON export converts each distinct value object once in the same way, and
+rows compare by one rule (:meth:`ClassFunction.__eq__`), which table
+equality and a lookup in a table's irreducibles use.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -94,9 +94,10 @@ class ClassFunction:
     A class function made from ints (:meth:`_of_ints`: a restriction or
     integral induction of one that carries them) makes its values when they
     are first read: one Cyclotomic per distinct int, shared by the entries
-    with that int, kept for every later read.  Its degree and equality with
-    another such function read the ints, so a function that is only summed,
-    decomposed or compared never makes its values.
+    with that int, kept for every later read.  Its degree reads the ints, and
+    so does :meth:`__eq__`, the one rule for row equality (equal groups, then
+    ints or else values), when both sides carry them; so a function that is
+    only summed, decomposed or compared with such functions makes no values.
     """
 
     __slots__ = ("group", "_values", "_ints")
@@ -135,7 +136,7 @@ class ClassFunction:
         return d
 
     def __eq__(self, other):
-        if not (isinstance(other, ClassFunction) and self.group is other.group):
+        if not (isinstance(other, ClassFunction) and self.group == other.group):
             return False
         if self._ints is not None and other._ints is not None:
             return self._ints[0] == other._ints[0]
@@ -300,22 +301,6 @@ class CharacterTable:
     def degrees(self):
         return [chi.degree() for chi in self.irreducibles]
 
-    def index_of(self, f):
-        """Locate an irreducible equal to the class function f.  When f
-        carries ints, only rows that carry them can match (a row without
-        them has an irrational value), and their ints are compared as lists;
-        otherwise the values are."""
-        if f._ints is not None:
-            ints = f._ints[0]
-            matches = (chi._ints is not None and chi._ints[0] == ints
-                       for chi in self.irreducibles)
-        else:
-            matches = (chi.values == f.values for chi in self.irreducibles)
-        for i, match in enumerate(matches):
-            if match:
-                return i
-        raise KeyError("no irreducible character with those values")
-
     def validate(self):
         """Exact checks (values in Z[zeta_d], degrees, row orthogonality); raises on failure.
 
@@ -360,22 +345,11 @@ class CharacterTable:
         self._kernel = e, bits, norm, conj
 
     def __eq__(self, other):
-        """Same group, class representatives and values, entry for entry.
-
-        Each distinct pair of value objects at the same position is compared
-        once, looked up by their ids: both tables hold every object alive, so
-        no id is reused while the call runs.  The shapes are compared first,
-        as the pairing zips the rows."""
-        if not (isinstance(other, CharacterTable)
-                and self.group == other.group
-                and [c.rep for c in self.classes.classes] == [c.rep for c in other.classes.classes]
-                and [len(chi.values) for chi in self.irreducibles]
-                == [len(chi.values) for chi in other.irreducibles]):
-            return False
-        pairs = {(id(a), id(b)): (a, b)
-                 for chi, psi in zip(self.irreducibles, other.irreducibles)
-                 for a, b in zip(chi.values, psi.values)}
-        return all(a == b for a, b in pairs.values())
+        """Same group and the same rows in order, each compared by
+        :meth:`ClassFunction.__eq__`; equal groups have the same canonical
+        classes."""
+        return (isinstance(other, CharacterTable) and self.group == other.group
+                and self.irreducibles == other.irreducibles)
 
     def __repr__(self):
         return (f"CharacterTable(order={self.group.order}, "
@@ -911,8 +885,8 @@ def table_from_obj(obj, group):
     from ``group``'s raises :class:`GroupMismatchError`.  Every value must have
     the shape :meth:`Cyclotomic.to_obj` writes with a conductor dividing the
     order of its class's elements (checked before any value is normalised), and
-    the values must pass :meth:`CharacterTable.validate`, so a tampered file is
-    rejected.
+    the values must pass :meth:`CharacterTable.validate` with the rows in
+    canonical order, so a tampered file is rejected.
 
     Each distinct string entry is parsed once, and a dict entry every time;
     every entry that parses to the same value shares one Cyclotomic.
@@ -960,4 +934,12 @@ def table_from_obj(obj, group):
         return x
 
     irils = [ClassFunction(group, list(map(value, row, orders))) for row in obj["irreducibles"]]
-    return CharacterTable(group, irils)
+    table = CharacterTable(group, irils)
+    # canonical rows ascend by their values' sort keys, the first of which
+    # orders the degrees as ints; validated rows are distinct and equal values
+    # share one object, so each adjacent pair is decided where they first differ
+    for a, b in zip(irils, irils[1:]):
+        x, y = next((x, y) for x, y in zip(a.values, b.values) if x is not y)
+        if x.sort_key() > y.sort_key():
+            raise TableConsistencyError("irreducibles are not in canonical order")
+    return table

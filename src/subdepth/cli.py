@@ -221,15 +221,11 @@ def _cmd_reproduce(args, cap):
     results = run_all(AcceptanceContext(cap=cap),
                       emit=print if args.format == "text" else None)
     ok = all(r.passed for r in results)
-    if args.format == "json":
-        obj = {"schema": 1, "kind": "reproduce_report", "passed": ok,
-               "criteria": [r.to_obj() for r in results]}
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["criterion", "passed", "seconds", "detail"])
-        for r in results:
-            writer.writerow([r.number, r.passed, f"{r.seconds:.3f}", r.detail])
+    obj = {"schema": 1, "kind": "reproduce_report", "passed": ok,
+           "criteria": [r.to_obj() for r in results]}
+    csv_rows = [["criterion", "passed", "seconds", "detail"]] + [
+        [r.number, r.passed, f"{r.seconds:.3f}", r.detail] for r in results]
+    _emit(obj, args.format, [], csv_rows)  # run_all streamed the text lines
     return 0 if ok else 1
 
 

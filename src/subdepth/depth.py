@@ -59,16 +59,10 @@ class InclusionMatrix:
     def shape(self):
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
-    def row_degrees(self):
-        return [chi.degree() for chi in self.sub_table.irreducibles]
-
-    def col_degrees(self):
-        return [chi.degree() for chi in self.ambient_table.irreducibles]
-
     def to_obj(self):
         return {
-            "rows": [f"sub:{i}:deg{d}" for i, d in enumerate(self.row_degrees())],
-            "cols": [f"amb:{j}:deg{d}" for j, d in enumerate(self.col_degrees())],
+            "rows": [f"sub:{i}:deg{d}" for i, d in enumerate(self.sub_table.degrees())],
+            "cols": [f"amb:{j}:deg{d}" for j, d in enumerate(self.ambient_table.degrees())],
             "entries": [list(r) for r in self.entries],
         }
 
@@ -94,9 +88,9 @@ def inclusion_matrix(ambient_table, sub_table, emb):
         if list(row) != by_restriction[i]:
             raise InternalConsistencyError(
                 f"induction and restriction disagree on row {i}: {row} vs {by_restriction[i]}")
-    row_deg = [psi.degree() for psi in sub_table.irreducibles]
-    for j, chi in enumerate(ambient_table.irreducibles):
-        if sum(by_restriction[i][j] * row_deg[i] for i in range(r)) != chi.degree():
+    row_deg = sub_table.degrees()
+    for j, deg in enumerate(ambient_table.degrees()):
+        if sum(by_restriction[i][j] * row_deg[i] for i in range(r)) != deg:
             raise InternalConsistencyError(f"column {j} does not decompose the degree")
     return InclusionMatrix(ambient_table, sub_table, emb,
                            tuple(tuple(row) for row in by_restriction))

@@ -109,7 +109,7 @@ def lemma_report(n, fam=None, cap=DEFAULT_CAP):
         if norm != 1:
             bad = f"seed {sc.labels} induces with norm {norm}"
             break
-        row = ambient_table.index_of(ind)
+        row = ambient_table.irreducibles.index(ind)
         if row in induced_rows:
             bad = f"seeds {induced_rows[row]} and {sc.labels} induce to the same character"
             break

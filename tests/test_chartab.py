@@ -1294,17 +1294,40 @@ def test_lookup_equality_and_degree_read_carried_ints(bg, s4_table, f21_table):
     emb = class_fusion(bg.s4, bg.s4)
     for i, chi in enumerate(s4_table.irreducibles):
         res = restrict_character(chi, emb)
-        assert s4_table.index_of(res) == i
+        assert s4_table.irreducibles.index(res) == i
         assert res == chi == restrict_character(chi, emb)
         assert res.degree() == chi.degree()
         assert res._values is None
         # without ints, the values are compared
-        assert s4_table.index_of(ClassFunction(bg.s4, chi.values)) == i
+        assert s4_table.irreducibles.index(ClassFunction(bg.s4, chi.values)) == i
         assert ClassFunction(bg.s4, chi.values) == res
     for i, chi in enumerate(f21_table.irreducibles):
-        assert f21_table.index_of(ClassFunction(f21_table.group, chi.values)) == i
-    with pytest.raises(KeyError):
-        s4_table.index_of(restrict_character(s4_table.irreducibles[3], emb) + s4_table.irreducibles[4])
+        assert f21_table.irreducibles.index(ClassFunction(f21_table.group, chi.values)) == i
+    with pytest.raises(ValueError):
+        s4_table.irreducibles.index(
+            restrict_character(s4_table.irreducibles[3], emb) + s4_table.irreducibles[4])
+
+
+def test_rows_and_tables_on_a_rebuilt_group_equal_the_originals(s4_table, f21_table):
+    for table in (s4_table, f21_table):
+        group = PermGroup.generated(table.group.generators)
+        assert group is not table.group
+        rebuilt = dixon_character_table(group)
+        assert rebuilt == table and table == rebuilt
+        for chi, row in zip(table.irreducibles, rebuilt.irreducibles):
+            copy = ClassFunction(group, chi.values)  # carries no ints
+            assert row == chi == copy and copy == row
+            assert hash(row) == hash(chi) == hash(copy)
+
+
+def test_equal_values_on_different_groups_of_one_degree_are_unequal(bg):
+    c4 = PermGroup.generated(parse_generators("(1,2,3,4)"))
+    assert (c4.degree, c4.order, len(c4.classes())) == (bg.v4.degree, bg.v4.order, 4)
+    trivial_c4, trivial_v4 = (next(chi for chi in character_table(g).irreducibles
+                                   if chi._ints and chi._ints[0] == [1, 1, 1, 1])
+                              for g in (c4, bg.v4))
+    assert trivial_c4 != trivial_v4 and trivial_v4 != trivial_c4
+    assert ClassFunction(c4, trivial_v4.values) != ClassFunction(bg.v4, trivial_v4.values)
 
 
 @pytest.mark.parametrize("c", [0, 5, -7])
@@ -1463,6 +1486,20 @@ def test_table_from_obj_rejects_non_objects(obj, bg):
         table_from_obj(obj, bg.s4)
 
 
+@pytest.mark.parametrize("name", ["S4", "F21", "S4 wr C2"])
+def test_table_from_obj_rejects_rows_out_of_canonical_order(name, export_tables):
+    table = export_tables[name]
+    text = json.dumps(table_to_obj(table))
+    assert table_from_obj(json.loads(text), table.group) == table
+    rows = list(range(len(table.irreducibles)))
+    adjacent_swaps = [rows[:i] + [i + 1, i] + rows[i + 2:] for i in range(len(rows) - 1)]
+    for order in [rows[::-1]] + adjacent_swaps:
+        obj = json.loads(text)
+        obj["irreducibles"] = [obj["irreducibles"][i] for i in order]
+        with pytest.raises(TableConsistencyError, match="canonical order"):
+            table_from_obj(obj, table.group)
+
+
 def test_table_from_obj_rejects_headers_of_another_group(bg, s4_table):
     for key, value in (("order", 12), ("degree", 5)):
         obj = json.loads(json.dumps(table_to_obj(s4_table)))
@@ -1565,7 +1602,8 @@ def test_table_equality_pairs_the_values_position_by_position(name, export_table
     assert shorter != table and table != shorter
     # one entry whose object is shared with other positions changed to another
     # value object of the table, which stays correct at its own positions: at
-    # some such position a memo keyed on one side's id alone misses the change
+    # some such position a comparison keyed on one side's objects alone misses
+    # the change
     flat = entries(table)
     s = len(table.classes)
     shared = Counter(map(id, flat))

@@ -68,6 +68,27 @@ def test_table_formats(capsys):
     assert [c["size"] for c in obj["classes"]] == [1, 3, 6, 6, 8]
 
 
+def test_reproduce_formats(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["schema"], obj["kind"], obj["passed"]) == (1, "reproduce_report", True)
+    assert [c["criterion"] for c in obj["criteria"]] == list(range(1, 12))
+    assert all(set(c) == {"criterion", "description", "passed", "detail", "seconds"}
+               and c["passed"] is True for c in obj["criteria"])
+    code, out, _ = run_cli(capsys, "reproduce", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "criterion,passed,seconds,detail"
+    assert [line.split(",")[:2] for line in lines[1:]] == [[str(k), "True"] for k in range(1, 12)]
+    code, out, _ = run_cli(capsys, "reproduce", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith(f"[{k:2d}] ") and " PASS  " in line
+               for k, line in enumerate(lines, 1))
+
+
 def test_table_raw_generators(capsys):
     code, out, _ = run_cli(capsys, "table", "--group", "(1,2);(1,2,3)",
                            "--format", "json")
