@@ -1,18 +1,20 @@
 """Exact depth computations for inclusions of finite permutation groups.
 
 The package enumerates finitely generated permutation groups, computes their
-irreducible character tables exactly (modular / Dixon method over a prime
-field, lifted to cyclotomic integers), builds the induction-restriction
-inclusion matrix of a subgroup pair, and evaluates every depth criterion:
-matrix powers, character distances, normality, centraliser products, and the
-core-intersection bound.  The :mod:`constructions` module builds the wreath
-product families whose subgroups realise every even depth.
+irreducible character tables exactly (the Murnaghan-Nakayama rule for a
+full symmetric group, outer products for direct products, and otherwise the
+modular / Dixon method over a prime field, lifted to cyclotomic integers),
+builds the induction-restriction inclusion matrix of a subgroup pair, and
+evaluates every depth criterion: matrix powers, character distances,
+normality, centraliser products, and the core-intersection bound.  The
+:mod:`constructions` module builds the wreath product families whose
+subgroups realise every even depth.
 """
 
 from .chartab import (CharacterTable, ClassFunction, character_table,
                       decompose, direct_product_table, dixon_character_table,
                       induce_character, inner_product, restrict_character,
-                      wreath_cyclic_table)
+                      symmetric_character_table, wreath_cyclic_table)
 from .constructions import (BaseGroups, FamilyInstance, base_groups,
                             direct_product, family, wreath_cyclic)
 from .cyclo import Cyclotomic, zeta

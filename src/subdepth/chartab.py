@@ -1,11 +1,18 @@
 """Exact irreducible character tables and class-function operations.
 
-Tables are computed by the modular (Dixon) method: simultaneous eigenvectors
-of class-multiplication matrices over a prime field F_p with p == 1 mod the
-group exponent and p^2 > 4|G|, lifted to exact cyclotomic values by Fourier
-inversion over the roots of unity of F_p.  A class matrix is never built
-whole: only its rows at the pivots of a subspace still to be split, each from
-the class-sum structure constants counted in one chain of maps over a class.
+Tables come by one of three routes, chosen from the group alone
+(:func:`character_table`): the outer product of the factor tables for a
+direct product; the Murnaghan-Nakayama rule on the partitions of k for the
+full symmetric group on the k points its generators move
+(:func:`symmetric_character_table`); and for every other group the modular
+(Dixon) method, which ``table --prime`` also calls directly.
+
+Dixon's method takes simultaneous eigenvectors of class-multiplication
+matrices over a prime field F_p with p == 1 mod the group exponent and
+p^2 > 4|G|, lifted to exact cyclotomic values by Fourier inversion over the
+roots of unity of F_p.  A class matrix is never built whole: only its rows
+at the pivots of a subspace still to be split, each from the class-sum
+structure constants counted in one chain of maps over a class.
 A simple eigenvalue's line is read off one Krylov sequence of the identity
 class vector's component in the subspace (:func:`_split_space`), so only a
 repeated eigenvalue costs a nullspace, whose basis is kept as the
@@ -13,9 +20,10 @@ eigenspace's: it is the identity at its pivots, all that the action of a
 class matrix on the subspace needs, so no second elimination is made.  The
 lift is a function of a character's degree and its residues at the powers
 of a class, and runs once per distinct such input.
-Everything is verified against exact row orthogonality before a table is
-returned; for a square table the column relation and the degree-square sum
-follow from it (see :meth:`CharacterTable.validate`).
+
+Every table, whatever its route, is verified against exact row
+orthogonality before it is returned; for a square table the column relation
+and the degree-square sum follow from it (see :meth:`CharacterTable.validate`).
 
 Every exact sum of values (the orthogonality check, scalar products,
 decomposition, induction) runs on one integer kernel: values at zeta_e are
@@ -36,15 +44,16 @@ tables and the wreath oracle multiply ints and normalise each distinct
 result once.
 
 Each distinct value is made once where values are made: the Dixon lift,
-induction with irrational or non-integral values, the first read of a
-function made from ints, the product tables and the JSON import each keep a
-dict local to the call, so the entries of a table or class function share
-value objects, and the kernel measures and packs each shared object once
-per call.  Packed sums are keyed on their vector reduced mod the e-th
-cyclotomic polynomial, since a sum is not reduced when it is formed.  The
-JSON export converts each distinct value object once in the same way, and
-rows compare by one rule (:meth:`ClassFunction.__eq__`), which table
-equality and a lookup in a table's irreducibles use.
+the Murnaghan-Nakayama rows, induction with irrational or non-integral
+values, the first read of a function made from ints, the product tables and
+the JSON import each keep a dict local to the call, so the entries of a
+table or class function share value objects, and the kernel measures and
+packs each shared object once per call.  Packed sums are keyed on their
+vector reduced mod the e-th cyclotomic polynomial, since a sum is not
+reduced when it is formed.  The JSON export converts each distinct value
+object once in the same way, and rows compare by one rule
+(:meth:`ClassFunction.__eq__`), which table equality and a lookup in a
+table's irreducibles use.
 
 Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
@@ -64,7 +73,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product, repeat
 from math import isqrt, lcm, prod
-from operator import getitem, mul
+from operator import eq, getitem, mul
 
 from . import modlin
 from .cyclo import Cyclotomic, reduce_vector
@@ -75,7 +84,8 @@ from .perm import _left_product, parse_cycle_notation
 __all__ = [
     "ClassFunction", "CharacterTable", "inner_product", "restrict_character",
     "induce_character", "decompose",
-    "dixon_character_table", "direct_product_table", "wreath_cyclic_table",
+    "dixon_character_table", "symmetric_character_table", "direct_product_table",
+    "wreath_cyclic_table",
     "character_table", "table_to_obj", "table_from_obj",
 ]
 
@@ -96,8 +106,9 @@ class ClassFunction:
     are first read: one Cyclotomic per distinct int, shared by the entries
     with that int, kept for every later read.  Its degree reads the ints, and
     so does :meth:`__eq__`, the one rule for row equality (equal groups, then
-    ints or else values), when both sides carry them; so a function that is
-    only summed, decomposed or compared with such functions makes no values.
+    ints when both sides carry them, the other side's values read as ints
+    when one does, else values); so a function that is only summed,
+    decomposed or compared makes no values.
     """
 
     __slots__ = ("group", "_values", "_ints")
@@ -138,9 +149,15 @@ class ClassFunction:
     def __eq__(self, other):
         if not (isinstance(other, ClassFunction) and self.group == other.group):
             return False
-        if self._ints is not None and other._ints is not None:
-            return self._ints[0] == other._ints[0]
-        return self.values == other.values
+        mine, theirs = self._ints, other._ints
+        if mine is None and theirs is None:
+            return self.values == other.values
+        if mine is not None and theirs is not None:
+            return mine[0] == theirs[0]
+        # one side carries ints: the other's values are read as ints, so the
+        # side that carries them makes no values
+        ints, values = (mine[0], other.values) if theirs is None else (theirs[0], self.values)
+        return all(map(eq, ints, map(Cyclotomic.as_integer, values)))
 
     def __hash__(self):
         return hash(self.values)
@@ -610,6 +627,90 @@ def _class_matrix_row(group, i, j):
 
 
 # ---------------------------------------------------------------------------
+# Full symmetric groups (Murnaghan-Nakayama)
+# ---------------------------------------------------------------------------
+
+def _symmetric_points(group):
+    """k when ``group`` is the full symmetric group on the k points its
+    generators move, else None.  The group moves no other point, so it embeds
+    in the symmetric group on those k points, and is all of it exactly when
+    its order is k!; the factorial is built only while it stays within the
+    order."""
+    k = len({p for g in group.generators for p, q in enumerate(g.images) if p != q})
+    size = 1
+    for i in range(2, k + 1):
+        size *= i
+        if size > group.order:
+            return None
+    return k if size == group.order else None
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts at most ``largest``, as descending tuples."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _rim_hook_value(beta, lengths, memo):
+    """chi at the cycle type ``lengths`` for the beta-numbers ``beta`` (an
+    int's set bits), by removing rim hooks of the first length; ``memo``
+    holds the values found so far."""
+    if not lengths:
+        return 1
+    total = memo.get((beta, lengths))
+    if total is None:
+        r, rest = lengths[0], lengths[1:]
+        between = (1 << (r - 1)) - 1
+        total = 0
+        for b in range(r, beta.bit_length()):
+            if beta >> b & 1 and not beta >> (b - r) & 1:
+                sign = -1 if (beta >> (b - r + 1) & between).bit_count() & 1 else 1
+                total += sign * _rim_hook_value(beta ^ (1 << b) ^ (1 << (b - r)), rest, memo)
+        memo[beta, lengths] = total
+    return total
+
+
+def symmetric_character_table(group):
+    """The canonical table of the full symmetric group on the k points its
+    generators move, one row per partition of k by the Murnaghan-Nakayama
+    rule (James and Kerber, The Representation Theory of the Symmetric Group,
+    1981, ch. 2).
+
+    A class's cycle type is its representative's cycle lengths, descending
+    and padded with 1s up to k.  A partition lambda with l parts has the
+    beta-numbers lambda_i + l - 1 - i, kept as the set bits of one int.  A
+    rim hook of length r is a beta-number b >= r with b - r free, moved
+    there, signed by the parity of the beta-numbers strictly between; chi at
+    the type (r_1, r_2, ...) sums the signed values at (r_2, ...) over the
+    hooks of length r_1 (:func:`_rim_hook_value`).  Those values are kept
+    in a memo local to the call, which no closure holds, so it is freed
+    with the call; each distinct int is one shared Cyclotomic, and the rows
+    are sorted canonically and validated like any other table.
+
+    Raises ``ValueError`` for any other group (see :func:`_symmetric_points`).
+    """
+    k = _symmetric_points(group)
+    if k is None:
+        raise ValueError("group is not the full symmetric group on the points it moves")
+    types = []
+    for c in group.classes().classes:
+        lengths = sorted(map(len, c.rep.cycles()), reverse=True)
+        types.append(tuple(lengths) + (1,) * (k - sum(lengths)))
+    memo = {}
+    rows = []
+    for lam in _partitions(k, k):
+        beta = sum(1 << (part + len(lam) - 1 - i) for i, part in enumerate(lam))
+        rows.append([_rim_hook_value(beta, t, memo) for t in types])
+    shared = {c: Cyclotomic.from_rational(c) for c in set().union(*rows)}
+    characters = [tuple(map(shared.__getitem__, row)) for row in rows]
+    order_idx = _canonical_character_sort(characters)
+    return CharacterTable(group, [ClassFunction(group, characters[i]) for i in order_idx])
+
+
+# ---------------------------------------------------------------------------
 # Restriction, induction, decomposition
 # ---------------------------------------------------------------------------
 
@@ -835,9 +936,11 @@ def character_table(group):
     """The canonical table of a group, cached on the instance while it lives.
 
     The group holds its table weakly (the table holds the group), so whoever
-    needs a table keeps it.  Product groups get the outer-product construction
-    (recursively); anything else goes through the Dixon engine.  Either route
-    produces the same canonical table.
+    needs a table keeps it.  The route is chosen from the group alone:
+    product groups get the outer-product construction (recursively), the full
+    symmetric group on the points its generators move gets its table from
+    partitions (:func:`symmetric_character_table`), and anything else goes
+    through the Dixon engine.  Every route produces the same canonical table.
     """
     table = group._char_table and group._char_table()
     if table is not None:
@@ -845,6 +948,8 @@ def character_table(group):
     if group.product_structure is not None:
         factor_tables = [character_table(fg) for _, fg in group.product_structure]
         table = direct_product_table(factor_tables, group)
+    elif _symmetric_points(group) is not None:
+        table = symmetric_character_table(group)
     else:
         table = dixon_character_table(group)
     group._char_table = weakref.ref(table)

@@ -245,7 +245,9 @@ def build_parser():
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--prime", type=int, default=None,
-                   help="override the modular prime (validated)")
+                   help="the prime for the Dixon engine (validated); an explicit "
+                        "prime selects Dixon even for a full symmetric group, whose "
+                        "table otherwise comes from partitions")
 
     p = sub.add_parser("depth", parents=[common], help="depth report for a subgroup pair")
     p.add_argument("--group", required=True)

@@ -17,8 +17,9 @@ from subdepth.chartab import (CharacterTable, character_table, decompose,
                               direct_product_table,
                               dixon_character_table, induce_character,
                               inner_product,
-                              restrict_character, table_from_obj, table_to_obj,
-                              wreath_cyclic_table, ClassFunction)
+                              restrict_character, symmetric_character_table,
+                              table_from_obj, table_to_obj, wreath_cyclic_table,
+                              ClassFunction)
 from subdepth.constructions import (direct_product, family, klein_labels, sym4_labels,
                                     wreath_cyclic)
 from subdepth.cyclo import Cyclotomic, zeta
@@ -507,40 +508,84 @@ def test_dixon_keeps_scalar_subspaces_whole(monkeypatch, bg):
     assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
 
 
-def partitions(n, largest=None):
-    """The partitions of n into parts at most ``largest``, as descending tuples."""
-    if n == 0:
-        return [()]
-    largest = n if largest is None else largest
-    return [(k,) + rest for k in range(min(n, largest), 0, -1)
-            for rest in partitions(n - k, k)]
+@st.composite
+def symmetric_groups(draw, degree):
+    """Sym(M) for a random set M of at most 7 of the ``degree`` points, from a
+    transposition and a |M|-cycle or from |M| - 1 adjacent transpositions,
+    on M in a random order."""
+    points = draw(st.lists(st.integers(0, degree - 1), unique=True,
+                           max_size=min(7, degree)))
+
+    def cycle_perm(*cycle):
+        images = list(range(degree))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        return Permutation(images)
+
+    if len(points) < 2:
+        return PermGroup.trivial(degree)
+    if draw(st.booleans()):
+        gens = [cycle_perm(*points[:2]), cycle_perm(*points)]
+    else:
+        gens = [cycle_perm(a, b) for a, b in zip(points, points[1:])]
+    return PermGroup.generated(gens)
 
 
-def murnaghan_nakayama(beta, lengths):
-    """chi at a cycle type, for the partition with beta-numbers ``beta``:
-    a rim hook of length r is a beta-number b moved to a free b - r, signed by
-    the beta-numbers it passes; independent oracle for the symmetric groups."""
-    if not lengths:
-        return 1
-    r, rest = lengths[0], lengths[1:]
-    return sum((-1) ** sum(1 for c in beta if b - r < c < b)
-               * murnaghan_nakayama(beta - {b} | {b - r}, rest)
-               for b in beta if b >= r and b - r not in beta)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_symmetric_tables_equal_dixon(data):
+    group = data.draw(symmetric_groups(data.draw(st.integers(1, 9))))
+    assert symmetric_character_table(group) == dixon_character_table(group)
 
 
-def symmetric_group_rows(group):
-    """Every row of the character table of S_n, over the group's classes, by
-    the Murnaghan-Nakayama rule."""
-    n = group.degree
-    types = []
-    for c in group.classes().classes:
-        cycles = [len(cyc) for cyc in c.rep.cycles()]
-        types.append(tuple(cycles) + (1,) * (n - sum(cycles)))
-    return sorted(
-        tuple(murnaghan_nakayama(frozenset(part + len(lam) - 1 - i
-                                           for i, part in enumerate(lam)), t)
-              for t in types)
-        for lam in partitions(n))
+def test_symmetric_table_equals_dixon_on_tuple_keys():
+    # S4 on four of 257 points: elements are keyed by image tuples there
+    group = PermGroup.generated(parse_generators("(1,101);(1,101,201,257)", 257))
+    assert type(group.raw_elements[0]) is tuple
+    assert symmetric_character_table(group) == dixon_character_table(group)
+
+
+def test_symmetric_table_refuses_other_groups():
+    for gens in ("(1,2,3)(4,5)", "(1,2)(3,4,5)", "(1,2,3,4,5);(1,2,3)"):
+        with pytest.raises(ValueError, match="not the full symmetric group"):
+            symmetric_character_table(PermGroup.generated(parse_generators(gens)))
+
+
+@pytest.mark.parametrize("gens, degree, classes", [
+    ("(1,2);(1,2,3,4,5)", None, 7), ("(3,5);(3,5,6)", 6, 3), ("(1,2)", None, 2),
+    ("()", 3, 1)])
+def test_full_symmetric_groups_take_no_dixon_table(monkeypatch, gens, degree, classes):
+    # S5, S3 on the points {3, 5, 6} of 6 (1-based), S2 and the trivial group
+    group = PermGroup.generated(parse_generators(gens, degree))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a full symmetric group went to Dixon")
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "dixon_character_table", refused)
+        table = character_table(group)
+    assert len(table.irreducibles) == classes
+    assert table == dixon_character_table(group)
+
+
+@pytest.mark.parametrize("gens", ["(1,2,3,4,5);(1,2,3)", "(1,2)(3,4,5)", "(1,2,3,4);(1,3)"])
+def test_other_groups_still_go_to_dixon(monkeypatch, gens):
+    # A5; a cyclic group of order 6 = 3! on five points; D8
+    group = PermGroup.generated(parse_generators(gens))
+    calls = []
+    dixon = chartab.dixon_character_table
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return dixon(g, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a group that is no full symmetric group went to partitions")
+
+    monkeypatch.setattr(chartab, "dixon_character_table", counted)
+    monkeypatch.setattr(chartab, "symmetric_character_table", refused)
+    character_table(group)
+    assert calls == [group]
 
 
 @pytest.mark.parametrize("name, entries, inputs", [("S8", 484, 281), ("S4 wr C2", 400, 124)])
@@ -574,8 +619,8 @@ def test_dixon_lifts_each_distinct_input_once(monkeypatch, bg, name, entries, in
     assert len(table.irreducibles) * len(powers) == entries
     assert len(lifts) == len(distinct) == inputs
     if name == "S8":
-        assert sorted(tuple(v.as_integer() for v in chi.values)
-                      for chi in table.irreducibles) == symmetric_group_rows(group)
+        # the package's Murnaghan-Nakayama table, built from partitions alone
+        assert table == symmetric_character_table(group)
     else:
         golden = (Path(__file__).parent / "golden" / "table_a2.json").read_text()
         assert json.dumps(table_to_obj(table), sort_keys=True, indent=2) + "\n" == golden
@@ -1306,6 +1351,17 @@ def test_lookup_equality_and_degree_read_carried_ints(bg, s4_table, f21_table):
     with pytest.raises(ValueError):
         s4_table.irreducibles.index(
             restrict_character(s4_table.irreducibles[3], emb) + s4_table.irreducibles[4])
+
+
+def test_lookup_past_rows_without_ints_makes_no_values():
+    # C3 x S3: four irrational rows come before row 6 (degree 2, rational), so
+    # the lookup compares the restriction's ints with those rows' values
+    group = PermGroup.generated(parse_generators("(1,2,3);(4,5,6);(4,5)"))
+    table = character_table(group)
+    assert [chi._ints is None for chi in table.irreducibles[:6]] == [False] * 2 + [True] * 4
+    res = restrict_character(table.irreducibles[6], class_fusion(group, group))
+    assert table.irreducibles.index(res) == 6
+    assert res._values is None
 
 
 def test_rows_and_tables_on_a_rebuilt_group_equal_the_originals(s4_table, f21_table):

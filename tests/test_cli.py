@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import cli, perm
+from subdepth import chartab, cli, perm
 from subdepth.cli import main
 from subdepth.errors import CycleParseError
 from subdepth.perm import DEFAULT_CAP
@@ -104,6 +104,26 @@ def test_table_prime_override(capsys):
     assert out == reference
     code, _, err = run_cli(capsys, "table", "--group", "S4", "--prime", "11")
     assert code == 2 and "error" in err
+
+
+def test_an_explicit_prime_selects_dixon_and_prints_the_partition_table(capsys, monkeypatch):
+    calls = []
+    dixon, partitions = cli.dixon_character_table, chartab.symmetric_character_table
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dixon_character_table", counted("dixon", dixon))
+    monkeypatch.setattr(chartab, "symmetric_character_table", counted("partitions", partitions))
+    spec = "(1,2);(1,2,3,4)"  # a fresh S4, whose table no other test holds
+    code, out, _ = run_cli(capsys, "table", "--group", spec, "--prime", "37", "--format", "json")
+    assert code == 0 and calls == ["dixon"]
+    code, reference, _ = run_cli(capsys, "table", "--group", spec, "--format", "json")
+    assert code == 0 and calls == ["dixon", "partitions"]
+    assert out == reference
+    with pytest.raises(SystemExit):
+        main(["table", "--help"])
+    assert "an explicit prime selects Dixon" in " ".join(capsys.readouterr().out.split())
 
 
 def test_large_prime_with_the_wrong_residue_is_refused_at_once(capsys):
