@@ -26,7 +26,7 @@ for name, sub in [("V4", bg.v4), ("D8", bg.d8), ("S3", bg.s3)]:
     print(f"  core bound: {core.bound} ({core.conjugate_count} conjugates"
           + (", central core)" if core.central else ")"))
     print("  inclusion matrix (rows = subgroup characters):")
-    for row in report.inclusion.entries:
+    for row in report.entries:
         print("   ", " ".join(f"{v:2d}" for v in row))
     edges = sorted(sorted(e) for e in report.graph.edges)
     print(f"  relation graph edges: {edges}")

@@ -18,9 +18,9 @@ from .chartab import (CharacterTable, ClassFunction, character_table,
 from .constructions import (BaseGroups, FamilyInstance, base_groups,
                             direct_product, family, wreath_cyclic)
 from .cyclo import Cyclotomic, zeta
-from .depth import (DepthReport, InclusionMatrix, core_depth_bound,
-                    depth_one_check, inclusion_matrix, m_chi, matrix_depth,
-                    ordinary_depth, relation_graph)
+from .depth import (DepthReport, core_depth_bound, depth_one_check,
+                    inclusion_matrix, m_chi, matrix_depth, ordinary_depth,
+                    relation_graph)
 from .graphs import Graph, bfs_distance, cartesian_product
 from .lemma import LemmaReport, expected_overlap_graph, lemma_report
 from .perm import (DEFAULT_CAP, ClassSet, PermGroup, Permutation,

@@ -72,7 +72,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product, repeat
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import eq, getitem, mul
 
 from . import modlin
@@ -991,7 +991,11 @@ def table_from_obj(obj, group):
     the shape :meth:`Cyclotomic.to_obj` writes with a conductor dividing the
     order of its class's elements (checked before any value is normalised), and
     the values must pass :meth:`CharacterTable.validate` with the rows in
-    canonical order, so a tampered file is rejected.
+    canonical order.  Validation cannot see two classes of one Galois orbit
+    whose columns are swapped (g and g^2 in C5), so every row must also have
+    chi(g^k) = sigma_k(chi(g)) for each k prime to o(g), where sigma_k maps
+    zeta_e^j to zeta_e^(jk) and the class of g^k comes from the group's power
+    maps.  So a tampered file is rejected.
 
     Each distinct string entry is parsed once, and a dict entry every time;
     every entry that parses to the same value shares one Cyclotomic.
@@ -1020,7 +1024,8 @@ def table_from_obj(obj, group):
             raise GroupMismatchError("class list does not match the canonical classes")
     if any(type(row) is not list or len(row) != len(classes) for row in obj["irreducibles"]):
         raise TableConsistencyError("each irreducible needs a list of one value per class")
-    orders = list(map(len, group.classes().powers))
+    powers = group.classes().powers
+    orders = list(map(len, powers))
     texts, shared = {}, {}
 
     def value(v, m):
@@ -1047,4 +1052,19 @@ def table_from_obj(obj, group):
         x, y = next((x, y) for x, y in zip(a.values, b.values) if x is not y)
         if x.sort_key() > y.sort_key():
             raise TableConsistencyError("irreducibles are not in canonical order")
+    # equal values share one object, so a rational value is checked by
+    # identity and only an irrational one is mapped by sigma_k
+    for c, power in enumerate(powers):
+        m = len(power)
+        units = [(k, power[k]) for k in range(2, m) if gcd(k, m) == 1]
+        for chi in irils:
+            x = chi.values[c]
+            e = x.conductor
+            for k, target in units:
+                y = chi.values[target]
+                if (y is not x if e == 1
+                        else y != Cyclotomic._make(e, {j * k: v for j, v in x.coeffs.items()})):
+                    raise TableConsistencyError(
+                        f"value at class {target} is not the Galois image of class {c} "
+                        f"under zeta -> zeta^{k}")
     return table

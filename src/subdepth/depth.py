@@ -2,7 +2,10 @@
 
 For Irr(H) = psi_1..psi_r and Irr(G) = chi_1..chi_s the inclusion matrix has
 entries m[i][j] = <psi_i^G, chi_j> = <psi_i, chi_j|_H>; both computations are
-performed and must agree.  Its alternating powers M, M M^T, M M^T M, ... give
+performed and must agree.  The matrix is a plain tuple of row tuples, and
+every criterion below but the depth-one, normality and core checks reads
+it alone, so a matrix with no tables behind it (a branching rule, say) goes
+straight into them.  Its alternating powers M, M M^T, M M^T M, ... give
 the matrix depth criterion: the depth is the smallest n with
 M^(n+1) <= a * M^(n-1) entrywise for some positive integer a (M^0 is the
 identity on the Irr(H) index set).
@@ -26,7 +29,8 @@ mismatch raises instead of being smoothed over.
 
 from __future__ import annotations
 
-from itertools import cycle
+from itertools import combinations, cycle
+from operator import mul
 
 from .chartab import (character_table, decompose, induce_character,
                       restrict_character)
@@ -38,37 +42,15 @@ from .graphs import Graph, bfs_distance, distances_from  # noqa: F401
 from .perm import class_fusion, is_normal, min_core_conjugates, subgroup_core  # noqa: F401
 
 __all__ = [
-    "InclusionMatrix", "inclusion_matrix", "matrix_depth",
+    "inclusion_matrix", "matrix_depth",
     "relation_graph", "m_chi", "depth_one_check", "core_depth_bound",
     "CoreBound", "ordinary_depth", "DepthReport",
 ]
 
 
-class InclusionMatrix:
-    """Induction/restriction multiplicities between Irr(H) (rows) and Irr(G) (columns)."""
-
-    __slots__ = ("ambient_table", "sub_table", "embedding", "entries")
-
-    def __init__(self, ambient_table, sub_table, embedding, entries):
-        self.ambient_table = ambient_table
-        self.sub_table = sub_table
-        self.embedding = embedding
-        self.entries = entries  # tuple of row tuples, nonnegative ints
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    def to_obj(self):
-        return {
-            "rows": [f"sub:{i}:deg{d}" for i, d in enumerate(self.sub_table.degrees())],
-            "cols": [f"amb:{j}:deg{d}" for j, d in enumerate(self.ambient_table.degrees())],
-            "entries": [list(r) for r in self.entries],
-        }
-
-
 def inclusion_matrix(ambient_table, sub_table, emb):
-    """Build the inclusion matrix, verifying both computations agree.
+    """The inclusion matrix as a tuple of row tuples, rows Irr(H) and columns
+    Irr(G); the criteria below read these entries alone.
 
     Columns come from restrict-then-decompose, rows from induce-then-decompose;
     a mismatch (or a failed column degree identity) raises
@@ -76,24 +58,19 @@ def inclusion_matrix(ambient_table, sub_table, emb):
     """
     if ambient_table.group is not emb.ambient or sub_table.group is not emb.sub:
         raise SubdepthError("tables do not match the embedding")
-    r = len(sub_table.irreducibles)
-    s = len(ambient_table.irreducibles)
-    by_restriction = [[0] * s for _ in range(r)]
-    for j, chi in enumerate(ambient_table.irreducibles):
-        col = decompose(restrict_character(chi, emb), sub_table)
-        for i in range(r):
-            by_restriction[i][j] = col[i]
+    columns = [decompose(restrict_character(chi, emb), sub_table)
+               for chi in ambient_table.irreducibles]
+    entries = tuple(zip(*columns))
     for i, psi in enumerate(sub_table.irreducibles):
         row = decompose(induce_character(psi, emb), ambient_table)
-        if list(row) != by_restriction[i]:
+        if row != entries[i]:
             raise InternalConsistencyError(
-                f"induction and restriction disagree on row {i}: {row} vs {by_restriction[i]}")
+                f"induction and restriction disagree on row {i}: {row} vs {entries[i]}")
     row_deg = sub_table.degrees()
-    for j, deg in enumerate(ambient_table.degrees()):
-        if sum(by_restriction[i][j] * row_deg[i] for i in range(r)) != deg:
+    for j, (col, deg) in enumerate(zip(columns, ambient_table.degrees())):
+        if sum(map(mul, col, row_deg)) != deg:
             raise InternalConsistencyError(f"column {j} does not decompose the degree")
-    return InclusionMatrix(ambient_table, sub_table, emb,
-                           tuple(tuple(row) for row in by_restriction))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +82,13 @@ def _sparse_rows(rows):
     return [[(c, v) for c, v in enumerate(row) if v] for row in rows]
 
 
-def _alternating_powers(matrix):
+def _alternating_powers(entries):
     """M^0, M^1, M^2, ... without end, each from the previous one by a
     single multiplication by M^T or M, held as sparse rows."""
-    entries = [list(row) for row in matrix.entries]
-    r, s = matrix.shape
+    r, s = len(entries), len(entries[0])
     yield [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     factors = ((_sparse_rows(zip(*entries)), r), (_sparse_rows(entries), s))
-    power = entries
+    power = [list(row) for row in entries]
     for rows, width in cycle(factors):     # M^T to even powers, M to odd ones
         yield power
         nxt = []
@@ -140,12 +116,12 @@ def _dominated_by_multiple(p, q):
     return a
 
 
-def matrix_depth(matrix):
+def matrix_depth(entries):
     """Smallest n with M^(n+1) <= a * M^(n-1) for some positive integer a,
     together with the smallest witness a."""
-    powers = _alternating_powers(matrix)
+    powers = _alternating_powers(entries)
     prev, cur = next(powers), next(powers)                             # M^0, M^1
-    for n in range(1, 2 * matrix.shape[0] + 2):
+    for n in range(1, 2 * len(entries) + 2):
         nxt = next(powers)                                             # M^(n+1)
         a = _dominated_by_multiple(nxt, prev)
         if a is not None:
@@ -159,23 +135,19 @@ def matrix_depth(matrix):
 # The relation graph and character distances
 # ---------------------------------------------------------------------------
 
-def relation_graph(matrix):
+def relation_graph(entries):
     """Graph on Irr(H) indices: an edge joins two characters that share a
     column (i.e. occur together in some restricted irreducible of G)."""
-    r, s = matrix.shape
     pairs = set()
-    for j in range(s):
-        support = [i for i in range(r) if matrix.entries[i][j]]
-        for a in range(len(support)):
-            for b in range(a + 1, len(support)):
-                pairs.add((support[a], support[b]))
-    return Graph.build(range(r), pairs)
+    for column in zip(*entries):
+        pairs.update(combinations([i for i, v in enumerate(column) if v], 2))
+    return Graph.build(range(len(entries)), pairs)
 
 
-def m_chi(matrix, graph, j):
+def m_chi(entries, graph, j):
     """max over the alpha in Irr(H) reachable from the constituent set of
     column j of their distance to it (unreachable characters do not enter)."""
-    support = [i for i in range(matrix.shape[0]) if matrix.entries[i][j]]
+    support = [i for i, row in enumerate(entries) if row[j]]
     if not support:
         raise ValueError(f"column {j} of the inclusion matrix is zero")
     dist = distances_from(graph, support)
@@ -231,11 +203,12 @@ def core_depth_bound(ambient, sub):
 
 class DepthReport:
     __slots__ = ("depth", "depth_one", "normal", "max_distance", "odd_bound", "max_m_chi",
-                 "even_bound", "matrix_n", "matrix_witness", "core", "inclusion", "graph",
-                 "m_values")
+                 "even_bound", "matrix_n", "matrix_witness", "core", "entries",
+                 "ambient_table", "sub_table", "embedding", "graph", "m_values")
 
     def __init__(self, depth, depth_one, normal, max_distance, odd_bound, max_m_chi,
-                 even_bound, matrix_n, matrix_witness, core, inclusion, graph, m_values):
+                 even_bound, matrix_n, matrix_witness, core, entries, ambient_table,
+                 sub_table, embedding, graph, m_values):
         self.depth = depth
         self.depth_one = depth_one
         self.normal = normal
@@ -246,7 +219,10 @@ class DepthReport:
         self.matrix_n = matrix_n
         self.matrix_witness = matrix_witness
         self.core = core                  # CoreBound
-        self.inclusion = inclusion        # InclusionMatrix
+        self.entries = entries            # the inclusion matrix, rows Irr(H)
+        self.ambient_table = ambient_table
+        self.sub_table = sub_table
+        self.embedding = embedding
         self.graph = graph                # the relation Graph
         self.m_values = m_values
 
@@ -254,8 +230,8 @@ class DepthReport:
         return {
             "schema": 1,
             "kind": "depth_report",
-            "ambient_order": self.inclusion.ambient_table.group.order,
-            "subgroup_order": self.inclusion.sub_table.group.order,
+            "ambient_order": self.ambient_table.group.order,
+            "subgroup_order": self.sub_table.group.order,
             "depth": self.depth,
             "criteria": {
                 "depth_one": self.depth_one,
@@ -265,7 +241,11 @@ class DepthReport:
                 "matrix": {"depth": self.matrix_n, "witness_multiplier": self.matrix_witness},
                 "core": self.core.to_obj(),
             },
-            "inclusion_matrix": self.inclusion.to_obj(),
+            "inclusion_matrix": {
+                "rows": [f"sub:{i}:deg{d}" for i, d in enumerate(self.sub_table.degrees())],
+                "cols": [f"amb:{j}:deg{d}" for j, d in enumerate(self.ambient_table.degrees())],
+                "entries": [list(r) for r in self.entries],
+            },
             "relation_graph_edges": sorted(sorted(e) for e in self.graph.edges),
             "m_values": list(self.m_values),
         }
@@ -279,19 +259,19 @@ def ordinary_depth(ambient, sub):
     consistent (equality resp. upper bound), otherwise this raises.
     """
     emb = class_fusion(ambient, sub)
-    matrix = inclusion_matrix(character_table(ambient), character_table(sub), emb)
-    graph = relation_graph(matrix)
+    ambient_table, sub_table = character_table(ambient), character_table(sub)
+    entries = inclusion_matrix(ambient_table, sub_table, emb)
+    graph = relation_graph(entries)
 
-    r, s = matrix.shape
     max_distance = 0
-    for i in range(r):
+    for i in range(len(entries)):
         dist = distances_from(graph, [i])
         far = max(dist.values())
         if far > max_distance:
             max_distance = far
     odd_bound = 2 * max(1, max_distance) + 1
 
-    m_values = tuple(m_chi(matrix, graph, j) for j in range(s))
+    m_values = tuple(m_chi(entries, graph, j) for j in range(len(entries[0])))
     max_m = max(m_values)
     even_bound = 2 * max(2, max_m + 1)
 
@@ -304,7 +284,7 @@ def ordinary_depth(ambient, sub):
         bounds.append(2)
     depth = min(bounds)
 
-    mat_n, mat_a = matrix_depth(matrix)
+    mat_n, mat_a = matrix_depth(entries)
     if mat_n != depth:
         raise CriterionMismatchError(
             f"matrix criterion gives {mat_n} but the character criteria give {depth}")
@@ -313,4 +293,5 @@ def ordinary_depth(ambient, sub):
         raise InternalConsistencyError(
             f"depth {depth} exceeds the core bound {core.bound}")
     return DepthReport(depth, d1, nrm, max_distance, odd_bound, max_m,
-                       even_bound, mat_n, mat_a, core, matrix, graph, m_values)
+                       even_bound, mat_n, mat_a, core, entries, ambient_table, sub_table,
+                       emb, graph, m_values)

@@ -92,8 +92,7 @@ def lemma_report(n, fam=None, cap=DEFAULT_CAP):
     if (fam.series, fam.n) != ("A", n):
         raise ValueError(f"the seed checks at n = {n} need the series-A member {n}")
     report = fam.report()
-    matrix = report.inclusion
-    ambient_table, sub_table = matrix.ambient_table, matrix.sub_table
+    ambient_table, sub_table = report.ambient_table, report.sub_table
     block_table = character_table(fam.base_block)
     emb_block = class_fusion(fam.ambient, fam.base_block)
 
@@ -120,15 +119,15 @@ def lemma_report(n, fam=None, cap=DEFAULT_CAP):
     parts["i"] = LemmaPart(bad is None,
                            bad or f"{expected_count} seeds induce irreducibly and injectively")
 
-    r, s = matrix.shape
-    supports = [frozenset(i for i in range(r) if matrix.entries[i][j]) for j in range(s)]
+    supports = [frozenset(i for i, v in enumerate(column) if v)
+                for column in zip(*report.entries)]
     y_rows = set(induced_rows)
 
     # (ii) closure under sharing a subgroup constituent
     bad = None
     for y in sorted(y_rows):
-        for j in range(s):
-            if j not in y_rows and supports[y] & supports[j]:
+        for j, support in enumerate(supports):
+            if j not in y_rows and supports[y] & support:
                 bad = (f"induced character {induced_rows[y]} shares a constituent with "
                        f"outside character amb:{j}")
                 break

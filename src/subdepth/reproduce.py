@@ -134,7 +134,7 @@ def _criterion_properties(ctx):
     # seven reports and the lemma's block tables
     pairs = ctx.all_pair_reports()
     tables = {id(t): t for _, rep in pairs
-              for t in (rep.inclusion.ambient_table, rep.inclusion.sub_table)}
+              for t in (rep.ambient_table, rep.sub_table)}
     for n in (2, 3):
         block = ctx.table(ctx.family("A", n).base_block)
         tables[id(block)] = block
@@ -145,8 +145,7 @@ def _criterion_properties(ctx):
     # (b) Frobenius reciprocity on seeded random pairs, for each inclusion
     rng = random.Random(RNG_SEED)
     for name, rep in pairs:
-        emb = rep.inclusion.embedding
-        ht, gt = rep.inclusion.sub_table, rep.inclusion.ambient_table
+        emb, ht, gt = rep.embedding, rep.sub_table, rep.ambient_table
         for _ in range(FROBENIUS_SAMPLES):
             psi = ht.irreducibles[rng.randrange(len(ht.irreducibles))]
             chi = gt.irreducibles[rng.randrange(len(gt.irreducibles))]

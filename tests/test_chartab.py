@@ -1181,7 +1181,7 @@ def test_warm_value_budget(monkeypatch):
         character_table(g) for fam in (b2, a2) for g in (fam.ambient, fam.subgroup)]
     assert all(table._kernel[0] == 1 for table in tables)
     b_emb, a_emb = b2.embedding_subgroup(), a2.embedding_subgroup()
-    expected = inclusion_matrix(b_amb, b_sub, b_emb).entries
+    expected = inclusion_matrix(b_amb, b_sub, b_emb)
     rng = random.Random(2027)
     samples = [(rng.choice(a_sub.irreducibles), rng.choice(a_amb.irreducibles))
                for _ in range(100)]
@@ -1192,7 +1192,7 @@ def test_warm_value_budget(monkeypatch):
     # every restriction and induction of a rational table carries ints and
     # makes no value: not in the inclusion matrix, whose degrees read the
     # ints too, nor on the two sides of Frobenius reciprocity
-    assert inclusion_matrix(b_amb, b_sub, b_emb).entries == expected
+    assert inclusion_matrix(b_amb, b_sub, b_emb) == expected
     sides = [(induce_character(psi, a_emb), chi, psi, restrict_character(chi, a_emb))
              for psi, chi in samples]
     assert made == []
@@ -1604,7 +1604,7 @@ def test_induction_weights_are_built_once_per_embedding(monkeypatch):
     matrix = inclusion_matrix(character_table(fam.ambient), sub_table, emb)
     r = len(sub_table.irreducibles)
     assert (fam.ambient.order, fam.subgroup.order, r) == (1152, 96, 20)
-    assert len(matrix.entries) == r and calls == [emb]
+    assert len(matrix) == r and calls == [emb]
     for psi in sub_table.irreducibles:
         induce_character(psi, emb)
     assert calls == [emb]
@@ -1712,6 +1712,24 @@ def test_table_from_obj_rejects_the_c4_table_with_two_columns_swapped():
         row[1], row[2] = row[2], row[1]
     with pytest.raises(TableConsistencyError,
                        match="conductor 4 does not divide the element order 2"):
+        table_from_obj(obj, group)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_table_from_obj_rejects_a_cyclic_table_with_two_generator_columns_swapped(n):
+    # the two classes hold generators g and g^k, so the swap keeps every
+    # conductor and orthogonality, and the rows are re-sorted into canonical
+    # order; the table differs, and only chi(g^k) = sigma_k(chi(g)) sees it
+    group = PermGroup.generated(parse_generators(f"({','.join(map(str, range(1, n + 1)))})"))
+    table = character_table(group)
+    obj = json.loads(json.dumps(table_to_obj(table)))
+    for row in obj["irreducibles"]:
+        row[1], row[2] = row[2], row[1]
+    obj["irreducibles"].sort(key=lambda row: [Cyclotomic.from_obj(v).sort_key() for v in row])
+    swapped = CharacterTable(group, [ClassFunction(group, list(map(Cyclotomic.from_obj, row)))
+                                     for row in obj["irreducibles"]])
+    assert swapped != table
+    with pytest.raises(TableConsistencyError, match="not the Galois image"):
         table_from_obj(obj, group)
 
 

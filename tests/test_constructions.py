@@ -325,5 +325,5 @@ def test_family_member_has_one_report():
     rep = fam.report()
     assert rep is fam.report()
     assert rep.depth == fam.expected_depth
-    assert rep.inclusion.ambient_table.group is fam.ambient
-    assert rep.inclusion.sub_table.group is fam.subgroup
+    assert rep.ambient_table.group is fam.ambient
+    assert rep.sub_table.group is fam.subgroup

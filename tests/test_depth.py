@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdepth import perm
-from subdepth.chartab import character_table, table_to_obj
+from subdepth.chartab import _partitions, character_table, table_to_obj
 from subdepth.constructions import family, klein_labels, sym4_labels
-from subdepth.depth import (DepthReport, InclusionMatrix, core_depth_bound,
-                            depth_one_check, inclusion_matrix, m_chi, matrix_depth,
-                            ordinary_depth, relation_graph)
+from subdepth.depth import (DepthReport, core_depth_bound, depth_one_check,
+                            inclusion_matrix, m_chi, matrix_depth, ordinary_depth,
+                            relation_graph)
 from subdepth.graphs import bfs_distance, distances_from
 from subdepth.perm import PermGroup, class_fusion, parse_generators
 
@@ -40,7 +40,7 @@ def reorder(matrix, s4_table, v4_table):
     nu = klein_labels(v4_table)
     rows = [nu[f"nu{i}"] for i in range(1, 5)]
     cols = [chi[f"chi{j}"] for j in range(1, 6)]
-    return [[matrix.entries[r][c] for c in cols] for r in rows]
+    return [[matrix[r][c] for c in cols] for r in rows]
 
 
 def test_inclusion_matrix_v4(v4_in_s4, s4_table, v4_table):
@@ -56,16 +56,17 @@ def test_inclusion_matrix_v4(v4_in_s4, s4_table, v4_table):
 def test_inclusion_matrix_self_is_identity(bg, s4_table):
     emb = class_fusion(bg.s4, bg.s4)
     m = inclusion_matrix(s4_table, s4_table, emb)
-    assert [list(r) for r in m.entries] == \
+    assert [list(r) for r in m] == \
         [[1 if i == j else 0 for j in range(5)] for i in range(5)]
 
 
 def test_inclusion_matrix_d8(bg, s4_table, d8_table):
     emb = class_fusion(bg.s4, bg.d8)
     m = inclusion_matrix(s4_table, d8_table, emb)
-    assert m.shape == (5, 5)
-    assert all(v in (0, 1) for row in m.entries for v in row)
-    cols = list(zip(*m.entries))
+    assert type(m) is tuple and all(type(row) is tuple for row in m)
+    assert (len(m), len(m[0])) == (5, 5)
+    assert all(v in (0, 1) for row in m for v in row)
+    cols = list(zip(*m))
     assert all(sum(col) >= 1 for col in cols)
 
 
@@ -143,7 +144,7 @@ def sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(entries=sparse_matrices())
 def test_sparse_powers_match_the_dense_product(entries):
-    matrix = InclusionMatrix(None, None, None, tuple(map(tuple, entries)))
+    matrix = tuple(map(tuple, entries))
     for k in range(7):
         assert alternating_power(matrix, k) == dense_alternating_power(entries, k)
 
@@ -152,10 +153,33 @@ def test_sparse_powers_match_the_dense_product(entries):
 def test_matrix_depth_matches_the_dense_loop_on_golden_pairs(name):
     report = json.loads((GOLDEN / f"{name}.json").read_text())
     entries = report["inclusion_matrix"]["entries"]
-    matrix = InclusionMatrix(None, None, None, tuple(map(tuple, entries)))
+    matrix = tuple(map(tuple, entries))
     expected = report["criteria"]["matrix"]
     assert matrix_depth(matrix) == literal_matrix_depth(entries) == (
         expected["depth"], expected["witness_multiplier"])
+
+
+def branching_matrix(n):
+    """The S_n < S_(n+1) inclusion matrix by the branching rule: rows are the
+    partitions of n, columns those of n + 1, and the entry is 1 when the
+    column's diagram is the row's with one box added."""
+    def one_box_less(mu):
+        return {tuple(p for p in mu[:i] + (part - 1,) + mu[i + 1:] if p)
+                for i, part in enumerate(mu) if i + 1 == len(mu) or part > mu[i + 1]}
+
+    below = [one_box_less(mu) for mu in _partitions(n + 1, n + 1)]
+    return tuple(tuple(int(lam in lams) for lams in below) for lam in _partitions(n, n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_criteria_on_the_symmetric_branching_matrix(n):
+    # no group behind the matrix: d(S_n, S_(n+1)) = 2n - 1 (Burciu, Kadison
+    # and Kuelshammer), from the matrix and from the character distances
+    entries = branching_matrix(n)
+    assert matrix_depth(entries)[0] == 2 * n - 1
+    graph = relation_graph(entries)
+    far = max(max(distances_from(graph, [i]).values()) for i in range(len(entries)))
+    assert far == n - 1 and 2 * max(1, far) + 1 == 2 * n - 1
 
 
 def test_relation_graph_components(v4_in_s4, s4_table, v4_table, bg, d8_table):
@@ -203,9 +227,7 @@ def test_m_chi(v4_in_s4, s4_table):
     assert m_chi(v4_in_s4, g, chi["chi4"]) == 0
     with pytest.raises(ValueError):
         # a zero column cannot come from a real table; fabricate one
-        fake = InclusionMatrix(v4_in_s4.ambient_table, v4_in_s4.sub_table, v4_in_s4.embedding,
-                               tuple(tuple(0 for _ in r) for r in v4_in_s4.entries))
-        m_chi(fake, g, 0)
+        m_chi(tuple(tuple(0 for _ in r) for r in v4_in_s4), g, 0)
 
 
 def test_depth_one(bg):
@@ -314,8 +336,7 @@ def test_dead_groups_are_freed_without_the_collector():
         report = ordinary_depth(s4, d8)
         assert report.depth == 4
         groups = [weakref.ref(s4), weakref.ref(d8)]
-        tables = [weakref.ref(report.inclusion.ambient_table),
-                  weakref.ref(report.inclusion.sub_table)]
+        tables = [weakref.ref(report.ambient_table), weakref.ref(report.sub_table)]
         del s4, d8, report
         # no reference cycle keeps a group, its elements or its table alive
         assert [ref() for ref in groups + tables] == [None] * 4
@@ -399,9 +420,8 @@ def test_outputs_agree_on_the_top_points_of_degree_256_and_257(data):
     assert ([chi.values for chi in character_table(group_b).irreducibles]
             == [chi.values for chi in character_table(group_t).irreducibles])
     for name in DepthReport.__slots__:
-        if name not in ("core", "inclusion"):
+        if name not in ("core", "ambient_table", "sub_table", "embedding"):
             assert getattr(report_b, name) == getattr(report_t, name), name
-    assert report_b.inclusion.entries == report_t.inclusion.entries
     core_b, core_t = report_b.core, report_t.core
     assert (core_b.bound, core_b.conjugate_count, core_b.central, witnesses_b) \
         == (core_t.bound, core_t.conjugate_count, core_t.central, witnesses_t)
