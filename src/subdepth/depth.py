@@ -202,29 +202,47 @@ def core_depth_bound(ambient, sub):
 # ---------------------------------------------------------------------------
 
 class DepthReport:
+    """Every depth criterion for H <= G, read off the inclusion matrix.
+
+    The caller supplies the matrix with the tables and embedding behind it,
+    and the three facts only the groups know: depth one, normality and the
+    core bound.  The constructor computes the rest from ``entries``: the
+    relation graph, the largest finite distance and the odd bound, the
+    m-values, their maximum and the even bound, the verdict (the minimum
+    satisfied bound) and the matrix depth with its witness.  It raises when
+    the matrix criterion disagrees with the verdict or the verdict exceeds
+    the core bound.
+    """
+
     __slots__ = ("depth", "depth_one", "normal", "max_distance", "odd_bound", "max_m_chi",
                  "even_bound", "matrix_n", "matrix_witness", "core", "entries",
                  "ambient_table", "sub_table", "embedding", "graph", "m_values")
 
-    def __init__(self, depth, depth_one, normal, max_distance, odd_bound, max_m_chi,
-                 even_bound, matrix_n, matrix_witness, core, entries, ambient_table,
-                 sub_table, embedding, graph, m_values):
-        self.depth = depth
-        self.depth_one = depth_one
-        self.normal = normal
-        self.max_distance = max_distance  # largest finite pairwise relation distance
-        self.odd_bound = odd_bound        # 2*max(1, max_distance) + 1
-        self.max_m_chi = max_m_chi
-        self.even_bound = even_bound      # 2*max(2, max_m_chi + 1)
-        self.matrix_n = matrix_n
-        self.matrix_witness = matrix_witness
-        self.core = core                  # CoreBound
+    def __init__(self, entries, ambient_table, sub_table, embedding, depth_one, normal, core):
         self.entries = entries            # the inclusion matrix, rows Irr(H)
         self.ambient_table = ambient_table
         self.sub_table = sub_table
         self.embedding = embedding
-        self.graph = graph                # the relation Graph
-        self.m_values = m_values
+        self.depth_one = depth_one
+        self.normal = normal
+        self.core = core                  # CoreBound
+        self.graph = graph = relation_graph(entries)
+        # largest finite pairwise relation distance
+        self.max_distance = max(max(distances_from(graph, [i]).values())
+                                for i in range(len(entries)))
+        self.odd_bound = 2 * max(1, self.max_distance) + 1
+        self.m_values = tuple(m_chi(entries, graph, j) for j in range(len(entries[0])))
+        self.max_m_chi = max(self.m_values)
+        self.even_bound = 2 * max(2, self.max_m_chi + 1)
+        # the odd bound is at least 3 and the even one at least 4
+        self.depth = 1 if depth_one else 2 if normal else min(self.odd_bound, self.even_bound)
+        self.matrix_n, self.matrix_witness = matrix_depth(entries)
+        if self.matrix_n != self.depth:
+            raise CriterionMismatchError(f"matrix criterion gives {self.matrix_n} "
+                                         f"but the character criteria give {self.depth}")
+        if self.depth > core.bound:
+            raise InternalConsistencyError(
+                f"depth {self.depth} exceeds the core bound {core.bound}")
 
     def to_obj(self):
         return {
@@ -254,44 +272,13 @@ class DepthReport:
 def ordinary_depth(ambient, sub):
     """Evaluate every depth criterion for H <= G and return the combined report.
 
-    The verdict is the minimum satisfied character-criterion bound; the matrix
-    criterion and the core bound are computed independently and must be
-    consistent (equality resp. upper bound), otherwise this raises.
+    This supplies the class fusion, the two tables, the inclusion matrix and
+    the three group facts (depth one, normality and the core bound);
+    :class:`DepthReport` reads the matrix criteria off the entries and checks
+    them against each other and against the core bound.
     """
     emb = class_fusion(ambient, sub)
     ambient_table, sub_table = character_table(ambient), character_table(sub)
-    entries = inclusion_matrix(ambient_table, sub_table, emb)
-    graph = relation_graph(entries)
-
-    max_distance = 0
-    for i in range(len(entries)):
-        dist = distances_from(graph, [i])
-        far = max(dist.values())
-        if far > max_distance:
-            max_distance = far
-    odd_bound = 2 * max(1, max_distance) + 1
-
-    m_values = tuple(m_chi(entries, graph, j) for j in range(len(entries[0])))
-    max_m = max(m_values)
-    even_bound = 2 * max(2, max_m + 1)
-
-    bounds = [odd_bound, even_bound]
-    d1 = depth_one_check(emb)
-    if d1:
-        bounds.append(1)
-    nrm = is_normal(ambient, sub)
-    if nrm:
-        bounds.append(2)
-    depth = min(bounds)
-
-    mat_n, mat_a = matrix_depth(entries)
-    if mat_n != depth:
-        raise CriterionMismatchError(
-            f"matrix criterion gives {mat_n} but the character criteria give {depth}")
-    core = core_depth_bound(ambient, sub)
-    if depth > core.bound:
-        raise InternalConsistencyError(
-            f"depth {depth} exceeds the core bound {core.bound}")
-    return DepthReport(depth, d1, nrm, max_distance, odd_bound, max_m,
-                       even_bound, mat_n, mat_a, core, entries, ambient_table, sub_table,
-                       emb, graph, m_values)
+    return DepthReport(inclusion_matrix(ambient_table, sub_table, emb), ambient_table,
+                       sub_table, emb, depth_one_check(emb), is_normal(ambient, sub),
+                       core_depth_bound(ambient, sub))

@@ -18,14 +18,16 @@ The inclusion matrix, both tables and the relation graph come from the
 member's depth report (``FamilyInstance.report``), and the seed helpers read
 the S4 and V4 tables from the product tables' own factor groups, the base
 groups every member shares: on a member that has its report the lemma builds
-no inclusion matrix and no Dixon table.
+no inclusion matrix and no Dixon table.  Parts ii and iii read the sharing
+graph on Irr(G) as :func:`~subdepth.depth.relation_graph` of the transposed
+matrix: two characters of G are joined when they share a constituent.
 """
 
 from __future__ import annotations
 
 from .chartab import character_table, induce_character, inner_product
-# base_groups, inclusion_matrix and relation_graph are unused here but
-# perfbench/tracer.py wraps them on this module
+# base_groups and inclusion_matrix are unused here but perfbench/tracer.py
+# wraps them on this module
 from .constructions import (base_groups, distance_witness_pair,  # noqa: F401
                             family, seed_characters)
 from .depth import inclusion_matrix, relation_graph  # noqa: F401
@@ -119,29 +121,18 @@ def lemma_report(n, fam=None, cap=DEFAULT_CAP):
     parts["i"] = LemmaPart(bad is None,
                            bad or f"{expected_count} seeds induce irreducibly and injectively")
 
-    supports = [frozenset(i for i, v in enumerate(column) if v)
-                for column in zip(*report.entries)]
-    y_rows = set(induced_rows)
+    sharing = relation_graph(tuple(zip(*report.entries))).adjacency()
+    rows_sorted = sorted(induced_rows)
 
     # (ii) closure under sharing a subgroup constituent
-    bad = None
-    for y in sorted(y_rows):
-        for j, support in enumerate(supports):
-            if j not in y_rows and supports[y] & support:
-                bad = (f"induced character {induced_rows[y]} shares a constituent with "
-                       f"outside character amb:{j}")
-                break
-        if bad:
-            break
+    bad = next((f"induced character {induced_rows[y]} shares a constituent with "
+                f"outside character amb:{j}"
+                for y in rows_sorted for j in sharing[y] if j not in induced_rows), None)
     parts["ii"] = LemmaPart(bad is None, bad or "induced set is closed under the relation")
 
     # (iii) the sharing graph equals the expected product graph under the labels
-    edges = set()
-    rows_sorted = sorted(y_rows)
-    for a_pos, ya in enumerate(rows_sorted):
-        for yb in rows_sorted[a_pos + 1:]:
-            if supports[ya] & supports[yb]:
-                edges.add(frozenset((induced_rows[ya], induced_rows[yb])))
+    edges = {frozenset((induced_rows[y], induced_rows[j]))
+             for y in rows_sorted for j in sharing[y] if j in induced_rows}
     expected = expected_overlap_graph(n)
     got_graph = Graph.build([induced_rows[y] for y in rows_sorted], edges)
     if got_graph.edges == expected.edges and set(got_graph.vertices) == set(expected.vertices):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdepth import perm
+from subdepth import depth, perm
 from subdepth.chartab import _partitions, character_table, table_to_obj
 from subdepth.constructions import family, klein_labels, sym4_labels
-from subdepth.depth import (DepthReport, core_depth_bound, depth_one_check,
+from subdepth.depth import (CoreBound, DepthReport, core_depth_bound, depth_one_check,
                             inclusion_matrix, m_chi, matrix_depth, ordinary_depth,
                             relation_graph)
+from subdepth.errors import CriterionMismatchError, InternalConsistencyError
 from subdepth.graphs import bfs_distance, distances_from
 from subdepth.perm import PermGroup, class_fusion, parse_generators
 
@@ -180,6 +181,10 @@ def test_criteria_on_the_symmetric_branching_matrix(n):
     graph = relation_graph(entries)
     far = max(max(distances_from(graph, [i]).values()) for i in range(len(entries)))
     assert far == n - 1 and 2 * max(1, far) + 1 == 2 * n - 1
+    # the even criterion: the outermost column reaches every partition of n
+    # within n - 1 steps, so its bound 2n sits one above the odd one
+    largest_m = max(m_chi(entries, graph, j) for j in range(len(entries[0])))
+    assert largest_m == n - 1 and 2 * max(2, largest_m + 1) == 2 * n
 
 
 def test_relation_graph_components(v4_in_s4, s4_table, v4_table, bg, d8_table):
@@ -348,6 +353,21 @@ def test_ordinary_depth_small_pairs(bg):
     assert ordinary_depth(bg.s4, bg.v4).depth == 2
     assert ordinary_depth(bg.s4, bg.d8).depth == 4
     assert ordinary_depth(bg.s4, bg.s3).depth == 5
+
+
+def test_matrix_criterion_disagreeing_with_the_characters_raises(bg, monkeypatch):
+    exact = matrix_depth
+    monkeypatch.setattr(depth, "matrix_depth", lambda entries: (exact(entries)[0] + 1, 1))
+    with pytest.raises(CriterionMismatchError):
+        ordinary_depth(bg.s4, bg.s3)
+
+
+def test_depth_above_the_core_bound_raises(bg, monkeypatch):
+    # S3 < S4 has depth 5, above a bound of 4
+    monkeypatch.setattr(depth, "core_depth_bound",
+                        lambda ambient, sub: CoreBound(4, 2, False, ()))
+    with pytest.raises(InternalConsistencyError, match="exceeds the core bound"):
+        ordinary_depth(bg.s4, bg.s3)
 
 
 def test_report_consistency(bg):

@@ -55,3 +55,34 @@ def test_lemma_rejects_another_member():
         lemma_report(3, fam=family("A", 2))
     with pytest.raises(ValueError):
         lemma_report(2, fam=family("B", 2))
+
+
+def with_entry_set(monkeypatch, fam, i, j):
+    """Make entry (i, j) of the member's inclusion matrix 1 for this test."""
+    report = fam.report()
+    rows = [list(row) for row in report.entries]
+    rows[i][j] = 1
+    monkeypatch.setattr(report, "entries", tuple(map(tuple, rows)))
+
+
+def test_lemma_fails_when_an_outside_character_shares_a_constituent(monkeypatch):
+    # at n = 2 the seeds induce to columns 9-12, 17 and 18; row 0 lies under
+    # columns 9 and 10, so a 1 at (0, 0) relates column 0 to the induced set
+    fam = family("A", 2)
+    with_entry_set(monkeypatch, fam, 0, 0)
+    rep = lemma_report(2, fam=fam)
+    assert not rep.parts["ii"].passed
+    assert rep.parts["ii"].detail == \
+        "induced character (5, 2) shares a constituent with outside character amb:0"
+    assert all(rep.parts[k].passed for k in ("i", "iii", "iv", "v"))
+
+
+def test_lemma_fails_on_a_sharing_edge_the_product_graph_lacks(monkeypatch):
+    # columns 9 and 12 share no row, and their labels are not adjacent in the
+    # product of an edge and a triangle; row 0 lies under column 9
+    fam = family("A", 2)
+    with_entry_set(monkeypatch, fam, 0, 12)
+    rep = lemma_report(2, fam=fam)
+    assert not rep.parts["iii"].passed
+    assert rep.parts["iii"].detail == "edge mismatch: missing [] extra [((4, 1), (5, 2))]"
+    assert all(rep.parts[k].passed for k in ("i", "ii", "iv", "v"))
