@@ -3,8 +3,9 @@
 1. The modular (Dixon) engine on the dihedral group of order 8.
 2. The outer-product construction for a direct product, checked against the
    Dixon engine on the same group.
-3. The Clifford construction for S4 wr C2, an independent oracle that must
-   agree with the Dixon table row for row.
+3. The Clifford construction for S4 wr C2, the route ``character_table``
+   takes for a cyclic wreath product, checked row for row against the Dixon
+   engine as its oracle.
 
 Run from the repository root:  python demos/character_tables.py
 """
@@ -31,13 +32,13 @@ outer = direct_product_table([character_table(bg.v4), character_table(bg.s4)], p
 modular = dixon_character_table(prod)
 print(f"   {len(outer.irreducibles)} irreducibles; tables equal: {outer == modular}")
 
-print("\n== S4 wr C2: Clifford oracle vs modular engine ==")
+print("\n== S4 wr C2: Clifford construction vs modular engine ==")
 wr = wreath_cyclic(bg.s4, 2)
-oracle = wreath_cyclic_table(character_table(bg.s4), wr.group, wr.shift, 2)
+clifford = wreath_cyclic_table(character_table(bg.s4), wr.group, wr.shift, 2)
 modular = dixon_character_table(wr.group)
-print(f"   order {wr.group.order}, {len(oracle.irreducibles)} irreducibles; "
-      f"tables equal: {oracle == modular}")
-print(f"   degrees: {oracle.degrees()}")
+print(f"   order {wr.group.order}, {len(clifford.irreducibles)} irreducibles; "
+      f"tables equal: {clifford == modular}")
+print(f"   degrees: {clifford.degrees()}")
 
 print("\n== JSON export (first lines) ==")
 text = json.dumps(table_to_obj(d8), sort_keys=True, indent=2)

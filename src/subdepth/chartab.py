@@ -1,11 +1,14 @@
 """Exact irreducible character tables and class-function operations.
 
-Tables come by one of three routes, chosen from the group alone
+Tables come by one of four routes, chosen from the group alone
 (:func:`character_table`): the outer product of the factor tables for a
-direct product; the Murnaghan-Nakayama rule on the partitions of k for the
-full symmetric group on the k points its generators move
-(:func:`symmetric_character_table`); and for every other group the modular
-(Dixon) method, which ``table --prime`` also calls directly.
+direct product; Clifford theory on the base table for a cyclic wreath
+product base wr C_n, any n >= 2 (:func:`wreath_cyclic_table`); the
+Murnaghan-Nakayama rule on the partitions of k for the full symmetric group
+on the k points its generators move (:func:`symmetric_character_table`); and
+for every other group the modular (Dixon) method, which ``table --prime``
+also calls directly, and which is the oracle the tests and ``reproduce``
+check the other three routes against.
 
 Dixon's method takes simultaneous eigenvectors of class-multiplication
 matrices over a prime field F_p with p == 1 mod the group exponent and
@@ -33,15 +36,14 @@ unpacked and reduced mod the e-th cyclotomic polynomial on ints only when it
 is not one.  The packing lives on the table: validation keeps the rows'
 packed conjugates with e, B and the largest value 1-norm N as its kernel,
 which decomposition reads and whose e and N set the packings of the product
-tables and the wreath oracle.  A class function carries nothing packed but
+and wreath tables.  A class function carries nothing packed but
 its values as ints when all are rational integers (c packs to c at every e
 and B, and is its own conjugate): rational rows hand them on to their
 restrictions and integral inductions, and so to every later sum.  A class
 function made from ints makes its values when they are first read, so a
 restriction or induction that is only summed, decomposed or compared makes
 none.  A product of packed ints is the packed product, so the outer-product
-tables and the wreath oracle multiply ints and normalise each distinct
-result once.
+and wreath tables multiply ints and normalise each distinct result once.
 
 Each distinct value is made once where values are made: the Dixon lift,
 the Murnaghan-Nakayama rows, induction with irrational or non-integral
@@ -59,11 +61,12 @@ Canonical orders make every downstream matrix reproducible: classes ascend by
 size (ties by lexicographically smallest member), irreducibles ascend by
 degree (ties by the value sequence under a fixed total order on cyclotomics).
 
-For product groups the table of the direct product is the outer product of
-the factor tables, and for wreath products by a cyclic group of prime order a
-Clifford-theoretic construction provides an independent oracle against the
-Dixon engine; both are built on the packed kernel and validated like any
-other table.
+The table of a direct product is the outer product of the factor tables,
+and that of base wr C_n, for any n >= 2, is induced from the extensions of
+the base's tensor tuples to their inertia groups (Clifford theory); both
+are built on the packed kernel from their factor or base table and
+validated like any other table, and Dixon's table of the same group is
+their independent oracle.
 """
 
 from __future__ import annotations
@@ -863,24 +866,37 @@ def direct_product_table(factor_tables, group):
 
 
 def wreath_cyclic_table(base_table, wreath_group, shift, copies):
-    """Clifford-theoretic table of (base) wr C_n for prime n.
+    """The canonical table of (base) wr C_n for any n >= 2 by Clifford theory
+    (James and Kerber, The Representation Theory of the Symmetric Group,
+    1981, 4.3-4.4; Isaacs, Character Theory of Finite Groups, ch. 6).
 
-    Independent of the Dixon engine: irreducibles are built as inductions of
-    shift-orbit representatives of outer products plus the twisted extensions
-    of the diagonal outer products, so this serves as a structural oracle.
+    ``wreath_group`` acts on n consecutive blocks of the base's degree, as
+    :func:`subdepth.constructions.wreath_cyclic` builds it: an element x
+    sends block j to block j + s for one s mod n.  With g = gcd(n, s)
+    (gcd(n, 0) = n), x^(n/g) fixes every block, and its window at block c < g
+    is the product of x's components along the cycle of c; each class is
+    decoded once to s and the base classes of those g cycle products.
 
-    The values are computed on the base rows packed at e = lcm(base e, n) with
-    B from n * N^n (N the base table's norm), as in
-    :func:`direct_product_table`: a block product is an int product, the twist
-    by zeta_n^(cs) a shift by B * (c s e / n mod e), and a free-orbit value an
-    int sum over the n rotations.
+    A tuple theta of base irreducibles with least rotation period t (t | n)
+    has inertia group B^n . <sigma^t>, to which it extends; its rotation orbit
+    gives n/t irreducibles, k = 0 .. n/t - 1, each zero where t does not
+    divide s and elsewhere
+    zeta_n^(k s) * sum over r < t of prod over c < g of theta_((c + r) mod n)
+    at cycle product c.  One row is made per orbit representative (the least
+    rotation) and k.
 
-    Raises ``ValueError`` for composite ``copies``.  ``shift`` is not read:
-    the block structure is decoded from the class representatives.
+    The values are computed on the base rows packed at e = lcm(base e, n),
+    or the base e alone for n = 2, where zeta_2 = -1, with B from n * N^n (N
+    the base table's norm), as in :func:`direct_product_table`: a product
+    over cycles is an int product, the twist by zeta_n^j a negation when
+    2j = n and else a shift by B * (j e / n), and a sum over rotations an int
+    sum.  The table keeps the base table alive (``_factors``), as the product
+    tables keep theirs.
+
+    ``shift`` is not read: the block structure is decoded from the class
+    representatives.
     """
     n = copies
-    if not modlin.is_prime(n):
-        raise ValueError("cyclic wreath oracle only supports a prime number of copies")
     base = base_table.group
     d = base.degree
     if wreath_group.degree != d * n or wreath_group.order != base.order ** n * n:
@@ -895,51 +911,47 @@ def wreath_cyclic_table(base_table, wreath_group, shift, copies):
             target = ((j + s) % n) * d
             if any(not (target <= w[j * d + t] < target + d) for t in range(d)):
                 raise InternalConsistencyError("wreath element does not shift blocks uniformly")
-        if s == 0:
-            comps = tuple(base_class_of(tuple(v - j * d for v in w[j * d:(j + 1) * d]))
-                          for j in range(n))
-            decoded.append((0, comps))
-        else:
-            # the block-0 window of w^n is the cycle product of the components
-            cycle_prod = (c.rep ** n).images[:d]
-            decoded.append((s, base_class_of(tuple(cycle_prod))))
+        g = gcd(n, s)
+        power = w if g == n else (c.rep ** (n // g)).images
+        decoded.append((s, tuple(base_class_of(tuple(v - b * d for v in power[b * d:(b + 1) * d]))
+                                 for b in range(g))))
 
     base_e, _, norm, _ = base_table._kernel
-    e = lcm(base_e, n)
+    e = lcm(base_e, n if n > 2 else 1)
     bits = _bits(n * norm ** n)
     packed = [_packing(chi, e, bits)[0] for chi in base_table.irreducibles]
     rows = []
-    for tup in iter_product(range(len(packed)), repeat=n):
-        rotations = {tuple(tup[(j + r) % n] for j in range(n)) for r in range(n)}
-        if tup != min(rotations):
+    for theta in iter_product(range(len(packed)), repeat=n):
+        rotations = [theta[r:] + theta[:r] for r in range(1, n + 1)]
+        if theta != min(rotations):
             continue
-        if len(rotations) == 1:
-            # diagonal tuple: n extensions twisted by the cyclic quotient characters
-            a = packed[tup[0]]
-            for c_twist in range(n):
-                rows.append([prod(map(a.__getitem__, data)) if s == 0
-                             else a[data] << bits * (c_twist * s * e // n % e)
-                             for s, data in decoded])
-        else:
-            # free orbit: the induced character, supported on the base; n is
-            # prime, so the orbit holds n distinct rotations
-            rotated = [[packed[i] for i in rotation] for rotation in rotations]
-            rows.append([sum(prod(map(getitem, a, data)) for a in rotated) if s == 0 else 0
-                         for s, data in decoded])
+        t = rotations.index(theta) + 1
+        # rotation r has theta_((c + r) mod n) at c; r = 1 .. t are the t distinct ones
+        rotated = [list(map(packed.__getitem__, rotation)) for rotation in rotations[:t]]
+        sums = [0 if s % t else sum(prod(map(getitem, a, cps)) for a in rotated)
+                for s, cps in decoded]
+        for k in range(n // t):
+            rows.append([v if j == 0 else -v if 2 * j == n else v << bits * (j * e // n)
+                         for v, j in zip(sums, [k * s % n for s, _ in decoded])])
     all_values = _unpack_rows(rows, e, bits)
     order_idx = _canonical_character_sort(all_values)
     irr = [ClassFunction(wreath_group, all_values[i]) for i in order_idx]
-    return CharacterTable(wreath_group, irr)
+    table = CharacterTable(wreath_group, irr)
+    table._factors = (base_table,)  # the base group holds it weakly
+    return table
 
 
 def character_table(group):
     """The canonical table of a group, cached on the instance while it lives.
 
     The group holds its table weakly (the table holds the group), so whoever
-    needs a table keeps it.  The route is chosen from the group alone:
-    product groups get the outer-product construction (recursively), the full
+    needs a table keeps it.  The route is chosen from the group alone, in
+    this order: a direct product gets the outer product of its factor tables
+    and a cyclic wreath product the Clifford construction on its base table
+    (:func:`wreath_cyclic_table`), both recursively, from the structure
+    that :mod:`subdepth.constructions` records on such a group; the full
     symmetric group on the points its generators move gets its table from
-    partitions (:func:`symmetric_character_table`), and anything else goes
+    partitions (:func:`symmetric_character_table`); and anything else goes
     through the Dixon engine.  Every route produces the same canonical table.
     """
     table = group._char_table and group._char_table()
@@ -948,6 +960,9 @@ def character_table(group):
     if group.product_structure is not None:
         factor_tables = [character_table(fg) for _, fg in group.product_structure]
         table = direct_product_table(factor_tables, group)
+    elif group.wreath_structure is not None:
+        base, copies = group.wreath_structure
+        table = wreath_cyclic_table(character_table(base), group, None, copies)
     elif _symmetric_points(group) is not None:
         table = symmetric_character_table(group)
     else:

@@ -172,8 +172,10 @@ class CyclicWreath:
 
 def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
     """base wr C_n, generated by the block-0 copy of the base and the shift.
-    The base holds each product weakly, as a group holds its table, so calls
-    share one group (and its classes and table) while anyone keeps it."""
+    The layout is recorded on ``wreath_structure`` as ``(base, copies)`` so
+    the Clifford character table can be built later.  The base holds each
+    product weakly, as a group holds its table, so calls share one group (and
+    its classes and table) while anyone keeps it."""
     if copies < 2:
         raise ValueError("a wreath product needs at least two copies")
     # the order is base.order^copies * copies: refuse it above the cap before
@@ -192,6 +194,7 @@ def wreath_cyclic(base, copies, cap=DEFAULT_CAP):
         group = PermGroup.generated(gens, cap=cap)
         if group.order != order:
             raise InternalConsistencyError("wreath product closure has the wrong order")
+        group.wreath_structure = (base, copies)
         base._wreaths[copies] = weakref.ref(group)
     return CyclicWreath(group, shift)
 

@@ -325,6 +325,7 @@ class PermGroup:
         self._char_table = None
         self._wreaths = {}                        # copies -> weakref of self wr C_copies
         self.product_structure = None             # set by direct products
+        self.wreath_structure = None              # set by cyclic wreath products
 
     # -- construction ---------------------------------------------------------
 

@@ -20,24 +20,31 @@ from pathlib import Path
 
 import pytest
 
-from subdepth import chartab
+from subdepth import chartab, reproduce
 from subdepth.reproduce import CRITERIA, AcceptanceContext
 
 _BUDGETS = {1: 1.0, 2: 1.0, 3: 1.0, 4: 30.0, 5: 30.0, 6: 30.0, 7: 30.0}
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_details.json"
 _DETAILS = {}  # criterion number -> its result, as stored in GOLDEN
+_ORACLE_GROUPS = []  # ids of the groups reproduce itself hands to Dixon, in order
 
 
 @pytest.fixture(scope="module")
 def built():
-    """Table constructions by kind while this module's criteria run."""
+    """Table constructions by kind while this module's criteria run, those
+    that ``reproduce`` calls by its own name for Dixon included."""
     counts = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("dixon_character_table", "direct_product_table"):
-            def counted(*args, _build=getattr(chartab, name), _name=name, **kwargs):
+        for module, name in [(chartab, "dixon_character_table"),
+                             (chartab, "direct_product_table"),
+                             (reproduce, "dixon_character_table")]:
+            def counted(*args, _build=getattr(module, name), _name=name,
+                        _log=module is reproduce, **kwargs):
                 counts[_name] += 1
+                if _log:
+                    _ORACLE_GROUPS.append(id(args[0]))
                 return _build(*args, **kwargs)
-            mp.setattr(chartab, name, counted)
+            mp.setattr(module, name, counted)
         yield counts
 
 
@@ -131,10 +138,20 @@ def test_reproduce_builds_no_table_twice(actx, built):
     # groups hold their tables weakly: whoever needs one keeps it (the
     # context, reports, product tables their factors).  The lemma reads its
     # tables from the family member's report and the subgroup's factors.
-    # Series A and B share S4 wr C_n, so it has one table per n, and every
-    # member shares the base groups: S4, V4, D8, S3 and S4 wr C2, C3.
+    # Series A and B share S4 wr C_n, so it has one Clifford table per n, and
+    # every member shares the base groups: S4, V4, D8, S3 and S4 wr C2, C3.
+    # Dixon builds the tables of V4 and D8, and criterion 11 one of each
+    # S4 wr C_n as the oracle of its Clifford table.
     assert built["dixon_character_table"] <= 6
     assert built["direct_product_table"] <= 6
+
+
+def test_criterion_11_takes_the_oracle_tables_from_dixon(actx):
+    _run_the_rest(actx)
+    # 11(c) compares the tables of S4 wr C2 and S4 wr C3, which the Clifford
+    # route builds for the reports, with Dixon's, so it never compares the
+    # route with itself
+    assert _ORACLE_GROUPS == [id(actx.family("A", n).ambient) for n in (2, 3)]
 
 
 def test_reproduce_details_match_the_golden(actx):

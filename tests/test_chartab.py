@@ -231,9 +231,18 @@ def test_wreath_oracle_matches_dixon_c2(bg, s4_table):
     assert oracle == dixon_character_table(wr.group)
 
 
-def test_wreath_composite_copies_rejected(bg, s4_table):
-    with pytest.raises(ValueError):
-        wreath_cyclic_table(s4_table, None, None, 4)
+@pytest.mark.parametrize("base, copies", [
+    ("(1,2)", 4), ("(1,2,3);(1,2)", 4), ("(1,3);(1,2,3,4)", 4), ("(1,3)", 6), ("(1,2,3)", 6)],
+    ids=["C2wrC4", "S3wrC4", "D8wrC4", "C2wrC6", "C3wrC6"])
+def test_wreath_table_matches_dixon_at_composite_copies(base, copies):
+    # rotation orbits of every period t | n, twists zeta_n^(ks) with 2ks = n
+    # and cycle products over 1 < gcd(n, s) < n blocks; the C2 of C2 wr C6
+    # fixes the middle point of its block of three.  Table equality compares
+    # the rows in order
+    base = PermGroup.generated(parse_generators(base))
+    wr = wreath_cyclic(base, copies)
+    table = wreath_cyclic_table(character_table(base), wr.group, wr.shift, copies)
+    assert table == dixon_character_table(wr.group)
 
 
 @pytest.mark.parametrize("base, copies", [
@@ -586,6 +595,53 @@ def test_other_groups_still_go_to_dixon(monkeypatch, gens):
     monkeypatch.setattr(chartab, "symmetric_character_table", refused)
     character_table(group)
     assert calls == [group]
+
+
+def iterated_wreath(base, *copies):
+    """base wr C_(copies[0]) wr C_(copies[1]) ..., each step by wreath_cyclic."""
+    group = PermGroup.generated(parse_generators(base))
+    for n in copies:
+        group = wreath_cyclic(group, n).group
+    return group
+
+
+@pytest.mark.parametrize("base, copies", [
+    ("(1,2);(1,2,3,4)", (2,)), ("(1,2);(1,2,3,4)", (3,)), ("(1,2);(1,2,3)", (4,)),
+    ("(1,2);(1,2,3)", (2, 2))],
+    ids=["S4wrC2", "S4wrC3", "S3wrC4", "S3wrC2wrC2"])
+def test_cyclic_wreath_products_take_no_dixon_table(monkeypatch, base, copies):
+    # fresh base groups, so no table is cached on them; the last is the shape
+    # of a series C step, whose base is itself a wreath product
+    group = iterated_wreath(base, *copies)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a cyclic wreath product went to Dixon")
+
+    with monkeypatch.context() as m:
+        m.setattr(chartab, "dixon_character_table", refused)
+        table = character_table(group)
+    assert table._factors[0] is character_table(group.wreath_structure[0])
+    assert table == dixon_character_table(group)
+
+
+def test_a_wreath_product_from_cycle_notation_goes_to_dixon(monkeypatch):
+    # the same S4 wr C2, parsed from its generators' cycles, carries no
+    # wreath structure
+    built = iterated_wreath("(1,2);(1,2,3,4)", 2)
+    text = ";".join(g.cycle_string() for g in built.generators)
+    group = PermGroup.generated(parse_generators(text, built.degree))
+    assert group.wreath_structure is None and group.order == built.order
+    calls = []
+    dixon = chartab.dixon_character_table
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return dixon(g, *args, **kwargs)
+
+    monkeypatch.setattr(chartab, "dixon_character_table", counted)
+    table = character_table(group)
+    assert calls == [group]
+    assert table.irreducibles == character_table(built).irreducibles
 
 
 @pytest.mark.parametrize("name, entries, inputs", [("S8", 484, 281), ("S4 wr C2", 400, 124)])

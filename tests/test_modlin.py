@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subdepth.modlin import (PRIMALITY_BOUND, charpoly_mod, is_prime,
+from subdepth import modlin
+from subdepth.modlin import (PRIMALITY_BOUND, ROOT_SCAN_LIMIT, charpoly_mod, is_prime,
                              nullspace_mod, root_of_unity, roots_mod, rref_mod,
                              smallest_dixon_prime)
 
@@ -222,4 +223,39 @@ def test_roots_mod_of_integer_roots_at_a_large_prime():
         poly = _multiply(poly, [-root % p, 1], p)
     start = time.perf_counter()
     assert roots_mod(poly, p) == [0, 0, 2, 8, 8, 8, 12, p - 24, p - 3]
+    assert time.perf_counter() - start < 0.1
+
+
+PRIMES_ABOVE_THE_SCAN = [q for q in range(ROOT_SCAN_LIMIT + 1, ROOT_SCAN_LIMIT + 400)
+                         if is_prime(q)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_roots_above_the_scan_limit_equal_the_scan(data):
+    # products of linear factors, some repeated, anywhere in F_p, and of
+    # quadratics x^2 - n with no root; the roots found without a scan, with
+    # their multiplicities, are those the scan finds
+    p = data.draw(st.sampled_from(PRIMES_ABOVE_THE_SCAN))
+    poly = [data.draw(st.integers(1, p - 1))]
+    for root in data.draw(st.lists(st.integers(0, p - 1), max_size=8)):
+        for _ in range(data.draw(st.integers(1, 3))):
+            poly = _multiply(poly, [-root % p, 1], p)
+    for n in data.draw(st.lists(st.integers(1, p - 1), max_size=2)):
+        if pow(n, (p - 1) // 2, p) == p - 1:
+            poly = _multiply(poly, [-n % p, 0, 1], p)
+    roots = roots_mod(poly, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(modlin, "ROOT_SCAN_LIMIT", p)
+        assert roots == roots_mod(poly, p)
+
+
+def test_roots_far_from_zero_at_a_large_prime():
+    # zeta_3 reduces to 499501 and 500501 mod 1000003, next to p/2, where a
+    # scan outward from 0 would try about p candidates
+    p = 1000003
+    poly = _multiply([1, 1, 1], [1, 1, 1], p)
+    poly = _multiply(poly, [-7 % p, 1], p)
+    start = time.perf_counter()
+    assert roots_mod(poly, p) == [7, 499501, 499501, 500501, 500501]
     assert time.perf_counter() - start < 0.1
